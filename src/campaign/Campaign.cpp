@@ -44,10 +44,6 @@ bool syrust::campaign::applyVariant(const std::string &Name,
     Config.IncrementalRefinement = false;
     return true;
   }
-  if (Name == "no-compat-cache") {
-    Config.UseCompatCache = false; // A/B against the memoized kernel.
-    return true;
-  }
   if (Name == "portfolio") {
     Config.Portfolio = true; // Strategy racing; streams stay identical.
     return true;
@@ -60,8 +56,7 @@ bool syrust::campaign::applyVariant(const std::string &Name,
     // Coverage-guided enumeration bias. Unlike the variants above, this
     // deliberately *changes* the emitted stream (see DESIGN.md 5h). The
     // biased episode leg only exists in interleaved mode, so the variant
-    // forces it on; TrackApiCoverage is the RunConfig default and is
-    // required by validate().
+    // forces it on.
     Config.BiasCoverage = true;
     Config.InterleaveLengths = true;
     return true;
@@ -97,8 +92,7 @@ CampaignSpec::validate(const Session &S) const {
                        V +
                        "'; known: base, no-semantic, eager, lazy, "
                        "interleave, mutate-inputs, no-incremental, "
-                       "no-compat-cache, portfolio, no-graph-prune, "
-                       "coverage-bias");
+                       "portfolio, no-graph-prune, coverage-bias");
   }
   if (Jobs < 1)
     Errors.push_back("CampaignSpec.Jobs must be at least 1, got " +

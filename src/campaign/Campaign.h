@@ -115,9 +115,9 @@ struct CampaignResult {
 
 /// Applies a named variant to \p Config. Vocabulary: "base" (identity),
 /// "no-semantic", "eager", "lazy", "interleave", "mutate-inputs",
-/// "no-incremental", "no-compat-cache", "portfolio", "no-graph-prune",
-/// "coverage-bias" (forces InterleaveLengths; the only variant that
-/// changes the emitted program stream by design).
+/// "no-incremental", "portfolio", "no-graph-prune", "coverage-bias"
+/// (forces InterleaveLengths; the only variant that changes the emitted
+/// program stream by design).
 /// Returns false for an unknown name.
 bool applyVariant(const std::string &Name, core::RunConfig &Config);
 

@@ -143,25 +143,12 @@ const OptionDef Options[] = {
          runConfigOf(S)->Portfolio = true;
        return std::string();
      }},
-    {"--no-compat-cache", VRun | VCampaign | VAudit, OptionDef::Flag_,
-     [](RequestSpec &S, const std::string &, double) {
-       if (S.V == Verb::Audit)
-         S.Audit.Spec.Base.UseCompatCache = false;
-       else
-         runConfigOf(S)->UseCompatCache = false;
-       return std::string();
-     }},
     {"--no-graph-prune", VRun | VCampaign | VAudit, OptionDef::Flag_,
      [](RequestSpec &S, const std::string &, double) {
        if (S.V == Verb::Audit)
          S.Audit.Spec.Base.GraphPrune = false;
        else
          runConfigOf(S)->GraphPrune = false;
-       return std::string();
-     }},
-    {"--no-api-coverage", VRun | VCampaign, OptionDef::Flag_,
-     [](RequestSpec &S, const std::string &, double) {
-       runConfigOf(S)->TrackApiCoverage = false;
        return std::string();
      }},
     {"--bias-coverage", VRun | VCampaign, OptionDef::Flag_,
@@ -685,33 +672,28 @@ std::string syrust::cli::usageText() {
          "                  [--no-semantic] [--eager] [--lazy]\n"
          "                  [--interleave] [--mutate-inputs] "
          "[--no-incremental]\n"
-         "                  [--no-compat-cache] [--no-graph-prune] "
-         "[--portfolio]\n"
-         "                  [--strategy NAME]\n"
+         "                  [--no-graph-prune] [--portfolio] "
+         "[--strategy NAME]\n"
          "                  [--solve-budget N] [--stop-on-bug] "
          "[--minimize] [--max-tests N]\n"
          "                  [--log-tests N] [--json-errors] [--json]\n"
          "                  [--trace-out FILE] [--metrics-out FILE] "
          "[--trace-wall]\n"
-         "                  [--coverage-out FILE] [--no-api-coverage] "
-         "[--bias-coverage]\n"
+         "                  [--coverage-out FILE] [--bias-coverage]\n"
          "                  [--connect SOCKET]\n"
          "       syrust campaign [--crates all|a,b,c] [--seeds N[..M]]\n"
          "                  [--variants v1,v2] [--jobs N] [--budget N]\n"
          "                  [--apis N] [--max-tests N] "
-         "[--no-compat-cache]\n"
-         "                  [--no-graph-prune]\n"
+         "[--no-graph-prune]\n"
          "                  [--portfolio] [--strategy NAME] "
          "[--solve-budget N]\n"
-         "                  [--out DIR] [--trace] [--coverage-out FILE] "
-         "[--no-api-coverage]\n"
+         "                  [--out DIR] [--trace] [--coverage-out FILE]\n"
          "                  [--bias-coverage] [--checkpoint FILE] "
          "[--connect SOCKET]\n"
          "       syrust audit [--crates all|a,b,c] [--seeds N[..M]]\n"
          "                  [--apis N] [--max-lines N] [--max-models N]\n"
-         "                  [--jobs N] [--no-compat-cache] "
-         "[--no-graph-prune]\n"
-         "                  [--weaken-kills]\n"
+         "                  [--jobs N] [--no-graph-prune] "
+         "[--weaken-kills]\n"
          "                  [--portfolio] [--strategy NAME]\n"
          "                  [--out DIR] [--json] [--coverage-out FILE]\n"
          "                  [--connect SOCKET]\n"

@@ -478,8 +478,6 @@ json::Value syrust::core::runConfigToJson(const RunConfig &C) {
   V.set("max_tests", Value::integer(static_cast<int64_t>(C.MaxTests)));
   V.set("stop_on_first_bug", Value::boolean(C.StopOnFirstBug));
   V.set("minimize_bugs", Value::boolean(C.MinimizeBugs));
-  V.set("use_compat_cache", Value::boolean(C.UseCompatCache));
-  V.set("track_api_coverage", Value::boolean(C.TrackApiCoverage));
   V.set("graph_prune", Value::boolean(C.GraphPrune));
   V.set("bias_coverage", Value::boolean(C.BiasCoverage));
   V.set("json_error_channel", Value::boolean(C.JsonErrorChannel));

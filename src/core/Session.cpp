@@ -64,7 +64,7 @@ RunResult Session::runOne(const CrateSpec &Spec, RunConfig Config,
     return R;
   }
   std::shared_ptr<const CrateAnalysis> Analysis;
-  if (Config.UseCompatCache && Spec.Info.SupportsSynthesis)
+  if (Spec.Info.SupportsSynthesis)
     Analysis = analysisFor(Spec);
   return SyRustDriver(Spec, std::move(Config), Obs, std::move(Analysis))
       .run();

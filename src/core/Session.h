@@ -72,9 +72,9 @@ public:
                    obs::Recorder *Obs = nullptr) const;
 
   /// The shared analysis for \p Spec, built on first request (thread
-  /// safe; later requests reuse it). runOne() calls this for every
-  /// cache-enabled run; exposed so tests and benches can inspect the
-  /// shared state directly.
+  /// safe; later requests reuse it). runOne() calls this for every run
+  /// of a synthesizable crate; exposed so tests and benches can inspect
+  /// the shared state directly.
   std::shared_ptr<const CrateAnalysis>
   analysisFor(const crates::CrateSpec &Spec) const;
 

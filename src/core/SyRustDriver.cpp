@@ -68,11 +68,6 @@ std::vector<std::string> RunConfig::validate() const {
     Errors.push_back("RunConfig.Strategy '" + Strategy +
                      "' is not a known solver strategy (known: " +
                      sat::knownStrategyNames() + ")");
-  if (BiasCoverage && !TrackApiCoverage)
-    Errors.push_back(
-        "RunConfig.BiasCoverage requires TrackApiCoverage: bias reads "
-        "never-covered edges live from the coverage bitsets "
-        "(drop --no-api-coverage or --bias-coverage)");
   return Errors;
 }
 
@@ -178,21 +173,23 @@ std::vector<ApiId> syrust::core::selectApiSubset(
   return Selected;
 }
 
-void SyRustDriver::selectApis(CrateInstance &Inst,
-                              const api::DependencyGraph *Graph,
-                              Rng &R) const {
+RunSetup syrust::core::setUpRun(const CrateSpec &Spec,
+                                const CrateAnalysis &Analysis, uint64_t Seed,
+                                int NumApis, bool BiasCoverage) {
+  RunSetup Setup{Analysis.makeWorkerInstance(),
+                 types::CompatCache(&Analysis.baseCache())};
+  CrateInstance &Inst = *Setup.Inst;
+  Rng R(Seed ^ std::hash<std::string>{}(Spec.Info.Name));
   ApiSelectionOptions Opts;
   Opts.Pinned = Inst.Pinned;
-  Opts.NumApis = Config.NumApis;
+  Opts.NumApis = NumApis;
   // --bias-coverage: weight the draw by never-covered incident degree.
   // At run start the coverage document is all-zero, so a null Coverage
   // (every edge never covered) is exact; campaign workers inherit no
   // cross-run bits by design - each cell stays a pure function of
   // (crate, seed, variant).
-  Opts.Graph = Graph;
-  Opts.Coverage = nullptr;
+  Opts.Graph = BiasCoverage ? &Analysis.graph() : nullptr;
   std::vector<ApiId> Selected = selectApiSubset(Inst.Db, Opts, R);
-  // Unselected APIs are disabled for this run (builtins always stay).
   for (size_t I = 0; I < Inst.Db.size(); ++I) {
     ApiId Id = static_cast<ApiId>(I);
     if (Inst.Db.get(Id).Builtin != BuiltinKind::None)
@@ -200,6 +197,7 @@ void SyRustDriver::selectApis(CrateInstance &Inst,
     if (std::find(Selected.begin(), Selected.end(), Id) == Selected.end())
       Inst.Db.ban(Id);
   }
+  return Setup;
 }
 
 RunResult SyRustDriver::run() {
@@ -212,54 +210,19 @@ RunResult SyRustDriver::run() {
     Result.Supported = false;
     return Result;
   }
-
-  // With a shared analysis, work on a copy-on-write overlay of the
-  // frozen base instance instead of re-instantiating the whole model;
-  // either way the run owns its instance outright. The compatibility
-  // cache is per-run (per campaign job) and chains onto the shared
-  // precomputed matrix when one exists, so probe counts depend only on
-  // this run's own work - never on scheduling.
-  std::unique_ptr<CrateInstance> Inst =
-      Analysis ? Analysis->makeWorkerInstance() : Spec->instantiate();
-  std::unique_ptr<types::CompatCache> Compat;
-  if (Config.UseCompatCache)
-    Compat = std::make_unique<types::CompatCache>(
-        Analysis ? &Analysis->baseCache() : nullptr);
-  Rng R(Config.Seed ^ std::hash<std::string>{}(Spec->Info.Name));
+  // A driver built without a Session builds the analysis a Session would
+  // share, so both routes produce identical results.
+  if (!Analysis)
+    Analysis = std::make_shared<const CrateAnalysis>(*Spec);
 
   // The crate's frozen dependency graph serves three consumers: API-pair
   // coverage marking, the encoder's graph-guided pruning, and (bias mode
-  // only) coverage-weighted API selection. With a shared analysis the
-  // graph is precomputed; otherwise build it here against a scratch
-  // cache - never the run's Compat, whose compat.cache.* counters must
-  // reflect only synthesis probes. Bias mode needs the graph before
-  // selectApis; everyone else acquires it afterwards, exactly where the
-  // bias-off pipeline always built it (buildDependencyGraph ignores
-  // bans, so both orders see identical edges, but arena type-interning
-  // order stays untouched on the bias-off path).
-  api::DependencyGraph LocalGraph;
-  const api::DependencyGraph *Graph = nullptr;
-  std::unique_ptr<coverage::ApiPairCoverage> ApiCov;
-  auto AcquireGraph = [&]() {
-    if (Graph)
-      return;
-    if (Analysis) {
-      Graph = &Analysis->graph();
-    } else {
-      types::CompatCache Scratch;
-      LocalGraph = api::buildDependencyGraph(Inst->Db, Inst->Arena, Scratch);
-      Graph = &LocalGraph;
-    }
-  };
-  if (Config.BiasCoverage)
-    AcquireGraph();
-  selectApis(*Inst, Config.BiasCoverage ? Graph : nullptr, R);
-
-  if (Config.TrackApiCoverage || Config.GraphPrune) {
-    AcquireGraph();
-    if (Config.TrackApiCoverage)
-      ApiCov = std::make_unique<coverage::ApiPairCoverage>(*Graph);
-  }
+  // only) coverage-weighted API selection inside setUpRun.
+  RunSetup Setup = setUpRun(*Spec, *Analysis, Config.Seed, Config.NumApis,
+                            Config.BiasCoverage);
+  CrateInstance &Inst = *Setup.Inst;
+  const api::DependencyGraph &Graph = Analysis->graph();
+  coverage::ApiPairCoverage ApiCov(Graph);
 
   SimClock Clock;
   if (Obs) {
@@ -271,10 +234,10 @@ RunResult SyRustDriver::run() {
                    .add("budget_seconds", Config.BudgetSeconds));
   }
 
-  RefinementEngine Refine(Inst->Arena, Inst->Db, Config.Mode);
+  RefinementEngine Refine(Inst.Arena, Inst.Db, Config.Mode);
   Refine.setEagerCap(Config.EagerCap);
   Refine.setRecorder(Obs);
-  Refine.initialize(Inst->Inputs);
+  Refine.initialize(Inst.Inputs);
 
   SynthOptions Opts;
   Opts.SemanticAware = Config.SemanticAware;
@@ -286,22 +249,21 @@ RunResult SyRustDriver::run() {
     Opts.SolveConflictBudget = Config.SolveConflictBudget;
   Opts.SolverSeed = Config.Seed;
   Opts.Obs = Obs;
-  Opts.Compat = Compat.get();
-  Opts.Graph = Graph;
+  Opts.Compat = &Setup.Compat;
+  Opts.Graph = &Graph;
   Opts.GraphPrune = Config.GraphPrune;
   Opts.BiasCoverage = Config.BiasCoverage;
   Opts.BiasSeed = Config.Seed;
-  Synthesizer Synth(Inst->Arena, Inst->Traits, Inst->Db, Inst->Inputs,
-                    Inst->MaxLen, Opts);
-  Checker Check(Inst->Arena, Inst->Traits);
-  coverage::CoverageMap Cov(Inst->ComponentLines, Inst->LibraryLines,
-                            Inst->ComponentBranches,
-                            Inst->LibraryBranches);
-  TemplateInit Init = Inst->Init;
+  Synthesizer Synth(Inst.Arena, Inst.Traits, Inst.Db, Inst.Inputs,
+                    Inst.MaxLen, Opts);
+  Checker Check(Inst.Arena, Inst.Traits);
+  coverage::CoverageMap Cov(Inst.ComponentLines, Inst.LibraryLines,
+                            Inst.ComponentBranches, Inst.LibraryBranches);
+  TemplateInit Init = Inst.Init;
   if (Config.MutateInputs) {
     // Input-mutation extension: jitter scalar payloads and lengths so
     // data-dependent branches flip across executions.
-    TemplateInit Base = Inst->Init;
+    TemplateInit Base = Inst.Init;
     Init = [Base](AbstractHeap &Heap, Rng &R) {
       std::vector<Value> Values = Base(Heap, R);
       for (Value &V : Values) {
@@ -319,7 +281,7 @@ RunResult SyRustDriver::run() {
       return Values;
     };
   }
-  Interpreter Interp(Inst->Db, Inst->Traits, Inst->Registry, Init, &Cov,
+  Interpreter Interp(Inst.Db, Inst.Traits, Inst.Registry, Init, &Cov,
                      Config.Seed + 7);
 
   Check.setRecorder(Obs);
@@ -330,16 +292,13 @@ RunResult SyRustDriver::run() {
     // snapshot row carries the full coverage.api.* set from t=0. The
     // matrix gauge is observability for the shared analysis; gauges are
     // not campaign-merged, so per-run it is simply the frozen size.
-    if (ApiCov) {
-      const coverage::ApiCoverageData D0 = ApiCov->data();
-      Obs->count("coverage.api.nodes_total", D0.NodesTotal);
-      Obs->count("coverage.api.edges_total", D0.EdgesTotal);
-      Obs->count("coverage.api.nodes_covered", 0);
-      Obs->count("coverage.api.edges_covered", 0);
-    }
-    if (Analysis)
-      Obs->gaugeSet("compat.matrix.entries",
-                    static_cast<double>(Analysis->matrixEntries()));
+    const coverage::ApiCoverageData D0 = ApiCov.data();
+    Obs->count("coverage.api.nodes_total", D0.NodesTotal);
+    Obs->count("coverage.api.edges_total", D0.EdgesTotal);
+    Obs->count("coverage.api.nodes_covered", 0);
+    Obs->count("coverage.api.edges_covered", 0);
+    Obs->gaugeSet("compat.matrix.entries",
+                  static_cast<double>(Analysis->matrixEntries()));
   }
 
   double NextSnapshot = Config.SnapshotInterval;
@@ -389,25 +348,22 @@ RunResult SyRustDriver::run() {
     ++Result.Synthesized;
     if (Obs)
       Obs->count("driver.synthesized");
-    if (ApiCov) {
-      const coverage::ApiPairCoverage::MarkDelta Delta =
-          ApiCov->markProgram(*P, Inst->Db);
-      if (Config.BiasCoverage)
-        Synth.noteCoverage(static_cast<int>(P->Stmts.size()),
-                           Delta.NewEdges, Clock.now());
-      if (Obs) {
-        if (Delta.NewNodes)
-          Obs->count("coverage.api.nodes_covered", Delta.NewNodes);
-        if (Delta.NewEdges)
-          Obs->count("coverage.api.edges_covered", Delta.NewEdges);
-        if (Delta.Unmatched)
-          Obs->count("coverage.api.unmatched_edges", Delta.Unmatched);
-      }
+    const coverage::ApiPairCoverage::MarkDelta Delta =
+        ApiCov.markProgram(*P, Inst.Db);
+    Synth.noteCoverage(static_cast<int>(P->Stmts.size()), Delta.NewEdges,
+                       Clock.now());
+    if (Obs) {
+      if (Delta.NewNodes)
+        Obs->count("coverage.api.nodes_covered", Delta.NewNodes);
+      if (Delta.NewEdges)
+        Obs->count("coverage.api.edges_covered", Delta.NewEdges);
+      if (Delta.Unmatched)
+        Obs->count("coverage.api.unmatched_edges", Delta.Unmatched);
     }
 
     // Test executor stage 1: compile.
     double CompileStart = Clock.now();
-    CompileResult Compiled = Check.check(*P, Inst->Db);
+    CompileResult Compiled = Check.check(*P, Inst.Db);
     Clock.charge(Config.CompileCost);
     if (Obs)
       Obs->complete("stage.compile", "driver", CompileStart,
@@ -429,7 +385,7 @@ RunResult SyRustDriver::run() {
       Rec.Ub = Ub;
       Rec.Message = Message;
       if (Result.Db.wantsMore())
-        Rec.Source = P->render(Inst->Db);
+        Rec.Source = P->render(Inst.Db);
       Result.Db.record(std::move(Rec));
     };
     if (!Compiled.Success) {
@@ -444,7 +400,7 @@ RunResult SyRustDriver::run() {
         std::string Wire = diagnosticToJson(Compiled.Diag);
         Diagnostic Parsed;
         std::string Err;
-        if (diagnosticFromJson(Wire, Inst->Arena, Parsed, Err)) {
+        if (diagnosticFromJson(Wire, Inst.Arena, Parsed, Err)) {
           DbChanged = Refine.onDiagnostic(Parsed);
         } else {
           std::fprintf(stderr, "json channel error: %s\n", Err.c_str());
@@ -460,11 +416,11 @@ RunResult SyRustDriver::run() {
       // Test executor stage 2: run under the miri substitute.
       double ExecStart = Clock.now();
       ExecResult Exec = Interp.run(*P);
-      Clock.charge(Config.ExecCost * Inst->MiriCostFactor);
+      Clock.charge(Config.ExecCost * Inst.MiriCostFactor);
       ++Result.Executed;
       if (Obs) {
         Obs->complete("stage.execute", "driver", ExecStart,
-                      Config.ExecCost * Inst->MiriCostFactor,
+                      Config.ExecCost * Inst.MiriCostFactor,
                       obs::ArgList()
                           .add("candidate", CandId)
                           .add("ub", Exec.UbFound));
@@ -482,12 +438,12 @@ RunResult SyRustDriver::run() {
           Result.FirstBug = Exec.Report;
           Result.TimeToBug = Clock.now();
           Result.BugLines = static_cast<int>(P->Stmts.size());
-          Result.BugProgram = P->render(Inst->Db);
+          Result.BugProgram = P->render(Inst.Db);
           if (Config.MinimizeBugs) {
-            MinimizedBug Min = minimizeBugProgram(*Inst, *P,
+            MinimizedBug Min = minimizeBugProgram(Inst, *P,
                                                   Exec.Report.Kind);
             Result.MinimizedLines = Min.Lines;
-            Result.MinimizedProgram = Min.Program.render(Inst->Db);
+            Result.MinimizedProgram = Min.Program.render(Inst.Db);
           }
         }
         if (Config.StopOnFirstBug)
@@ -517,8 +473,7 @@ RunResult SyRustDriver::run() {
     while (Clock.now() >= NextSnapshot &&
            NextSnapshot <= Config.BudgetSeconds) {
       Cov.snapshot(NextSnapshot);
-      if (ApiCov)
-        ApiCov->snapshot(NextSnapshot);
+      ApiCov.snapshot(NextSnapshot);
       if (Obs)
         Obs->snapshotMetrics(NextSnapshot);
       NextSnapshot += Config.SnapshotInterval;
@@ -526,25 +481,20 @@ RunResult SyRustDriver::run() {
   }
   SampleCurve(); // Terminal point (skipped if this instant was sampled).
   Cov.snapshot(Clock.now());
-  if (ApiCov)
-    ApiCov->snapshot(Clock.now());
+  ApiCov.snapshot(Clock.now());
 
   Result.Coverage = Cov.numbers();
   Result.CoverageSnaps = Cov.snapshots();
   Result.CoverageSaturation = Cov.saturationTime();
   Result.Synth = Synth.stats();
-  if (Compat) {
-    const types::CompatCache::Stats &CS = Compat->stats();
-    Result.Synth.CompatHits = CS.Hits;
-    Result.Synth.CompatBaseHits = CS.BaseHits;
-    Result.Synth.CompatMisses = CS.Misses;
-    if (Obs) {
-      Obs->count("compat.cache.hits", CS.Hits);
-      Obs->count("compat.cache.base_hits", CS.BaseHits);
-      Obs->count("compat.cache.misses", CS.Misses);
-    }
-  }
+  const types::CompatCache::Stats &CS = Setup.Compat.stats();
+  Result.Synth.CompatHits = CS.Hits;
+  Result.Synth.CompatBaseHits = CS.BaseHits;
+  Result.Synth.CompatMisses = CS.Misses;
   if (Obs) {
+    Obs->count("compat.cache.hits", CS.Hits);
+    Obs->count("compat.cache.base_hits", CS.BaseHits);
+    Obs->count("compat.cache.misses", CS.Misses);
     Obs->count("synth.prune.graph_probes", Result.Synth.PruneGraphProbes);
     Obs->count("synth.prune.fallback_probes",
                Result.Synth.PruneFallbackProbes);
@@ -560,8 +510,7 @@ RunResult SyRustDriver::run() {
       Obs->count("synth.bias.decays", Result.Synth.BiasDecays);
     }
   }
-  if (ApiCov)
-    Result.ApiCoverage = ApiCov->data();
+  Result.ApiCoverage = ApiCov.data();
   Result.Refine = Refine.stats();
   Result.ElapsedSeconds = Clock.now();
   if (Obs) {

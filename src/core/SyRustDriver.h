@@ -114,22 +114,6 @@ struct RunConfig {
   /// (fills RunResult::MinimizedLines / MinimizedProgram).
   bool MinimizeBugs = false;
 
-  /// Memoized compatibility kernel + shared per-crate analysis. On, the
-  /// encoder answers repeated unifiability probes from a memo table and
-  /// Session-routed runs share one immutable instantiation per crate
-  /// (with private copy-on-write overlays); off - the --no-compat-cache
-  /// escape hatch - every run re-instantiates and recomputes every
-  /// probe. Emitted programs and all results are byte-identical either
-  /// way; only throughput (and the compat.cache.* counters) change.
-  bool UseCompatCache = true;
-
-  /// Track API-pair coverage: mark the crate's dependency graph
-  /// (api::DependencyGraph) as programs are emitted and export the
-  /// api_coverage document plus coverage.api.* counters. Cheap (a hash
-  /// lookup per argument wiring) and deterministic; the off switch
-  /// exists for overhead A/B benches.
-  bool TrackApiCoverage = true;
-
   /// Graph-guided encoding pruning: the encoder answers candidate
   /// probes from the frozen dependency graph's bitset rows (an O(1) bit
   /// test instead of a CompatCache lookup). The graph's edge set is
@@ -150,7 +134,7 @@ struct RunConfig {
   /// the way a coverage-guided fuzzer steers mutation. A fixed (crate,
   /// seed, variant) cell stays byte-identical for any --jobs because
   /// all re-weighting draws from the run's own Rng and decays on the
-  /// SimClock. Requires TrackApiCoverage (validate() enforces it).
+  /// SimClock.
   bool BiasCoverage = false;
 
   /// Route compiler diagnostics through the cargo-style JSON channel
@@ -215,8 +199,8 @@ struct RunResult {
   std::vector<coverage::CoverageSnapshot> CoverageSnaps;
   double CoverageSaturation = -1;
 
-  /// API-pair coverage over the crate's dependency graph (empty when
-  /// RunConfig::TrackApiCoverage is off or the crate is unsupported).
+  /// API-pair coverage over the crate's dependency graph (empty when the
+  /// crate is unsupported).
   coverage::ApiCoverageData ApiCoverage;
 
   synth::SynthStats Synth;
@@ -277,6 +261,29 @@ std::vector<api::ApiId> selectApiSubset(const api::ApiDatabase &Db,
                                         const ApiSelectionOptions &Opts,
                                         Rng &R);
 
+/// One run's private working state over its crate's shared analysis.
+struct RunSetup {
+  /// Copy-on-write overlay of the analysis's base instance, with every
+  /// library API outside the run's selection banned.
+  std::unique_ptr<crates::CrateInstance> Inst;
+  /// The run's own compatibility cache, chained onto the analysis's
+  /// precomputed matrix, so its counters depend only on this run's
+  /// probes - never on scheduling.
+  types::CompatCache Compat;
+};
+
+/// Sets up one enumeration of \p Spec: an overlay instance of
+/// \p Analysis, a CompatCache chained onto its baseCache(), and the
+/// selectApiSubset draw from an Rng seeded with Seed ^ hash(crate name),
+/// banning every unselected library API (builtins always stay).
+/// \p BiasCoverage weights the draw by the analysis graph's never-covered
+/// edges (RunConfig::BiasCoverage). SyRustDriver::run and
+/// oracle::auditOne both call this, so an audit replays the enumeration
+/// a run performs because both run the same code.
+RunSetup setUpRun(const crates::CrateSpec &Spec,
+                  const CrateAnalysis &Analysis, uint64_t Seed, int NumApis,
+                  bool BiasCoverage);
+
 /// Runs the full pipeline for one library model.
 ///
 /// Movable and self-contained: the driver references the (immutable)
@@ -289,11 +296,10 @@ std::vector<api::ApiId> selectApiSubset(const api::ApiDatabase &Db,
 /// a driver directly is kept for tests that need the raw object.
 class SyRustDriver {
 public:
-  /// \p Analysis, when set, is the crate's shared immutable analysis
-  /// (Session::runOne supplies it): the run works on a copy-on-write
-  /// overlay instance instead of a fresh instantiation, and its
-  /// compatibility cache chains onto the precomputed matrix. Null falls
-  /// back to a private instantiate() - results are identical.
+  /// \p Analysis is the crate's shared immutable analysis
+  /// (Session::runOne supplies it). Null makes run() build one for
+  /// \p Spec, exactly what a Session would share - results, compat
+  /// counters included, are identical either way.
   SyRustDriver(const crates::CrateSpec &Spec, RunConfig Config,
                obs::Recorder *Obs = nullptr,
                std::shared_ptr<const CrateAnalysis> Analysis = nullptr)
@@ -307,9 +313,6 @@ public:
   RunResult run();
 
 private:
-  void selectApis(crates::CrateInstance &Inst,
-                  const api::DependencyGraph *Graph, Rng &R) const;
-
   const crates::CrateSpec *Spec;
   RunConfig Config;
   /// When set, bound to the run's SimClock and threaded through every

@@ -152,37 +152,17 @@ AuditResult syrust::oracle::auditOne(const Session &S,
     return Result;
   }
 
-  // Exactly the driver's instantiation path (SyRustDriver::run), so the
-  // enumeration the oracle audits is the enumeration real runs emit.
-  std::shared_ptr<const CrateAnalysis> Analysis;
-  if (Config.UseCompatCache)
-    Analysis = S.analysisFor(*Spec);
-  std::unique_ptr<CrateInstance> Inst =
-      Analysis ? Analysis->makeWorkerInstance() : Spec->instantiate();
-  std::unique_ptr<types::CompatCache> Compat;
-  if (Config.UseCompatCache)
-    Compat = std::make_unique<types::CompatCache>(
-        Analysis ? &Analysis->baseCache() : nullptr);
-  Rng R(Config.Seed ^ std::hash<std::string>{}(Spec->Info.Name));
-  {
-    ApiSelectionOptions SelOpts;
-    SelOpts.Pinned = Inst->Pinned;
-    SelOpts.NumApis = Config.NumApis;
-    std::vector<ApiId> Selected = selectApiSubset(Inst->Db, SelOpts, R);
-    for (size_t I = 0; I < Inst->Db.size(); ++I) {
-      ApiId Id = static_cast<ApiId>(I);
-      if (Inst->Db.get(Id).Builtin != BuiltinKind::None)
-        continue;
-      if (std::find(Selected.begin(), Selected.end(), Id) ==
-          Selected.end())
-        Inst->Db.ban(Id);
-    }
-  }
+  // The driver's own set-up (SyRustDriver::run calls setUpRun too), so
+  // the enumeration the oracle audits is the enumeration real runs emit.
+  std::shared_ptr<const CrateAnalysis> Analysis = S.analysisFor(*Spec);
+  RunSetup Setup = setUpRun(*Spec, *Analysis, Config.Seed, Config.NumApis,
+                            /*BiasCoverage=*/false);
+  CrateInstance &Inst = *Setup.Inst;
 
-  refine::RefinementEngine Refine(Inst->Arena, Inst->Db, Config.Mode);
+  refine::RefinementEngine Refine(Inst.Arena, Inst.Db, Config.Mode);
   Refine.setEagerCap(Config.EagerCap);
   Refine.setRecorder(Obs);
-  Refine.initialize(Inst->Inputs);
+  Refine.initialize(Inst.Inputs);
 
   SynthOptions Opts;
   Opts.SemanticAware = true;
@@ -191,7 +171,7 @@ AuditResult syrust::oracle::auditOne(const Session &S,
   Opts.Strategy = Config.Strategy;
   Opts.SolverSeed = Config.Seed;
   Opts.Obs = Obs;
-  Opts.Compat = Compat.get();
+  Opts.Compat = &Setup.Compat;
   Opts.WeakenConsumptionKills = Config.WeakenConsumptionKills;
   // The differential tap: every model the Rule-7 path filter swallows is
   // captured here and replayed through the checker alongside the
@@ -203,28 +183,17 @@ AuditResult syrust::oracle::auditOne(const Session &S,
 
   // The frozen dependency graph serves two consumers: API-pair coverage
   // of the audited stream and the encoder's graph-guided candidate
-  // probes. Shared graph when the analysis exists, otherwise a local
-  // build against a scratch cache (never the audit's Compat - its
-  // counters mirror a real run's).
-  api::DependencyGraph LocalGraph;
-  const api::DependencyGraph *Graph;
-  if (Analysis) {
-    Graph = &Analysis->graph();
-  } else {
-    types::CompatCache Scratch;
-    LocalGraph = api::buildDependencyGraph(Inst->Db, Inst->Arena, Scratch);
-    Graph = &LocalGraph;
-  }
-  coverage::ApiPairCoverage ApiCov(*Graph);
-  Opts.Graph = Graph;
+  // probes.
+  const api::DependencyGraph &Graph = Analysis->graph();
+  coverage::ApiPairCoverage ApiCov(Graph);
+  Opts.Graph = &Graph;
   Opts.GraphPrune = Config.GraphPrune;
 
-  int MaxLines = Config.MaxLines > 0
-                     ? std::min(Config.MaxLines, Inst->MaxLen)
-                     : Inst->MaxLen;
-  Synthesizer Synth(Inst->Arena, Inst->Traits, Inst->Db, Inst->Inputs,
-                    MaxLines, Opts);
-  Checker Check(Inst->Arena, Inst->Traits);
+  int MaxLines = Config.MaxLines > 0 ? std::min(Config.MaxLines, Inst.MaxLen)
+                                     : Inst.MaxLen;
+  Synthesizer Synth(Inst.Arena, Inst.Traits, Inst.Db, Inst.Inputs, MaxLines,
+                    Opts);
+  Checker Check(Inst.Arena, Inst.Traits);
   Check.setRecorder(Obs);
 
   auto Count = [&Obs](const char *Name) {
@@ -240,7 +209,7 @@ AuditResult syrust::oracle::auditOne(const Session &S,
     for (const Program &F : Filtered) {
       ++Result.ModelsReplayed;
       Count("oracle.models_replayed");
-      CompileResult C = Check.check(F, Inst->Db);
+      CompileResult C = Check.check(F, Inst.Db);
       if (!C.Success) {
         ++Result.AgreeReject;
         Count("oracle.agree_reject");
@@ -259,7 +228,7 @@ AuditResult syrust::oracle::auditOne(const Session &S,
     Count("oracle.models_replayed");
     {
       const coverage::ApiPairCoverage::MarkDelta Delta =
-          ApiCov.markProgram(*P, Inst->Db);
+          ApiCov.markProgram(*P, Inst.Db);
       if (Obs) {
         if (Delta.NewNodes)
           Obs->count("coverage.api.nodes_covered", Delta.NewNodes);
@@ -269,7 +238,7 @@ AuditResult syrust::oracle::auditOne(const Session &S,
           Obs->count("coverage.api.unmatched_edges", Delta.Unmatched);
       }
     }
-    CompileResult C = Check.check(*P, Inst->Db);
+    CompileResult C = Check.check(*P, Inst.Db);
     bool DbChanged = false;
     if (C.Success) {
       ++Result.AgreePass;
@@ -287,11 +256,11 @@ AuditResult syrust::oracle::auditOne(const Session &S,
         D.Detail = C.Diag.Detail;
         D.Message = C.Diag.Message;
         D.Lines = static_cast<int>(P->Stmts.size());
-        D.Source = P->render(Inst->Db);
+        D.Source = P->render(Inst.Db);
         MinimizedDisagreement Min = minimizeDisagreement(
-            Inst->Arena, Inst->Traits, Inst->Db, *P, C.Diag.Detail);
+            Inst.Arena, Inst.Traits, Inst.Db, *P, C.Diag.Detail);
         D.MinimizedLines = static_cast<int>(Min.Program.Stmts.size());
-        D.MinimizedSource = Min.Program.render(Inst->Db);
+        D.MinimizedSource = Min.Program.render(Inst.Db);
         D.MinimizerSteps = Min.Steps;
         Result.MinimizerSteps += Min.Steps;
         if (Obs) {

@@ -74,7 +74,6 @@ struct OracleConfig {
   refine::RefinementMode Mode = refine::RefinementMode::Hybrid;
   /// Cap on eager instantiations per API (matches RunConfig).
   size_t EagerCap = 48;
-  bool UseCompatCache = true;
   /// Answer encoder candidate probes from the dependency graph's bitset
   /// instead of CompatCache lookups (matches RunConfig::GraphPrune; the
   /// audited stream is byte-identical either way).
@@ -166,11 +165,12 @@ MinimizedDisagreement minimizeDisagreement(types::TypeArena &Arena,
                                            const program::Program &P,
                                            rustsim::ErrorDetail Detail);
 
-/// Replays one (crate, seed) enumeration through the checker. Mirrors
-/// SyRustDriver::run()'s wiring exactly - same RNG seeding, same API
-/// subset selection, same refinement feedback - so the audited stream
-/// is the stream a real run emits. \p Obs, when set, receives the
-/// `oracle.*` counters and per-model trace events.
+/// Replays one (crate, seed) enumeration through the checker. Sets up
+/// through core::setUpRun, as SyRustDriver::run() does - same RNG
+/// seeding, same API subset selection - and feeds refinement back the
+/// same way, so the audited stream is the stream a real run emits.
+/// \p Obs, when set, receives the `oracle.*` counters and per-model
+/// trace events.
 AuditResult auditOne(const core::Session &S, const std::string &CrateName,
                      const OracleConfig &Config,
                      obs::Recorder *Obs = nullptr);

@@ -56,11 +56,25 @@ std::string Program::render(const ApiDatabase &Db) const {
   return Out;
 }
 
+namespace {
+
+/// SplitMix64's output function: a bijection on 64-bit words in which
+/// every input bit flips about half of the output bits.
+uint64_t splitMix64(uint64_t Z) {
+  Z += 0x9e3779b97f4a7c15ULL;
+  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
+  return Z ^ (Z >> 31);
+}
+
+} // namespace
+
 uint64_t Program::hash() const {
+  // Every element is folded in through a full-avalanche mix. A
+  // shift-and-add combine is too weak for these small, similar integer
+  // sequences: it collided on real enumeration streams.
   uint64_t H = 0xcbf29ce484222325ULL;
-  auto Mix = [&H](uint64_t V) {
-    H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-  };
+  auto Mix = [&H](uint64_t V) { H = splitMix64(H ^ V); };
   for (const Stmt &S : Stmts) {
     Mix(static_cast<uint64_t>(S.Api));
     for (VarId A : S.Args)

@@ -98,11 +98,12 @@ struct SynthOptions {
   /// disables instrumentation at the cost of one pointer check.
   obs::Recorder *Obs = nullptr;
   /// Memoized compatibility kernel consulted for the encoder's
-  /// unifiability probes; null computes every probe directly (the
-  /// --no-compat-cache escape hatch). Campaign runs chain a per-job
-  /// cache onto the crate's shared precomputed matrix
-  /// (core::CrateAnalysis). Cached and direct answers are identical by
-  /// construction, so enumeration order does not depend on this setting.
+  /// unifiability probes; null computes every probe directly (encoders
+  /// built outside a driver, as in unit tests and micro benches). Every
+  /// driver run chains a per-run cache onto the crate's shared
+  /// precomputed matrix (core::CrateAnalysis). Cached and direct answers
+  /// are identical by construction, so enumeration order does not depend
+  /// on this setting.
   types::CompatCache *Compat = nullptr;
   /// Frozen per-crate API dependency graph consulted for producer ->
   /// consumer slot probes when GraphPrune is on; null always takes the

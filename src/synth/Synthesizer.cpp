@@ -6,6 +6,7 @@
 
 #include "synth/Synthesizer.h"
 
+#include <algorithm>
 #include <chrono>
 
 using namespace syrust;
@@ -309,6 +310,42 @@ void Synthesizer::noteCoverage(int Length, uint64_t NewEdges,
     LengthYield[static_cast<size_t>(Length - 1)] += NewEdges;
 }
 
+std::optional<size_t> Synthesizer::pickLength() {
+  if (std::find(LengthLive.begin(), LengthLive.end(), 1) == LengthLive.end())
+    return std::nullopt;
+  if (Opts.BiasCoverage) {
+    std::vector<size_t> LiveIdx;
+    std::vector<double> Weights;
+    uint64_t TotalYield = 0;
+    for (size_t I = 0; I < LengthEncs.size(); ++I) {
+      if (!LengthLive[I])
+        continue;
+      LiveIdx.push_back(I);
+      TotalYield += LengthYield[I];
+      // Integer-valued doubles only: exact on every platform, so the
+      // draw cannot diverge across compilers or libm versions. The
+      // yield is capped at 8:1 over a cold length - an unbounded weight
+      // concentrates nearly every draw on one length, which
+      // re-enumerates duplicates there while starving the rest.
+      uint64_t Y = LengthYield[I] > 7 ? 7 : LengthYield[I];
+      Weights.push_back(1.0 + static_cast<double>(Y));
+    }
+    // Draw only while there is signal to follow. With every live yield
+    // at zero (cold start, or a long dry spell decayed the counters
+    // away) a weighted draw is just a noisier round-robin, so fall
+    // through to the rotation until coverage speaks again.
+    if (TotalYield > 0) {
+      ++Stats.BiasPicks;
+      return LiveIdx[BiasRng.pickWeighted(Weights)];
+    }
+  }
+  while (true) {
+    size_t Idx = Rotation++ % LengthEncs.size();
+    if (LengthLive[Idx])
+      return Idx;
+  }
+}
+
 std::optional<Program> Synthesizer::nextInterleaved() {
   // Round-robin across live lengths; a length that proves UNSAT goes
   // dormant but keeps its encoding, so a later database addition can
@@ -320,78 +357,28 @@ std::optional<Program> Synthesizer::nextInterleaved() {
   // territory get solved more often while cold lengths still get a
   // floor of attention.
   while (!Done) {
-    size_t Live = 0;
-    for (char L : LengthLive)
-      Live += L ? 1 : 0;
-    if (Live == 0) {
+    std::optional<size_t> Idx = pickLength();
+    if (!Idx) {
       Done = true;
       return std::nullopt;
     }
-    if (Opts.BiasCoverage) {
-      std::vector<size_t> LiveIdx;
-      std::vector<double> Weights;
-      LiveIdx.reserve(LengthEncs.size());
-      Weights.reserve(LengthEncs.size());
-      uint64_t TotalYield = 0;
-      for (size_t I = 0; I < LengthEncs.size(); ++I) {
-        if (!LengthLive[I])
-          continue;
-        LiveIdx.push_back(I);
-        TotalYield += LengthYield[I];
-        // Integer-valued doubles only: exact on every platform, so the
-        // draw cannot diverge across compilers or libm versions. The
-        // yield is capped at 8:1 over a cold length - an unbounded
-        // weight concentrates nearly every draw on one length, which
-        // re-enumerates duplicates there while starving the rest.
-        uint64_t Y = LengthYield[I] > 7 ? 7 : LengthYield[I];
-        Weights.push_back(1.0 + static_cast<double>(Y));
+    Encoding *E = LengthEncs[*Idx].get();
+    if (!solveNext(*E)) {
+      // Budget stops (Unknown) are not exhaustion proofs: mark the
+      // dormancy as revivable-on-any-change.
+      if (E->budgetExhausted()) {
+        BudgetStop = true;
+        LengthUnknown[*Idx] = 1;
       }
-      // Draw only while there is signal to follow. With every live
-      // yield at zero (cold start, or a long dry spell decayed the
-      // counters away) a weighted draw is just a noisier round-robin,
-      // so fall through to the rotation until coverage speaks again.
-      if (TotalYield > 0) {
-        size_t Idx = LiveIdx[BiasRng.pickWeighted(Weights)];
-        ++Stats.BiasPicks;
-        Encoding *E = LengthEncs[Idx].get();
-        if (!solveNext(*E)) {
-          if (E->budgetExhausted()) {
-            BudgetStop = true;
-            LengthUnknown[Idx] = 1;
-          }
-          LengthLive[Idx] = 0;
-          continue;
-        }
-        Stats.CurrentLength = E->numLines();
-        Program P = E->decode();
-        if (acceptProgram(P))
-          return P;
-        continue; // Rejected or duplicate: redraw.
-      }
+      LengthLive[*Idx] = 0;
+      continue;
     }
-    for (size_t Tried = 0; Tried < LengthEncs.size(); ++Tried) {
-      size_t Idx = Rotation % LengthEncs.size();
-      ++Rotation;
-      if (!LengthLive[Idx])
-        continue;
-      Encoding *E = LengthEncs[Idx].get();
-      if (!solveNext(*E)) {
-        // Budget stops (Unknown) are not exhaustion proofs: mark the
-        // dormancy as revivable-on-any-change.
-        if (E->budgetExhausted()) {
-          BudgetStop = true;
-          LengthUnknown[Idx] = 1;
-        }
-        LengthLive[Idx] = 0;
-        continue;
-      }
-      Stats.CurrentLength = E->numLines();
-      Program P = E->decode();
-      if (acceptProgram(P))
-        return P;
-      // Rejected by the path check or a duplicate: stay in the loop so
-      // the next length gets its turn.
-    }
+    Stats.CurrentLength = E->numLines();
+    Program P = E->decode();
+    if (acceptProgram(P))
+      return P;
+    // Rejected by the path check or a duplicate: the next pick gets its
+    // turn.
   }
   return std::nullopt;
 }

@@ -148,6 +148,11 @@ private:
   void refreshSolverStats();
   std::optional<program::Program> nextSequential();
   std::optional<program::Program> nextInterleaved();
+  /// Interleaved mode's length policy: the --bias-coverage weighted draw
+  /// while any live length has yield, otherwise the next live length of
+  /// the rotation (advancing Rotation past dead ones). Nullopt once no
+  /// length is live.
+  std::optional<size_t> pickLength();
   bool acceptProgram(program::Program &P);
 
   types::TypeArena &Arena;

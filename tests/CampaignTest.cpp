@@ -125,16 +125,6 @@ TEST(RunConfigValidateTest, ReportsEveryProblemAtOnce) {
   EXPECT_EQ(C.validate().size(), 3u);
 }
 
-TEST(RunConfigValidateTest, RejectsBiasWithoutCoverageTracking) {
-  RunConfig C;
-  C.BiasCoverage = true;
-  EXPECT_TRUE(C.validate().empty()); // Tracking is on by default.
-  C.TrackApiCoverage = false;
-  std::vector<std::string> E = C.validate();
-  ASSERT_EQ(E.size(), 1u);
-  EXPECT_TRUE(contains(E, "BiasCoverage requires TrackApiCoverage"));
-}
-
 //===----------------------------------------------------------------------===//
 // CampaignSpec::validate.
 //===----------------------------------------------------------------------===//
@@ -175,11 +165,17 @@ TEST(CampaignSpecValidateTest, RejectsUnknownVariant) {
   Spec.Variants = {"base", "turbo"};
   std::vector<std::string> E = Spec.validate(S);
   EXPECT_TRUE(contains(E, "unknown variant 'turbo'"));
-  EXPECT_TRUE(contains(E, "known: base, no-semantic, eager"));
   // The known-variants list must track the full applyVariant vocabulary
   // (it used to silently omit no-graph-prune).
-  EXPECT_TRUE(contains(E, "no-graph-prune"));
-  EXPECT_TRUE(contains(E, "coverage-bias"));
+  EXPECT_TRUE(contains(E, "known: base, no-semantic, eager, lazy, "
+                          "interleave, mutate-inputs, no-incremental, "
+                          "portfolio, no-graph-prune, coverage-bias"));
+  RunConfig Probe;
+  for (const char *Name :
+       {"base", "no-semantic", "eager", "lazy", "interleave",
+        "mutate-inputs", "no-incremental", "portfolio", "no-graph-prune",
+        "coverage-bias"})
+    EXPECT_TRUE(applyVariant(Name, Probe)) << Name;
 }
 
 TEST(CampaignSpecValidateTest, RejectsNonPositiveJobs) {
@@ -418,27 +414,19 @@ TEST(CampaignTest, SingleRunDocumentKeepsWallTimeByDefault) {
 TEST(SessionTest, RunOneMatchesDirectDriver) {
   Session S;
   RunConfig C = quickBase();
-  RunResult A = S.runOne("slab", C);
-  const crates::CrateSpec &Spec = *S.find("slab");
-  // Same shared analysis as the Session route, so even the compat cache
-  // hit/miss split matches byte for byte.
-  RunResult B = SyRustDriver(Spec, C, nullptr, S.analysisFor(Spec)).run();
-  EXPECT_EQ(A.Synthesized, B.Synthesized);
-  EXPECT_EQ(A.Rejected, B.Rejected);
-  EXPECT_EQ(A.Executed, B.Executed);
-  EXPECT_EQ(resultToJson(A, {false}).dump(), resultToJson(B, {false}).dump());
-
-  // A bare driver (no shared analysis) computes every probe locally:
-  // identical programs and results, only the counter split moves from
-  // base_hits to local hits/misses.
-  RunResult D = SyRustDriver(Spec, C).run();
-  EXPECT_EQ(A.Synthesized, D.Synthesized);
-  EXPECT_EQ(A.Rejected, D.Rejected);
-  EXPECT_EQ(A.Executed, D.Executed);
-  EXPECT_EQ(A.Synth.CompatHits + A.Synth.CompatBaseHits +
-                A.Synth.CompatMisses,
-            D.Synth.CompatHits + D.Synth.CompatMisses);
-  EXPECT_EQ(D.Synth.CompatBaseHits, 0u);
+  for (const std::string &Name : S.supportedCrates()) {
+    const std::string Doc = resultToJson(S.runOne(Name, C), {false}).dump();
+    const crates::CrateSpec &Spec = *S.find(Name);
+    // Same shared analysis as the Session route.
+    RunResult B = SyRustDriver(Spec, C, nullptr, S.analysisFor(Spec)).run();
+    EXPECT_EQ(Doc, resultToJson(B, {false}).dump()) << Name;
+    // A bare driver builds its own analysis, identical to the shared
+    // one, so even the compat cache hit/miss split matches byte for
+    // byte.
+    RunResult D = SyRustDriver(Spec, C).run();
+    EXPECT_GT(D.Synth.CompatBaseHits, 0u) << Name;
+    EXPECT_EQ(Doc, resultToJson(D, {false}).dump()) << Name;
+  }
 }
 
 TEST(SessionTest, RunOneRejectsInvalidConfigAndUnknownCrate) {

@@ -183,6 +183,29 @@ TEST(CliRequestTest, JsonRequestRejectsBadMembers) {
       "connect"));
 }
 
+TEST(CliRequestTest, RemovedOptionsAreUnknownOnBothSurfaces) {
+  // Every run chains onto the shared compatibility matrix and marks
+  // API-pair coverage; neither has an off switch.
+  for (const std::string Key : {"no-compat-cache", "no-api-coverage"}) {
+    const std::string Flag = "--" + Key;
+    EXPECT_TRUE(mentions(parseErrors(Verb::Run, {"slab", Flag.c_str()}),
+                         "unknown flag '" + Flag + "'"));
+    EXPECT_TRUE(mentions(parseErrors(Verb::Campaign, {Flag.c_str()}),
+                         "unknown flag '" + Flag + "'"));
+    for (const std::string &Request :
+         {"{\"verb\":\"run\",\"crate\":\"slab\",\"" + Key + "\":true}",
+          "{\"verb\":\"campaign\",\"" + Key + "\":true}"}) {
+      json::ParseResult P = json::parse(Request);
+      ASSERT_TRUE(P.Ok);
+      RequestSpec Spec;
+      std::vector<std::string> Errors;
+      EXPECT_FALSE(fromRequestJson(P.Val, Spec, Errors));
+      EXPECT_TRUE(mentions(Errors, "unknown request field '" + Key + "'"))
+          << Request;
+    }
+  }
+}
+
 TEST(CliRequestTest, ArgvAndJsonSurfacesAgree) {
   // The no-drift property: render argv as a protocol request, decode
   // it, and the spec must match what parseArgv produced directly.

@@ -7,11 +7,9 @@
 /// \file
 /// Covers the two memoization layers end to end: the CompatCache memo
 /// tables (answers identical to direct computation, hit/miss accounting,
-/// read-only base chaining), the copy-on-write overlay TypeArena and
+/// read-only base chaining) and the copy-on-write overlay TypeArena and
 /// CrateInstance (pointer identity with the base, isolation between
-/// workers), and the driver-level guarantee that the --no-compat-cache
-/// escape hatch changes throughput only - the emitted program stream is
-/// byte-identical with the cache on or off.
+/// workers).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -214,48 +212,6 @@ TEST(CrateAnalysisTest, WorkerInstancesAreIsolated) {
   EXPECT_GT(W1->Arena.localSize(), 0u);
   EXPECT_EQ(W2->Arena.localSize(), 0u);
   EXPECT_EQ(Analysis->base().Arena.localSize(), BaseLocal);
-}
-
-//===----------------------------------------------------------------------===//
-// Driver level: the cache changes throughput, never the program stream.
-//===----------------------------------------------------------------------===//
-
-TEST(CompatCacheDriverTest, CacheOnOffEmitIdenticalProgramStreams) {
-  Session S;
-  for (const char *Crate : {"slab", "bytes"}) {
-    RunConfig C;
-    C.BudgetSeconds = 30;
-    C.SnapshotInterval = 10;
-    C.RecordTests = 256;
-
-    RunConfig Off = C;
-    Off.UseCompatCache = false;
-
-    RunResult On = S.runOne(Crate, C);
-    RunResult NoCache = S.runOne(Crate, Off);
-
-    EXPECT_EQ(On.Synthesized, NoCache.Synthesized) << Crate;
-    EXPECT_EQ(On.Rejected, NoCache.Rejected) << Crate;
-    EXPECT_EQ(On.Executed, NoCache.Executed) << Crate;
-    EXPECT_EQ(On.UbCount, NoCache.UbCount) << Crate;
-    ASSERT_EQ(On.Db.records().size(), NoCache.Db.records().size())
-        << Crate;
-    for (size_t I = 0; I < On.Db.records().size(); ++I) {
-      const TestRecord &A = On.Db.records()[I];
-      const TestRecord &B = NoCache.Db.records()[I];
-      EXPECT_EQ(A.Source, B.Source) << Crate << " record " << I;
-      EXPECT_EQ(A.Verdict, B.Verdict) << Crate << " record " << I;
-      EXPECT_EQ(A.Hash, B.Hash) << Crate << " record " << I;
-    }
-
-    // The cache side actually exercised the memo tables; the no-cache
-    // side never touched them.
-    EXPECT_GT(On.Synth.CompatHits + On.Synth.CompatBaseHits, 0u)
-        << Crate;
-    EXPECT_EQ(NoCache.Synth.CompatHits, 0u) << Crate;
-    EXPECT_EQ(NoCache.Synth.CompatBaseHits, 0u) << Crate;
-    EXPECT_EQ(NoCache.Synth.CompatMisses, 0u) << Crate;
-  }
 }
 
 } // namespace

@@ -277,18 +277,4 @@ TEST(DependencyGraphGoldenTest, RealizedEdgesAreSubsetOfGraph) {
   }
 }
 
-/// Disabling tracking zeroes the section without touching the rest of
-/// the run.
-TEST(DependencyGraphGoldenTest, TrackingCanBeDisabled) {
-  Session S;
-  RunConfig Config;
-  Config.BudgetSeconds = 30;
-  Config.TrackApiCoverage = false;
-  RunResult R = S.runOne("slab", Config);
-  ASSERT_TRUE(R.Supported);
-  EXPECT_TRUE(R.ApiCoverage.empty());
-  EXPECT_EQ(R.ApiCoverage.NodesTotal, 0u);
-  EXPECT_GT(R.Synthesized, 0u);
-}
-
 } // namespace

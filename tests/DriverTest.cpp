@@ -315,4 +315,16 @@ TEST(DriverTest, MaxTestsCapRespected) {
   EXPECT_LE(R.Synthesized, 25u);
 }
 
+TEST(DriverTest, ProgramHashHasNoCollisionsOnDashmap) {
+  // This run's 476 programs include pairs that a weak shift-and-add
+  // combine maps to one hash. SeenPrograms would still emit both, but a
+  // structural hash must tell real programs apart.
+  RunConfig C;
+  C.BudgetSeconds = 120;
+  C.Seed = 2021;
+  RunResult R = SyRustDriver(*findCrate("dashmap"), C).run();
+  EXPECT_EQ(R.Synthesized, 476u);
+  EXPECT_EQ(R.Synth.HashCollisions, 0u);
+}
+
 } // namespace

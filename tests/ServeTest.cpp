@@ -163,6 +163,15 @@ TEST_F(ServeTest, InvalidRequestsNameTheBadField) {
   EXPECT_NE(std::string::npos,
             R.get("error").asString().find("no_such_crate"));
 
+  // Removed options are unknown fields on the wire as on argv.
+  for (const std::string Key : {"no-compat-cache", "no-api-coverage"}) {
+    R = call(C, "{\"verb\":\"run\",\"crate\":\"slab\",\"" + Key + "\":true}");
+    EXPECT_FALSE(R.get("ok").asBool());
+    EXPECT_NE(std::string::npos,
+              R.get("error").asString().find("unknown request field '" +
+                                             Key + "'"));
+  }
+
   // The connection survives its own bad requests.
   EXPECT_TRUE(call(C, "{\"verb\":\"ping\"}").get("ok").asBool());
 }
