@@ -10,7 +10,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "sat/ModelEnumerator.h"
 #include "sat/Solver.h"
 #include "support/Rng.h"
 
@@ -102,26 +101,6 @@ void BM_PigeonholePairwiseCnf(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_PigeonholePairwiseCnf)->Arg(6)->Arg(7)->Arg(8);
-
-void BM_ModelEnumerationChoose(benchmark::State &State) {
-  // Enumerate all C(n, n/2) models of an Exactly-k constraint.
-  for (auto _ : State) {
-    Solver S;
-    std::vector<Var> Vars;
-    std::vector<Lit> Lits;
-    for (int I = 0; I < State.range(0); ++I) {
-      Vars.push_back(S.newVar());
-      Lits.push_back(mkLit(Vars.back()));
-    }
-    S.addExactly(Lits, static_cast<int>(State.range(0)) / 2);
-    ModelEnumerator Enum(S, Vars);
-    uint64_t Count = 0;
-    while (Enum.next())
-      ++Count;
-    benchmark::DoNotOptimize(Count);
-  }
-}
-BENCHMARK(BM_ModelEnumerationChoose)->Arg(10)->Arg(14);
 
 void BM_IncrementalBlocking(benchmark::State &State) {
   // The Algorithm 1 pattern: solve, block a small clause, re-solve.

@@ -8,6 +8,8 @@
 
 #include "support/StringUtils.h"
 
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -57,7 +59,13 @@ core::RunConfig *runConfigOf(RequestSpec &S) {
   return nullptr;
 }
 
-/// Parses `N` or `N..M` into an inclusive seed range.
+/// The largest integer a request may name where the option is 64-bit:
+/// 2^53 - 1. A JSON number carries every integer up to 2^53 exactly, but
+/// 2^53 itself is also what 2^53 + 1 rounds to, on the wire and in
+/// strtod alike.
+constexpr uint64_t kMaxExactInt = (uint64_t(1) << 53) - 1;
+
+/// Parses `N` or `N..M` into an inclusive seed range of exact integers.
 bool parseSeedRange(const std::string &Text, uint64_t &Begin,
                     uint64_t &End) {
   const char *C = Text.c_str();
@@ -68,13 +76,14 @@ bool parseSeedRange(const std::string &Text, uint64_t &Begin,
     return false;
   if (!Dots) {
     End = Begin;
-    return *EndPtr == '\0';
+    return *EndPtr == '\0' && Begin <= kMaxExactInt;
   }
   if (EndPtr != Dots)
     return false;
   const char *Second = Dots + 2;
   End = std::strtoull(Second, &EndPtr, 10);
-  return EndPtr != Second && *EndPtr == '\0' && Begin <= End;
+  return EndPtr != Second && *EndPtr == '\0' && Begin <= End &&
+         End <= kMaxExactInt;
 }
 
 /// One knob, on both surfaces at once: `Flag` is the CLI spelling, the
@@ -85,26 +94,51 @@ bool parseSeedRange(const std::string &Text, uint64_t &Begin,
 struct OptionDef {
   const char *Flag;
   unsigned Verbs;
-  enum Kind { Num, Str, Flag_ } K;
-  /// Applies the knob. \p Text carries Str values, \p Val Num values.
-  /// Returns a message for domain errors the kind check can't catch
-  /// (malformed seed ranges); empty = applied.
+  /// The three numeric kinds are non-negative and finite: Real is any
+  /// such number, Int an integer that fits an int, Int53 an integer of
+  /// at most kMaxExactInt.
+  enum Kind { Real, Int, Int53, Str, Flag_ } K;
+  /// Applies the knob. \p Text carries Str values, \p Val numeric ones,
+  /// already checked by numberProblem(). Returns a message for domain
+  /// errors the kind check can't catch (malformed seed ranges); empty =
+  /// applied.
   std::string (*Set)(RequestSpec &S, const std::string &Text, double Val);
+
+  bool isNumber() const { return K == Real || K == Int || K == Int53; }
 };
+
+/// The one domain check of numeric option values, on argv and on the
+/// wire alike, so that each setter's cast is defined. Returns what is
+/// wrong with \p Val ("must be an integer") for the caller to prefix
+/// with the flag or field name; empty when \p Val fits \p K.
+std::string numberProblem(OptionDef::Kind K, double Val) {
+  if (!std::isfinite(Val))
+    return "must be a finite number";
+  if (Val < 0)
+    return "must be non-negative";
+  if (K == OptionDef::Real)
+    return "";
+  if (Val != std::floor(Val))
+    return "must be an integer";
+  const uint64_t Max = K == OptionDef::Int ? INT_MAX : kMaxExactInt;
+  if (Val > static_cast<double>(Max))
+    return "must be at most " + std::to_string(Max);
+  return "";
+}
 
 const OptionDef Options[] = {
     // Shared synthesis knobs.
-    {"--budget", VRun | VCampaign, OptionDef::Num,
+    {"--budget", VRun | VCampaign, OptionDef::Real,
      [](RequestSpec &S, const std::string &, double Val) {
        runConfigOf(S)->BudgetSeconds = Val;
        return std::string();
      }},
-    {"--seed", VRun, OptionDef::Num,
+    {"--seed", VRun, OptionDef::Int53,
      [](RequestSpec &S, const std::string &, double Val) {
        S.Run.Config.Seed = static_cast<uint64_t>(Val);
        return std::string();
      }},
-    {"--apis", VRun | VCampaign | VAudit, OptionDef::Num,
+    {"--apis", VRun | VCampaign | VAudit, OptionDef::Int,
      [](RequestSpec &S, const std::string &, double Val) {
        if (S.V == Verb::Audit)
          S.Audit.Spec.Base.NumApis = static_cast<int>(Val);
@@ -112,17 +146,17 @@ const OptionDef Options[] = {
          runConfigOf(S)->NumApis = static_cast<int>(Val);
        return std::string();
      }},
-    {"--max-tests", VRun | VCampaign, OptionDef::Num,
+    {"--max-tests", VRun | VCampaign, OptionDef::Int53,
      [](RequestSpec &S, const std::string &, double Val) {
        runConfigOf(S)->MaxTests = static_cast<uint64_t>(Val);
        return std::string();
      }},
-    {"--log-tests", VRun, OptionDef::Num,
+    {"--log-tests", VRun, OptionDef::Int53,
      [](RequestSpec &S, const std::string &, double Val) {
        S.Run.Config.RecordTests = static_cast<size_t>(Val);
        return std::string();
      }},
-    {"--solve-budget", VRun | VCampaign, OptionDef::Num,
+    {"--solve-budget", VRun | VCampaign, OptionDef::Int53,
      [](RequestSpec &S, const std::string &, double Val) {
        runConfigOf(S)->SolveConflictBudget = static_cast<uint64_t>(Val);
        return std::string();
@@ -230,7 +264,8 @@ const OptionDef Options[] = {
        uint64_t Begin = 0, End = 0;
        if (!parseSeedRange(Text, Begin, End))
          return "malformed seed range '" + Text +
-                "' for --seeds (want N or N..M with N <= M)";
+                "' for --seeds (want N or N..M with N <= M <= " +
+                std::to_string(kMaxExactInt) + ")";
        if (S.V == Verb::Audit) {
          S.Audit.Spec.SeedBegin = Begin;
          S.Audit.Spec.SeedEnd = End;
@@ -245,7 +280,7 @@ const OptionDef Options[] = {
        S.Campaign.Spec.Variants = split(Text, ',');
        return std::string();
      }},
-    {"--jobs", VCampaign | VAudit, OptionDef::Num,
+    {"--jobs", VCampaign | VAudit, OptionDef::Int,
      [](RequestSpec &S, const std::string &, double Val) {
        if (S.V == Verb::Audit)
          S.Audit.Spec.Jobs = static_cast<int>(Val);
@@ -255,12 +290,12 @@ const OptionDef Options[] = {
      }},
 
     // Audit-only knobs.
-    {"--max-lines", VAudit, OptionDef::Num,
+    {"--max-lines", VAudit, OptionDef::Int,
      [](RequestSpec &S, const std::string &, double Val) {
        S.Audit.Spec.Base.MaxLines = static_cast<int>(Val);
        return std::string();
      }},
-    {"--max-models", VAudit, OptionDef::Num,
+    {"--max-models", VAudit, OptionDef::Int53,
      [](RequestSpec &S, const std::string &, double Val) {
        S.Audit.Spec.Base.MaxModels = static_cast<uint64_t>(Val);
        return std::string();
@@ -316,7 +351,7 @@ const OptionDef Options[] = {
      }},
 
     // Coverage rendering.
-    {"--top", VCoverage, OptionDef::Num,
+    {"--top", VCoverage, OptionDef::Int,
      [](RequestSpec &S, const std::string &, double Val) {
        S.Coverage.Top = static_cast<int>(Val);
        return std::string();
@@ -328,7 +363,7 @@ const OptionDef Options[] = {
        S.Serve.SocketPath = Text;
        return std::string();
      }},
-    {"--max-inflight", VServe, OptionDef::Num,
+    {"--max-inflight", VServe, OptionDef::Int,
      [](RequestSpec &S, const std::string &, double Val) {
        S.Serve.MaxInflight = static_cast<int>(Val);
        return std::string();
@@ -417,7 +452,7 @@ void scanArgv(Verb V, int Argc, const char *const *Argv,
         continue;
       }
       Text = Argv[++I];
-      if (O->K == OptionDef::Num) {
+      if (O->isNumber()) {
         char *End = nullptr;
         Val = std::strtod(Text.c_str(), &End);
         if (End == Text.c_str() || *End != '\0') {
@@ -425,9 +460,9 @@ void scanArgv(Verb V, int Argc, const char *const *Argv,
                            Arg);
           continue;
         }
-        if (Val < 0) {
-          Errors.push_back(Arg + std::string(" must be non-negative, got '") +
-                           Text + "'");
+        const std::string Problem = numberProblem(O->K, Val);
+        if (!Problem.empty()) {
+          Errors.push_back(Arg + " " + Problem + ", got '" + Text + "'");
           continue;
         }
       }
@@ -513,7 +548,7 @@ bool syrust::cli::argvToRequestJson(Verb V, int Argc,
         if (!std::strcmp(O.Flag, "--connect"))
           return;
         const std::string Key = O.Flag + 2;
-        if (O.K == OptionDef::Num)
+        if (O.isNumber())
           Out.set(Key, Value::number(Val));
         else if (O.K == OptionDef::Str)
           Out.set(Key, Value::string(Text));
@@ -575,17 +610,21 @@ bool syrust::cli::fromRequestJson(const json::Value &V, RequestSpec &Out,
     std::string Text;
     double Val = 0;
     switch (O->K) {
-    case OptionDef::Num:
+    case OptionDef::Real:
+    case OptionDef::Int:
+    case OptionDef::Int53: {
       if (Member.kind() != Value::Kind::Number) {
         Errors.push_back("field '" + Key + "' must be a number");
         continue;
       }
       Val = Member.asDouble();
-      if (Val < 0) {
-        Errors.push_back("field '" + Key + "' must be non-negative");
+      const std::string Problem = numberProblem(O->K, Val);
+      if (!Problem.empty()) {
+        Errors.push_back("field '" + Key + "' " + Problem);
         continue;
       }
       break;
+    }
     case OptionDef::Str:
       if (Member.kind() != Value::Kind::String) {
         Errors.push_back("field '" + Key + "' must be a string");

@@ -14,6 +14,14 @@
 using namespace syrust;
 using namespace syrust::json;
 
+namespace {
+/// True when \p D truncates to a value int64_t holds: the condition for
+/// casting it.
+bool fitsInt64(double D) {
+  return D >= -9223372036854775808.0 && D < 9223372036854775808.0;
+}
+} // namespace
+
 Value Value::boolean(bool B) {
   Value V;
   V.K = Kind::Bool;
@@ -34,6 +42,14 @@ Value Value::integer(int64_t I) {
   V.Num = static_cast<double>(I);
   V.IsInt = true;
   return V;
+}
+
+int64_t Value::asInt() const {
+  if (fitsInt64(Num))
+    return static_cast<int64_t>(Num);
+  if (std::isnan(Num))
+    return 0;
+  return Num < 0 ? INT64_MIN : INT64_MAX;
 }
 
 Value Value::string(std::string S) {
@@ -109,7 +125,7 @@ std::string Value::dump() const {
   case Kind::Bool:
     return Bool ? "true" : "false";
   case Kind::Number:
-    if (IsInt || Num == std::floor(Num))
+    if ((IsInt || Num == std::floor(Num)) && fitsInt64(Num))
       return format("%lld", static_cast<long long>(Num));
     return format("%.17g", Num);
   case Kind::String:
@@ -324,8 +340,8 @@ private:
       return Value();
     }
     double D = std::atof(std::string(Text.substr(Start, Pos - Start)).c_str());
-    return IsInt ? Value::integer(static_cast<int64_t>(D))
-                 : Value::number(D);
+    return IsInt && fitsInt64(D) ? Value::integer(static_cast<int64_t>(D))
+                                 : Value::number(D);
   }
 
   std::string_view Text;

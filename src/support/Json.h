@@ -14,7 +14,9 @@
 ///
 /// Supported: objects, arrays, strings (with standard escapes), doubles,
 /// integers, booleans, null. Numbers are stored as double plus an
-/// integer-ness flag, which is lossless for the magnitudes used here.
+/// integer-ness flag, which is lossless for the magnitudes used here. An
+/// integer literal outside int64's range parses as a plain double, and
+/// only numbers inside that range print in integer form.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +51,9 @@ public:
 
   bool asBool() const { return Bool; }
   double asDouble() const { return Num; }
-  int64_t asInt() const { return static_cast<int64_t>(Num); }
+  /// The number truncated toward zero and saturated to int64's range;
+  /// NaN reads as 0.
+  int64_t asInt() const;
   const std::string &asString() const { return Str; }
 
   /// Array access.

@@ -232,7 +232,6 @@ public:
                           const api::ApiDatabase &Db,
                           const types::TraitEnv &Traits);
 
-  int numLines() const { return NumLines; }
   size_t numSatVars() const { return VarCount; }
   size_t numCandidates() const { return TotalCandidates; }
   const sat::SolverStats &solverStats() const { return Solver.stats(); }

@@ -23,6 +23,21 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 /// Simulated-time cadence on which --bias-coverage halves the
 /// per-length yield weights, so stale hot streaks fade.
 constexpr double kBiasDecayInterval = 30.0;
+
+/// Adds one encoding's solver, portfolio and prune counters to \p S.
+void addEncodingCounters(SynthStats &S, const Encoding &E) {
+  S.SolverConflicts += E.solverStats().Conflicts;
+  S.SolverPropagations += E.solverStats().Propagations;
+  S.PortfolioRaces += E.portfolioStats().Races;
+  S.PortfolioUnsatWins += E.portfolioStats().UnsatWins;
+  S.PortfolioCancels += E.portfolioStats().Cancels;
+  const PruneStats &P = E.pruneStats();
+  S.PruneGraphProbes += P.GraphProbes;
+  S.PruneFallbackProbes += P.FallbackProbes;
+  S.PruneDeadSites += P.DeadSites;
+  S.PruneVarsAvoided += P.VarsAvoided;
+  S.PruneClausesAvoided += P.ClausesAvoided;
+}
 } // namespace
 
 Synthesizer::Synthesizer(types::TypeArena &Arena,
@@ -31,26 +46,25 @@ Synthesizer::Synthesizer(types::TypeArena &Arena,
                          std::vector<TemplateInput> Inputs, int MaxLines,
                          SynthOptions Opts)
     : Arena(Arena), Traits(Traits), Db(Db), Inputs(std::move(Inputs)),
-      MaxLines(MaxLines), Opts(Opts) {
+      Opts(Opts) {
   // Long runs push hundreds of thousands of hashes through the duplicate
   // net; reserving up front keeps the hot insert path rehash-free until
   // well past typical run sizes.
   Seen.reserve(1 << 16);
-  Stats.CurrentLength = 1;
   if (Opts.BiasCoverage) {
     LengthYield.assign(static_cast<size_t>(MaxLines), 0);
     BiasRng.reseed(Opts.BiasSeed);
     BiasNextDecay = kBiasDecayInterval;
   }
-  if (Opts.InterleaveLengths) {
-    LengthEncs.resize(static_cast<size_t>(MaxLines));
-    LengthLive.assign(static_cast<size_t>(MaxLines), 1);
-    LengthUnknown.assign(static_cast<size_t>(MaxLines), 0);
-    for (int L = 1; L <= MaxLines; ++L)
-      LengthEncs[static_cast<size_t>(L - 1)] = makeEncoding(L);
-  } else {
-    Enc = makeEncoding(1);
-  }
+  LengthEncs.resize(static_cast<size_t>(MaxLines));
+  LengthLive.assign(static_cast<size_t>(MaxLines), 1);
+  LengthUnknown.assign(static_cast<size_t>(MaxLines), 0);
+  // Sequential mode builds only length 1 here; next() builds each later
+  // length when pickLength() first reaches it.
+  const int Upfront =
+      Opts.InterleaveLengths ? MaxLines : std::min(MaxLines, 1);
+  for (int L = 1; L <= Upfront; ++L)
+    LengthEncs[static_cast<size_t>(L - 1)] = makeEncoding(L);
   snapshotDb();
 }
 
@@ -59,19 +73,15 @@ void Synthesizer::snapshotDb() {
   DbSizeSnapshot = Db.size();
 }
 
-std::unique_ptr<Encoding> Synthesizer::makeEncoding(int Length) {
+std::unique_ptr<Encoding>
+Synthesizer::makeEncoding(int Length,
+                          const std::vector<Encoding::ModelSig> &Sigs) {
   auto T0 = std::chrono::steady_clock::now();
-  size_t Reblocked = 0;
   auto E =
       std::make_unique<Encoding>(Arena, Traits, Db, Inputs, Length, Opts);
   ++Stats.Rebuilds;
-  if (Opts.IncrementalRefinement) {
-    auto It = RetiredSigs.find(Length);
-    if (It != RetiredSigs.end()) {
-      Reblocked = E->seedBlockedModels(It->second);
-      Stats.ModelsReblocked += Reblocked;
-    }
-  }
+  size_t Reblocked = E->seedBlockedModels(Sigs);
+  Stats.ModelsReblocked += Reblocked;
   Stats.BuildSeconds += secondsSince(T0);
   if (Opts.Obs) {
     Opts.Obs->instant("synth.build", "synth",
@@ -84,71 +94,23 @@ std::unique_ptr<Encoding> Synthesizer::makeEncoding(int Length) {
   return E;
 }
 
-void Synthesizer::retireEncoding(std::unique_ptr<Encoding> &E) {
-  if (!E)
-    return;
-  RetiredConflicts += E->solverStats().Conflicts;
-  RetiredPropagations += E->solverStats().Propagations;
-  RetiredRaces += E->portfolioStats().Races;
-  RetiredUnsatWins += E->portfolioStats().UnsatWins;
-  RetiredCancels += E->portfolioStats().Cancels;
-  const PruneStats &P = E->pruneStats();
-  RetiredPrune.GraphProbes += P.GraphProbes;
-  RetiredPrune.FallbackProbes += P.FallbackProbes;
-  RetiredPrune.DeadSites += P.DeadSites;
-  RetiredPrune.VarsAvoided += P.VarsAvoided;
-  RetiredPrune.ClausesAvoided += P.ClausesAvoided;
-  if (Opts.IncrementalRefinement) {
-    // Successor encodings replay these; signatures that stop mapping
-    // (their API got banned) are unreachable and dropped on replay.
-    RetiredSigs[E->numLines()] = E->takeBlockedModels();
-  }
+std::vector<Encoding::ModelSig>
+Synthesizer::retire(std::unique_ptr<Encoding> &E) {
+  addEncodingCounters(Stats, *E);
+  // Empty unless incremental refinement records signatures. Ones that
+  // stop mapping (their API got banned) are unreachable and dropped on
+  // replay.
+  std::vector<Encoding::ModelSig> Sigs = E->takeBlockedModels();
   E.reset();
+  return Sigs;
 }
 
-void Synthesizer::refreshSolverStats() {
-  uint64_t Conflicts = RetiredConflicts;
-  uint64_t Propagations = RetiredPropagations;
-  uint64_t Races = RetiredRaces;
-  uint64_t UnsatWins = RetiredUnsatWins;
-  uint64_t Cancels = RetiredCancels;
-  PruneStats Prune = RetiredPrune;
-  auto Absorb = [&](const Encoding &E) {
-    Conflicts += E.solverStats().Conflicts;
-    Propagations += E.solverStats().Propagations;
-    Races += E.portfolioStats().Races;
-    UnsatWins += E.portfolioStats().UnsatWins;
-    Cancels += E.portfolioStats().Cancels;
-    Prune.GraphProbes += E.pruneStats().GraphProbes;
-    Prune.FallbackProbes += E.pruneStats().FallbackProbes;
-    Prune.DeadSites += E.pruneStats().DeadSites;
-    Prune.VarsAvoided += E.pruneStats().VarsAvoided;
-    Prune.ClausesAvoided += E.pruneStats().ClausesAvoided;
-  };
-  if (Enc)
-    Absorb(*Enc);
+SynthStats Synthesizer::stats() const {
+  SynthStats S = Stats;
   for (const auto &E : LengthEncs)
     if (E)
-      Absorb(*E);
-  Stats.SolverConflicts = Conflicts;
-  Stats.SolverPropagations = Propagations;
-  Stats.PortfolioRaces = Races;
-  Stats.PortfolioUnsatWins = UnsatWins;
-  Stats.PortfolioCancels = Cancels;
-  Stats.PruneGraphProbes = Prune.GraphProbes;
-  Stats.PruneFallbackProbes = Prune.FallbackProbes;
-  Stats.PruneDeadSites = Prune.DeadSites;
-  Stats.PruneVarsAvoided = Prune.VarsAvoided;
-  Stats.PruneClausesAvoided = Prune.ClausesAvoided;
-}
-
-bool Synthesizer::solveNext(Encoding &E) {
-  auto T0 = std::chrono::steady_clock::now();
-  bool Sat = E.nextModel();
-  Stats.SolveSeconds += secondsSince(T0);
-  ++Stats.SolveCalls;
-  refreshSolverStats();
-  return Sat;
+      addEncodingCounters(S, *E);
+  return S;
 }
 
 void Synthesizer::notifyDatabaseChanged() {
@@ -160,34 +122,13 @@ void Synthesizer::notifyDatabaseChanged() {
                             NewActive.begin());
   bool Additions = Db.size() > DbSizeSnapshot;
 
-  if (!Opts.InterleaveLengths) {
-    // Sequential mode follows Algorithm 1: once every length is proven
-    // exhausted the run is over; lengths already walked are not revisited.
-    if (!Done && Enc) {
-      bool Extended = false;
-      if (AddOnly) {
-        auto T0 = std::chrono::steady_clock::now();
-        Extended = Enc->extendForDatabaseChange();
-        Stats.BuildSeconds += secondsSince(T0);
-      }
-      if (Extended) {
-        ++Stats.IncrementalExtends;
-        if (Opts.Obs) {
-          Opts.Obs->instant("synth.extend", "synth",
-                            obs::ArgList().add("length",
-                                               Stats.CurrentLength));
-          Opts.Obs->count("synth.extends");
-        }
-      } else {
-        retireEncoding(Enc);
-        Enc = makeEncoding(Stats.CurrentLength);
-      }
-    }
-    snapshotDb();
-    return;
-  }
-
+  // Unbuilt slots need nothing: sequential mode builds a length from the
+  // database of the moment it is reached and drops the ones it exhausted.
   for (size_t Idx = 0; Idx < LengthEncs.size(); ++Idx) {
+    auto &Slot = LengthEncs[Idx];
+    if (!Slot)
+      continue;
+    const int Length = static_cast<int>(Idx) + 1;
     bool Live = LengthLive[Idx] != 0;
     // A length proven UNSAT stays dead unless the database actually grew:
     // bans and combo blocks only shrink the space, so the proof stands.
@@ -196,9 +137,8 @@ void Synthesizer::notifyDatabaseChanged() {
     // ones included.
     if (!Live && !Additions && !LengthUnknown[Idx])
       continue;
-    auto &Slot = LengthEncs[Idx];
     bool Extended = false;
-    if (Slot && AddOnly) {
+    if (AddOnly) {
       auto T0 = std::chrono::steady_clock::now();
       Extended = Slot->extendForDatabaseChange();
       Stats.BuildSeconds += secondsSince(T0);
@@ -207,39 +147,24 @@ void Synthesizer::notifyDatabaseChanged() {
       ++Stats.IncrementalExtends;
       if (Opts.Obs) {
         Opts.Obs->instant("synth.extend", "synth",
-                          obs::ArgList().add("length",
-                                             static_cast<int>(Idx) + 1));
+                          obs::ArgList().add("length", Length));
         Opts.Obs->count("synth.extends");
       }
     } else {
-      retireEncoding(Slot);
-      Slot = makeEncoding(static_cast<int>(Idx) + 1);
+      Slot = makeEncoding(Length, retire(Slot));
     }
     if (!Live) {
       LengthLive[Idx] = 1;
       LengthUnknown[Idx] = 0;
       ++Stats.DeadLengthRevivals;
-      Done = false;
       if (Opts.Obs) {
         Opts.Obs->instant("synth.revive", "synth",
-                          obs::ArgList().add("length",
-                                             static_cast<int>(Idx) + 1));
+                          obs::ArgList().add("length", Length));
         Opts.Obs->count("synth.revivals");
       }
     }
   }
   snapshotDb();
-}
-
-bool Synthesizer::advanceLength() {
-  if (Stats.CurrentLength >= MaxLines) {
-    Done = true;
-    return false;
-  }
-  retireEncoding(Enc);
-  ++Stats.CurrentLength;
-  Enc = makeEncoding(Stats.CurrentLength);
-  return true;
 }
 
 bool Synthesizer::acceptProgram(Program &P) {
@@ -271,25 +196,10 @@ bool Synthesizer::acceptProgram(Program &P) {
                           "length",
                           static_cast<uint64_t>(P.Stmts.size())));
     Opts.Obs->count("synth.emitted");
-    Opts.Obs->gaugeSet("synth.current_length", Stats.CurrentLength);
+    Opts.Obs->gaugeSet("synth.current_length",
+                       static_cast<double>(P.Stmts.size()));
   }
   return true;
-}
-
-std::optional<Program> Synthesizer::nextSequential() {
-  while (!Done) {
-    if (!solveNext(*Enc)) {
-      if (Enc->budgetExhausted())
-        BudgetStop = true;
-      if (!advanceLength())
-        return std::nullopt;
-      continue;
-    }
-    Program P = Enc->decode();
-    if (acceptProgram(P))
-      return P;
-  }
-  return std::nullopt;
 }
 
 void Synthesizer::noteCoverage(int Length, uint64_t NewEdges,
@@ -311,8 +221,11 @@ void Synthesizer::noteCoverage(int Length, uint64_t NewEdges,
 }
 
 std::optional<size_t> Synthesizer::pickLength() {
-  if (std::find(LengthLive.begin(), LengthLive.end(), 1) == LengthLive.end())
+  auto Shortest = std::find(LengthLive.begin(), LengthLive.end(), 1);
+  if (Shortest == LengthLive.end())
     return std::nullopt;
+  if (!Opts.InterleaveLengths)
+    return static_cast<size_t>(Shortest - LengthLive.begin());
   if (Opts.BiasCoverage) {
     std::vector<size_t> LiveIdx;
     std::vector<double> Weights;
@@ -346,24 +259,19 @@ std::optional<size_t> Synthesizer::pickLength() {
   }
 }
 
-std::optional<Program> Synthesizer::nextInterleaved() {
-  // Round-robin across live lengths; a length that proves UNSAT goes
-  // dormant but keeps its encoding, so a later database addition can
-  // revive it. The rotation pointer persists across calls, so each call
-  // samples the "next" length. With --bias-coverage and any live
-  // yield signal, the rotation is replaced by a weighted draw over the
-  // live lengths: weight 1 plus the length's decayed never-covered-
-  // edge yield, so lengths that recently opened new dependency-graph
-  // territory get solved more often while cold lengths still get a
-  // floor of attention.
-  while (!Done) {
-    std::optional<size_t> Idx = pickLength();
-    if (!Idx) {
-      Done = true;
-      return std::nullopt;
-    }
-    Encoding *E = LengthEncs[*Idx].get();
-    if (!solveNext(*E)) {
+std::optional<Program> Synthesizer::next() {
+  // pickLength() chooses each solve's length. A length that proves UNSAT
+  // goes dormant: interleaved mode keeps its encoding so that a later
+  // database addition can revive it, and sequential mode destroys it.
+  while (std::optional<size_t> Idx = pickLength()) {
+    std::unique_ptr<Encoding> &E = LengthEncs[*Idx];
+    if (!E)
+      E = makeEncoding(static_cast<int>(*Idx) + 1);
+    auto T0 = std::chrono::steady_clock::now();
+    bool Sat = E->nextModel();
+    Stats.SolveSeconds += secondsSince(T0);
+    ++Stats.SolveCalls;
+    if (!Sat) {
       // Budget stops (Unknown) are not exhaustion proofs: mark the
       // dormancy as revivable-on-any-change.
       if (E->budgetExhausted()) {
@@ -371,9 +279,10 @@ std::optional<Program> Synthesizer::nextInterleaved() {
         LengthUnknown[*Idx] = 1;
       }
       LengthLive[*Idx] = 0;
+      if (!Opts.InterleaveLengths)
+        retire(E); // Algorithm 1 never returns to a shorter length.
       continue;
     }
-    Stats.CurrentLength = E->numLines();
     Program P = E->decode();
     if (acceptProgram(P))
       return P;
@@ -381,8 +290,4 @@ std::optional<Program> Synthesizer::nextInterleaved() {
     // turn.
   }
   return std::nullopt;
-}
-
-std::optional<Program> Synthesizer::next() {
-  return Opts.InterleaveLengths ? nextInterleaved() : nextSequential();
 }

@@ -6,23 +6,26 @@
 ///
 /// \file
 /// Streams well-formed candidate test cases for one (template, API
-/// database) pair, walking program lengths 1..m as in Algorithm 1. Handles
-/// the two events Algorithm 1 weaves into the enumeration loop:
+/// database) pair over program lengths 1..m. One table holds an encoding
+/// per length and a pick policy chooses the length each solve uses:
+/// sequential mode (Algorithm 1) takes the shortest live length, building
+/// its encoding on first pick and destroying it once exhausted, since the
+/// algorithm never returns to it; interleaved mode (the Section 7.4.3
+/// extension) builds every length up front and rotates over the live
+/// ones, keeping an exhausted length dormant so that a refinement that
+/// *adds* API instances can revive it. Handles the two events Algorithm 1
+/// weaves into the enumeration loop:
 ///
 ///   * model blocking (phi := phi AND NOT sigma) - done with small
 ///     projected blocking clauses;
 ///   * API-database refinement (update(phi, A)) - classified on
 ///     notifyDatabaseChanged(): additive changes (the common eager/lazy
-///     concretization case) extend the live encodings in place, keeping
+///     concretization case) extend the built encodings in place, keeping
 ///     learned clauses and every blocking clause; destructive changes
-///     (bans) rebuild, replaying blocked-model signatures into the fresh
-///     solver. Either way the solver never re-walks an emitted program,
-///     with the structural-hash set kept as a last-resort safety net.
-///
-/// Interleaved mode keeps exhausted lengths around: a refinement that
-/// *adds* API instances can make a previously UNSAT length satisfiable
-/// again, so additions revive dead lengths (extend or rebuild) instead of
-/// abandoning them forever.
+///     (bans) rebuild, handing the retired encoding's blocked-model
+///     signatures to its replacement. Either way the solver never
+///     re-walks an emitted program, with the structural-hash set kept as
+///     a last-resort safety net.
 ///
 /// Models failing the Rule 7 path post-check are blocked and counted but
 /// never emitted.
@@ -37,7 +40,6 @@
 #include "synth/SeenPrograms.h"
 
 #include <memory>
-#include <unordered_map>
 
 namespace syrust::synth {
 
@@ -68,7 +70,6 @@ struct SynthStats {
   /// Wall-clock spent constructing/extending encodings vs. solving.
   double BuildSeconds = 0;
   double SolveSeconds = 0;
-  int CurrentLength = 0;
   /// Compatibility-kernel memo outcome (all zero when the cache is off).
   /// Hits answered from the run's own cache, BaseHits from the shared
   /// per-crate matrix, Misses computed fresh. Filled by the driver, which
@@ -119,7 +120,7 @@ public:
   std::optional<program::Program> next();
 
   /// Signals that the API database was refined. Add-only changes extend
-  /// the live encodings in place; destructive changes rebuild them and
+  /// the built encodings in place; destructive changes rebuild them and
   /// replay the blocked models. Additions also revive exhausted lengths
   /// (interleaved mode), since new instances can unlock them.
   void notifyDatabaseChanged();
@@ -133,25 +134,30 @@ public:
   /// forever. A no-op unless SynthOptions::BiasCoverage is set.
   void noteCoverage(int Length, uint64_t NewEdges, double NowSeconds);
 
-  const SynthStats &stats() const { return Stats; }
+  /// Statistics so far. The solver, portfolio and prune counters of the
+  /// encodings still in the table are summed in when this is called, so
+  /// the totals are current after a notifyDatabaseChanged() too.
+  SynthStats stats() const;
 
   /// True when enumeration ended due to solver budget rather than a real
   /// proof of exhaustion (conservative: per current length).
   bool sawBudgetStop() const { return BudgetStop; }
 
 private:
-  bool advanceLength();
-  std::unique_ptr<Encoding> makeEncoding(int Length);
-  void retireEncoding(std::unique_ptr<Encoding> &E);
-  bool solveNext(Encoding &E);
+  /// Builds the encoding of \p Length and replays \p Sigs, the blocked
+  /// models of the encoding it replaces, into it.
+  std::unique_ptr<Encoding>
+  makeEncoding(int Length, const std::vector<Encoding::ModelSig> &Sigs = {});
+  /// Folds \p E's counters into Stats, destroys it and returns its
+  /// blocked-model signatures for a replacement of the same length.
+  std::vector<Encoding::ModelSig> retire(std::unique_ptr<Encoding> &E);
   void snapshotDb();
-  void refreshSolverStats();
-  std::optional<program::Program> nextSequential();
-  std::optional<program::Program> nextInterleaved();
-  /// Interleaved mode's length policy: the --bias-coverage weighted draw
-  /// while any live length has yield, otherwise the next live length of
-  /// the rotation (advancing Rotation past dead ones). Nullopt once no
-  /// length is live.
+  /// The length policy: nullopt once no length is live. Sequential mode
+  /// takes the shortest live length. Interleaved mode takes the
+  /// --bias-coverage weighted draw (weight 1 plus the length's decayed
+  /// never-covered-edge yield) while any live length has yield, and
+  /// otherwise the next live length of the rotation (advancing Rotation
+  /// past dead ones).
   std::optional<size_t> pickLength();
   bool acceptProgram(program::Program &P);
 
@@ -159,13 +165,12 @@ private:
   const types::TraitEnv &Traits;
   const api::ApiDatabase &Db;
   std::vector<program::TemplateInput> Inputs;
-  int MaxLines;
   SynthOptions Opts;
 
-  std::unique_ptr<Encoding> Enc;
-  /// Interleaved mode: one encoding per length. Exhausted lengths keep
-  /// their encoding (marked dead in LengthLive) so additions can revive
-  /// them in place.
+  /// One encoding slot per length 1..MaxLines, null until built and, in
+  /// sequential mode, again once its length is exhausted. Interleaved
+  /// mode keeps an exhausted length's encoding (dead in LengthLive) so
+  /// additions can revive it in place.
   std::vector<std::unique_ptr<Encoding>> LengthEncs;
   std::vector<char> LengthLive;
   /// Interleaved mode: marks lengths that went dormant on a budget stop
@@ -188,28 +193,16 @@ private:
   /// a distinct program.
   SeenPrograms Seen;
 
-  /// Blocked models harvested from retired encodings, per length,
-  /// replayed into their replacements after destructive rebuilds.
-  /// Accessed only by find/operator[], so ordering is not load-bearing.
-  std::unordered_map<int, std::vector<Encoding::ModelSig>> RetiredSigs;
   /// Database state at the last (re)build/extend, for classifying the
   /// next change: old activeIds being a prefix of the new ones means
   /// add-only; a grown database means additions are present.
   std::vector<api::ApiId> ActiveSnapshot;
   size_t DbSizeSnapshot = 0;
-  /// Solver-stat totals of encodings retired so far.
-  uint64_t RetiredConflicts = 0;
-  uint64_t RetiredPropagations = 0;
-  uint64_t RetiredRaces = 0;
-  uint64_t RetiredUnsatWins = 0;
-  uint64_t RetiredCancels = 0;
-  /// Prune-stat totals of encodings retired so far (same absorb
-  /// pattern: totals = retired + live encodings).
-  PruneStats RetiredPrune;
 
+  /// Everything but the table's encoder counters, which stats() adds;
+  /// retired encodings' counters are folded in here.
   SynthStats Stats;
   bool BudgetStop = false;
-  bool Done = false;
 };
 
 } // namespace syrust::synth

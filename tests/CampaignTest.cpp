@@ -438,6 +438,60 @@ TEST(SessionTest, RunOneRejectsInvalidConfigAndUnknownCrate) {
   EXPECT_EQ(S.find("no-such-crate"), nullptr);
 }
 
+TEST(SessionTest, ProgramStreamsArePinned) {
+  // A word-wise FNV-1a fold of the Program::hash() of every synthesized
+  // program, in emission order, at seed 2021 and 60 sim-s. A change that
+  // moves any of these streams - order included - must update the table
+  // on purpose.
+  struct Cell {
+    const char *Crate;
+    const char *Variant;
+    uint64_t Programs;
+    uint64_t Digest;
+  };
+  const Cell Cells[] = {
+      {"slab", "base", 418, 0xb61114352831bd3dULL},
+      {"slab", "interleave", 418, 0x12c5703904dd4f29ULL},
+      {"slab", "lazy", 1119, 0xcc0d1f6925b65d43ULL},
+      {"slab", "no-incremental", 417, 0x5ee91d2742642ec3ULL},
+      {"slab", "coverage-bias", 418, 0x359527701aeda4cfULL},
+      {"smallvec", "base", 423, 0x7e65347f84cd6fb3ULL},
+      {"smallvec", "interleave", 424, 0x24ba872f78c923c8ULL},
+      {"smallvec", "lazy", 940, 0xbfdfb659900e21d9ULL},
+      {"smallvec", "no-incremental", 423, 0xf5823c628d5dd3f3ULL},
+      {"smallvec", "coverage-bias", 422, 0xf8e72ba933c9a9a9ULL},
+      {"crossbeam-utils", "base", 426, 0xcc4f24ed6f30d7aeULL},
+      {"crossbeam-utils", "interleave", 428, 0x36dae40cffbd241fULL},
+      {"crossbeam-utils", "lazy", 462, 0xd6245f70909ea530ULL},
+      {"crossbeam-utils", "no-incremental", 426, 0x1de4e3de1648ad17ULL},
+      {"crossbeam-utils", "coverage-bias", 431, 0xf80201dc6912f5e8ULL},
+      {"encoding_rs", "base", 419, 0x77d77a522c07548aULL},
+      {"encoding_rs", "interleave", 420, 0xa083d172654ff1bdULL},
+      {"encoding_rs", "lazy", 419, 0x77d77a522c07548aULL},
+      {"encoding_rs", "no-incremental", 419, 0x1bb7a7bb4c1e4d2aULL},
+      {"encoding_rs", "coverage-bias", 419, 0x9bca3d6670d07a71ULL},
+  };
+  Session S;
+  for (const Cell &Want : Cells) {
+    RunConfig C;
+    C.Seed = 2021;
+    C.BudgetSeconds = 60;
+    C.RecordTests = size_t(1) << 20;
+    ASSERT_TRUE(applyVariant(Want.Variant, C));
+    RunResult R = S.runOne(Want.Crate, C);
+    ASSERT_EQ(R.Db.records().size(), R.Synthesized);
+    uint64_t Digest = 0xcbf29ce484222325ULL;
+    for (const TestRecord &T : R.Db.records())
+      Digest = (Digest ^ T.Hash) * 0x100000001b3ULL;
+    EXPECT_EQ(R.Synthesized, Want.Programs) << Want.Crate << " "
+                                            << Want.Variant;
+    EXPECT_EQ(Digest, Want.Digest)
+        << Want.Crate << " " << Want.Variant << ": {\"" << Want.Crate
+        << "\", \"" << Want.Variant << "\", " << R.Synthesized << ", 0x"
+        << std::hex << Digest << "ULL},";
+  }
+}
+
 TEST(SessionTest, SupportedCratesMatchRegistry) {
   Session S;
   std::vector<std::string> Names = S.supportedCrates();

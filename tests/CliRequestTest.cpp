@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace syrust;
 using namespace syrust::cli;
 
@@ -273,6 +275,73 @@ TEST(CliRequestTest, ArgvAndJsonSurfacesAgree) {
     EXPECT_EQ(Direct.Out.CoverageOut, ViaWire.Out.CoverageOut);
     EXPECT_EQ(Direct.Out.Json, ViaWire.Out.Json);
   }
+}
+
+TEST(CliRequestTest, NumbersOutsideTheirDomainFailOnBothSurfaces) {
+  // Every value lies outside its option's domain: argv names the flag
+  // and the wire the field, with the same problem.
+  struct Case {
+    Verb V;
+    const char *Flag, *Text;
+    double Val;
+    const char *Problem;
+  };
+  const Case Cases[] = {
+      {Verb::Run, "--seed", "nan", std::nan(""), "must be a finite number"},
+      {Verb::Campaign, "--jobs", "nan", std::nan(""),
+       "must be a finite number"},
+      {Verb::Campaign, "--budget", "inf", HUGE_VAL,
+       "must be a finite number"},
+      {Verb::Run, "--budget", "-1", -1, "must be non-negative"},
+      {Verb::Audit, "--max-models", "0.5", 0.5, "must be an integer"},
+      {Verb::Campaign, "--jobs", "3e9", 3e9, "must be at most 2147483647"},
+      // 2^53 + 1 reads as 2^53 on both surfaces, so 2^53 is out too.
+      {Verb::Run, "--seed", "9007199254740993", 9007199254740993.0,
+       "must be at most 9007199254740991"},
+  };
+  auto WireErrors = [](const json::Value &Request) {
+    RequestSpec Spec;
+    std::vector<std::string> Errors;
+    EXPECT_FALSE(fromRequestJson(Request, Spec, Errors));
+    return Errors;
+  };
+  for (const Case &C : Cases) {
+    std::vector<const char *> Argv = {C.Flag, C.Text};
+    json::Value Request = json::Value::object();
+    Request.set("verb", json::Value::string(verbName(C.V)));
+    if (C.V == Verb::Run) {
+      Argv.insert(Argv.begin(), "slab");
+      Request.set("crate", json::Value::string("slab"));
+    }
+    Request.set(C.Flag + 2, json::Value::number(C.Val));
+    EXPECT_TRUE(mentions(parseErrors(C.V, Argv), std::string(C.Flag) + " " +
+                                                     C.Problem + ", got '" +
+                                                     C.Text + "'"))
+        << C.Flag << " " << C.Text;
+    EXPECT_TRUE(mentions(WireErrors(Request), std::string("field '") +
+                                                  (C.Flag + 2) + "' " +
+                                                  C.Problem))
+        << C.Flag << " " << C.Text;
+  }
+  // Seed ranges share the ceiling, and "-1" no longer wraps around.
+  for (const char *Range : {"9007199254740992", "1..9007199254740993", "-1"}) {
+    EXPECT_TRUE(mentions(parseErrors(Verb::Campaign, {"--seeds", Range}),
+                         "--seeds"))
+        << Range;
+    json::Value Request = json::Value::object();
+    Request.set("verb", json::Value::string("audit"));
+    Request.set("seeds", json::Value::string(Range));
+    EXPECT_TRUE(mentions(WireErrors(Request), "--seeds")) << Range;
+  }
+  // The edges of each domain still parse.
+  RequestSpec Edge = parseOk(Verb::Campaign,
+                             {"--jobs", "2147483647", "--budget", "0.5",
+                              "--seeds", "0..9007199254740991"});
+  EXPECT_EQ(2147483647, Edge.Campaign.Spec.Jobs);
+  EXPECT_EQ(9007199254740991u, Edge.Campaign.Spec.SeedEnd);
+  EXPECT_EQ(9007199254740991u,
+            parseOk(Verb::Run, {"slab", "--seed", "9007199254740991"})
+                .Run.Config.Seed);
 }
 
 TEST(CliRequestTest, ConnectIsClientSideOnly) {

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace syrust;
 using namespace syrust::json;
 using namespace syrust::rustsim;
@@ -49,6 +51,27 @@ TEST(JsonTest, ParseRoundTrip) {
   EXPECT_DOUBLE_EQ(R.Val.get("c").get("d").asDouble(), -2.5);
   // dump-parse-dump is a fixpoint.
   EXPECT_EQ(parse(R.Val.dump()).Val.dump(), R.Val.dump());
+}
+
+TEST(JsonTest, NumbersOutsideInt64StayDoubles) {
+  // An integer literal past int64's range parses as a plain double, and
+  // no number is cast to int64 unless it fits.
+  ParseResult R = parse("{\"a\":100000000000000000000000,"
+                        "\"b\":-100000000000000000000000}");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Val.get("a").asDouble(), 1e23);
+  EXPECT_EQ(R.Val.get("a").asInt(), INT64_MAX);
+  EXPECT_EQ(R.Val.get("b").asInt(), INT64_MIN);
+  EXPECT_EQ(parse(R.Val.dump()).Val.get("a").asDouble(), 1e23);
+  EXPECT_EQ(Value::number(9223372036854775808.0).dump(),
+            "9.2233720368547758e+18");
+  EXPECT_EQ(Value::number(-9223372036854775808.0).dump(),
+            "-9223372036854775808");
+  EXPECT_EQ(Value::number(HUGE_VAL).dump(), "inf");
+  EXPECT_EQ(Value::number(HUGE_VAL).asInt(), INT64_MAX);
+  EXPECT_EQ(Value::number(std::nan("")).asInt(), 0);
+  EXPECT_EQ(parse("1e999").Val.asInt(), INT64_MAX);
+  EXPECT_EQ(Value::integer(INT64_MIN).dump(), "-9223372036854775808");
 }
 
 TEST(JsonTest, ParseWithWhitespace) {

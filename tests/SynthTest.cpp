@@ -340,6 +340,21 @@ TEST_F(SynthFixture, AdditiveDatabaseChangeExtendsInPlace) {
   EXPECT_EQ(Synth.stats().Rebuilds, 1u); // The initial construction only.
 }
 
+TEST_F(SynthFixture, StatsCountAnExtendBeforeTheNextSolve) {
+  // A run whose last candidate changes the database reports its stats
+  // right after notifyDatabaseChanged(); the extend's work must already
+  // be in them.
+  addApi("f", {"String"}, "usize");
+  Synthesizer Synth(Arena, Traits, Db, vecTemplate(), 1);
+  ASSERT_TRUE(Synth.next().has_value());
+  const SynthStats Before = Synth.stats();
+  addApi("g", {"Vec<String>"}, "usize");
+  Synth.notifyDatabaseChanged();
+  const SynthStats After = Synth.stats();
+  EXPECT_EQ(After.IncrementalExtends, 1u);
+  EXPECT_GT(After.PruneFallbackProbes, Before.PruneFallbackProbes);
+}
+
 TEST_F(SynthFixture, RebuildPathStillSkipsDuplicatesViaHashes) {
   // The historical rebuild-the-world path (IncrementalRefinement off):
   // the fresh solver re-emits f(s) and the hash set has to drop it.
