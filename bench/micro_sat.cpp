@@ -103,7 +103,8 @@ void BM_PigeonholePairwiseCnf(benchmark::State &State) {
 BENCHMARK(BM_PigeonholePairwiseCnf)->Arg(6)->Arg(7)->Arg(8);
 
 void BM_IncrementalBlocking(benchmark::State &State) {
-  // The Algorithm 1 pattern: solve, block a small clause, re-solve.
+  // The Algorithm 1 pattern: solve, block the model at its own level,
+  // re-solve from the backjump.
   for (auto _ : State) {
     Solver S;
     std::vector<Var> Vars;
@@ -117,7 +118,7 @@ void BM_IncrementalBlocking(benchmark::State &State) {
         Block.push_back(mkLit(Vars[static_cast<size_t>(I)],
                               S.modelValue(Vars[static_cast<size_t>(I)]) ==
                                   Value::True));
-      S.addClause(Block);
+      S.addBlockingClause(Block);
     }
     benchmark::DoNotOptimize(Rounds);
   }

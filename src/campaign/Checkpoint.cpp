@@ -17,10 +17,18 @@ using namespace syrust::json;
 
 namespace {
 
+/// Names the enumerator that produces each cell's program stream. Bump it
+/// whenever the stream a RunConfig yields changes (the solver's search,
+/// blocking or seeding), so a checkpoint written by the previous
+/// enumerator is refused rather than mixed into a new aggregate.
+/// 2: models are blocked at their own decision level, not from the root.
+constexpr int64_t kEnumerationEpoch = 2;
+
 /// The canonical spec document the fingerprint hashes: everything that
 /// determines results, nothing that doesn't (Jobs, Trace).
 Value specToCanonicalJson(const CampaignSpec &Spec) {
   Value V = Value::object();
+  V.set("enumeration_epoch", Value::integer(kEnumerationEpoch));
   Value Crates = Value::array();
   for (const std::string &C : Spec.Crates)
     Crates.push(Value::string(C));

@@ -6,6 +6,7 @@
 
 #include "program/Program.h"
 
+#include "support/Rng.h"
 #include "support/StringUtils.h"
 
 using namespace syrust;
@@ -55,19 +56,6 @@ std::string Program::render(const ApiDatabase &Db) const {
   }
   return Out;
 }
-
-namespace {
-
-/// SplitMix64's output function: a bijection on 64-bit words in which
-/// every input bit flips about half of the output bits.
-uint64_t splitMix64(uint64_t Z) {
-  Z += 0x9e3779b97f4a7c15ULL;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
-
-} // namespace
 
 uint64_t Program::hash() const {
   // Every element is folded in through a full-avalanche mix. A

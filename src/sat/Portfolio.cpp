@@ -75,6 +75,19 @@ bool Portfolio::addAtMost(std::vector<Lit> Lits, int K) {
   return Base.addAtMost(std::move(Lits), K);
 }
 
+bool Portfolio::addBlockingClause(std::vector<Lit> Lits) {
+  if (RecordOps) {
+    // Never deferred, even under beginLazy(): it blocks the model Base
+    // has just answered.
+    Op O;
+    O.Kind = Op::ClauseKind;
+    O.Lits = Lits;
+    O.Materialized = true;
+    Ops.push_back(std::move(O));
+  }
+  return Base.addBlockingClause(std::move(Lits));
+}
+
 bool Portfolio::violatedUnderModel(const Solver &Dst, const Op &O) {
   // Undef (out-of-model) literals count as not-true: a constraint may be
   // materialized although a completion could satisfy it, which costs a

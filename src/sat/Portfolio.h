@@ -85,6 +85,9 @@ public:
     return addClause(std::vector<Lit>{A, B, C});
   }
   bool addAtMost(std::vector<Lit> Lits, int K);
+  /// Blocks the model of the last Sat answer (Solver::addBlockingClause).
+  /// The log records it as an ordinary clause for helper replays.
+  bool addBlockingClause(std::vector<Lit> Lits);
   void simplify() { Base.simplify(); }
   SolveResult solve() { return solve(std::vector<Lit>{}); }
   SolveResult solve(const std::vector<Lit> &Assumptions);

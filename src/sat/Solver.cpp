@@ -8,6 +8,7 @@
 
 #include "obs/Recorder.h"
 #include "sat/SolverStrategy.h"
+#include "support/Rng.h"
 
 #include <algorithm>
 #include <cassert>
@@ -24,7 +25,7 @@ constexpr double ClaDecay = 0.999;
 constexpr double RescaleLimit = 1e100;
 } // namespace
 
-Solver::Solver() = default;
+Solver::Solver() { setRandomSeed(1); }
 Solver::~Solver() = default;
 
 //===----------------------------------------------------------------------===//
@@ -125,6 +126,55 @@ bool Solver::addClause(std::vector<Lit> Lits) {
   }
   ClauseRef Ref = allocClause(Lits, /*Learned=*/false);
   attachClause(Ref);
+  return true;
+}
+
+bool Solver::addBlockingClause(std::vector<Lit> Lits) {
+  if (!Ok)
+    return false;
+  // Root-false literals can never become true; drop them as addClause
+  // does. Every other literal is false at some level of the kept trail.
+  size_t Out = 0;
+  for (Lit L : Lits) {
+    assert(value(L) == Value::False &&
+           "blocking clause must be false under the current assignment");
+    if (level(var(L)) > 0)
+      Lits[Out++] = L;
+  }
+  Lits.resize(Out);
+  if (Lits.empty()) {
+    // Every literal is root-false: no model is left.
+    cancelUntil(0);
+    Ok = false;
+    return false;
+  }
+  // The highest-level literal goes first and the next highest second:
+  // they are the clause's watches once the search backjumps below them.
+  for (size_t W = 0; W < 2 && W < Lits.size(); ++W)
+    for (size_t I = W + 1; I < Lits.size(); ++I)
+      if (level(var(Lits[I])) > level(var(Lits[W])))
+        std::swap(Lits[I], Lits[W]);
+  if (Lits.size() == 1) {
+    // A unit clause asserts its literal at the root.
+    cancelUntil(0);
+    enqueue(Lits[0], Reason{});
+    return true;
+  }
+  const int Top = level(var(Lits[0]));
+  const int Second = level(var(Lits[1]));
+  cancelUntil(Top);
+  ClauseRef Ref = allocClause(Lits, /*Learned=*/false);
+  attachClause(Ref);
+  if (Second == Top) {
+    // Two or more literals share the top level: the clause is a conflict
+    // there, and its first-UIP clause names the backjump level.
+    learnAndBackjump(Reason{Reason::ClauseKind, Ref});
+    return true;
+  }
+  // One literal on the top level: the clause asserts it at the next
+  // highest level.
+  cancelUntil(Second);
+  enqueue(Lits[0], Reason{Reason::ClauseKind, Ref});
   return true;
 }
 
@@ -539,7 +589,12 @@ void Solver::heapPercolateDown(int Pos) {
 }
 
 void Solver::setRandomSeed(uint64_t Seed) {
-  RandomState = Seed | 1; // xorshift state must be nonzero.
+  // SplitMix64 is a bijection, so distinct seeds give distinct searches.
+  // The one seed it maps to zero, a state xorshift never leaves, gets a
+  // fixed non-zero state instead.
+  RandomState = splitMix64(Seed);
+  if (RandomState == 0)
+    RandomState = 0x9e3779b97f4a7c15ULL;
 }
 
 void Solver::applyStrategy(const SolverStrategy &S) {
@@ -685,6 +740,25 @@ uint64_t Solver::luby(uint64_t I) {
   return 1ull << (K - 1);
 }
 
+void Solver::learnAndBackjump(Reason Conflict) {
+  std::vector<Lit> Learned;
+  int BtLevel = 0;
+  analyze(Conflict, Learned, BtLevel);
+  cancelUntil(BtLevel);
+  if (Learned.size() == 1) {
+    enqueue(Learned[0], Reason{});
+  } else {
+    ClauseRef Ref = allocClause(Learned, /*Learned=*/true);
+    LearnedRefs.push_back(Ref);
+    ++Stats.LearnedClauses;
+    claBumpActivity(Ref);
+    attachClause(Ref);
+    enqueue(Learned[0], Reason{Reason::ClauseKind, Ref});
+  }
+  varDecayActivity();
+  claDecayActivity();
+}
+
 SolveResult Solver::search() {
   uint64_t RestartNum = 0;
   uint64_t ConflictsAtStart = Stats.Conflicts;
@@ -699,7 +773,6 @@ SolveResult Solver::search() {
   };
   uint64_t ConflictsUntilRestart = NextRestartLimit();
   uint64_t ConflictsThisRestart = 0;
-  std::vector<Lit> Learned;
 
   for (;;) {
     if (Interrupt && Interrupt->load(std::memory_order_relaxed)) {
@@ -714,21 +787,7 @@ SolveResult Solver::search() {
         Ok = false;
         return SolveResult::Unsat;
       }
-      int BtLevel = 0;
-      analyze(Conflict, Learned, BtLevel);
-      cancelUntil(BtLevel);
-      if (Learned.size() == 1) {
-        enqueue(Learned[0], Reason{});
-      } else {
-        ClauseRef Ref = allocClause(Learned, /*Learned=*/true);
-        LearnedRefs.push_back(Ref);
-        ++Stats.LearnedClauses;
-        claBumpActivity(Ref);
-        attachClause(Ref);
-        enqueue(Learned[0], Reason{Reason::ClauseKind, Ref});
-      }
-      varDecayActivity();
-      claDecayActivity();
+      learnAndBackjump(Conflict);
       if (Hook && !HookFired &&
           Stats.Conflicts - ConflictsAtStart >= HookThreshold) {
         HookFired = true;
@@ -777,7 +836,8 @@ SolveResult Solver::search() {
     if (Next == LitUndef) {
       Next = pickBranchLit();
       if (Next == LitUndef) {
-        // All variables assigned: a model.
+        // All variables assigned: a model. The trail stays for the next
+        // solve() to resume from.
         Model.assign(Assigns.begin(), Assigns.end());
         return SolveResult::Sat;
       }
@@ -823,17 +883,25 @@ SolveResult Solver::solveInner(const std::vector<Lit> &Assumps) {
   HookFired = false;
   if (!Ok)
     return SolveResult::Unsat;
-  cancelUntil(0);
-  Assumptions = Assumps;
+  // Under unchanged assumptions the search resumes from the trail the
+  // last Sat answer kept, as a blocking clause's backjump left it.
+  if (Assumps != Assumptions) {
+    cancelUntil(0);
+    Assumptions = Assumps;
+  }
   if (MaxLearned == 0)
     MaxLearned = 4000;
-  if (propagate().Kind != Reason::None) {
+  // Only a conflict at the root proves the formula Unsat; one at a kept
+  // level is an ordinary search conflict.
+  if (decisionLevel() == 0 && propagate().Kind != Reason::None) {
     Ok = false;
     return SolveResult::Unsat;
   }
   SolveResult Result = search();
-  cancelUntil(0);
-  Assumptions.clear();
+  if (Result != SolveResult::Sat) {
+    cancelUntil(0);
+    Assumptions.clear();
+  }
   return Result;
 }
 

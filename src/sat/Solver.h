@@ -14,8 +14,15 @@
 /// Features: two-watched-literal propagation, first-UIP clause learning with
 /// reason-based minimization, EVSIDS variable activities, phase saving, Luby
 /// restarts, learned-clause reduction, assumption-based incremental solving,
-/// and incremental clause addition between solve() calls (used by
-/// Algorithm 1's model-blocking loop).
+/// and incremental clause addition between solve() calls.
+///
+/// Algorithm 1's solve-block-repeat loop enumerates without restarting
+/// (Toda & Soh, "Implementing efficient all solutions SAT solvers", JEA
+/// 2016): a Sat answer keeps its trail and assumptions, addBlockingClause()
+/// adds the clause the model falsifies at the level it stands and
+/// backjumps, and the next solve() under the same assumptions resumes from
+/// there. Each model costs the re-decision of the blocked part only, not
+/// a descent from the root.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,8 +72,19 @@ public:
 
   /// Adds a clause (disjunction of \p Lits). Returns false if the solver
   /// became inconsistent at the root level (the clause, together with prior
-  /// constraints, is unsatisfiable without search).
+  /// constraints, is unsatisfiable without search). Cancels the search to
+  /// the root first.
   bool addClause(std::vector<Lit> Lits);
+
+  /// Adds a clause every literal of which is false under the current
+  /// assignment - in practice the clause that blocks the model of the last
+  /// Sat answer - without leaving the current trail. When one literal sits
+  /// on the clause's highest level the search backjumps to the next
+  /// highest and asserts it; when several do, the clause is analyzed as a
+  /// conflict and the search backjumps to the first-UIP level. Returns
+  /// false, like addClause(), when every literal is false at the root: no
+  /// model is left.
+  bool addBlockingClause(std::vector<Lit> Lits);
 
   /// Convenience overloads.
   bool addClause(Lit A);
@@ -94,7 +112,11 @@ public:
   SolveResult solve();
 
   /// Solves under the given assumptions (they act as temporary unit
-  /// clauses).
+  /// clauses). After Sat the solver keeps its trail and assumptions, so a
+  /// following addBlockingClause() and solve() under the same assumptions
+  /// resume the search where it stood; different assumptions, or any
+  /// addClause(), addAtMost() or simplify(), cancel it to the root. Unsat
+  /// and Unknown answers end at the root.
   SolveResult solve(const std::vector<Lit> &Assumptions);
 
   /// Value of \p V in the most recent satisfying model. Only valid after a
@@ -119,6 +141,8 @@ public:
   const SolverStats &stats() const { return Stats; }
 
   /// Seeds the random tie-breaking used for a small fraction of decisions.
+  /// Every seed gives its own search; a new solver starts at seed 1, the
+  /// default of Portfolio and SynthOptions::SolverSeed too.
   void setRandomSeed(uint64_t Seed);
 
   /// Applies a search configuration (restart schedule, phase
@@ -232,6 +256,9 @@ private:
   // --- top-level search ------------------------------------------------------
   SolveResult solveInner(const std::vector<Lit> &Assumps);
   SolveResult search();
+  /// Learns the first-UIP clause of \p Conflict (at the current level),
+  /// backjumps to its assertion level and asserts its UIP literal.
+  void learnAndBackjump(Reason Conflict);
   void reduceDB();
   void attachClause(ClauseRef Ref);
   bool addClausePreprocessed(std::vector<Lit> &Lits);
@@ -266,7 +293,7 @@ private:
   uint64_t ConflictBudget = 0;
   bool BudgetHit = false;
   double MaxLearned = 0;
-  uint64_t RandomState = 0x9e3779b97f4a7c15ULL;
+  uint64_t RandomState = 0; ///< xorshift state; see setRandomSeed().
   obs::Recorder *Obs = nullptr;
 
   // Strategy knobs (defaults reproduce the historical fixed constants).

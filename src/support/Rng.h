@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small, deterministic xoshiro256** generator. Every randomized choice in
-/// the system (weighted API selection, tie breaking in the SAT solver) goes
-/// through this class so that experiment tables are reproducible bit-for-bit.
+/// A small, deterministic xoshiro256** generator and the SplitMix64 mix that
+/// seeds it. Every randomized choice in the system (weighted API selection,
+/// the SAT solver's tie-breaking seed) goes through this header so that
+/// experiment tables are reproducible bit-for-bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,19 @@
 
 namespace syrust {
 
+/// SplitMix64 (Steele, Lea & Flood): the output for generator state
+/// \p Z, i.e. the state advanced by one golden-ratio step and put
+/// through a bijective full-avalanche mix, so every input bit flips
+/// about half of the output bits. Iterating the state by
+/// 0x9e3779b97f4a7c15 yields the SplitMix64 stream; one call alone is a
+/// seed scrambler and a hash-combine step.
+inline uint64_t splitMix64(uint64_t Z) {
+  Z += 0x9e3779b97f4a7c15ULL;
+  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
+  return Z ^ (Z >> 31);
+}
+
 /// Deterministic xoshiro256** PRNG seeded through SplitMix64.
 class Rng {
 public:
@@ -30,13 +44,10 @@ public:
 
   /// Re-initializes the full state from a single 64-bit seed.
   void reseed(uint64_t Seed) {
+    // The SplitMix64 stream spreads low-entropy seeds over the full state.
     for (uint64_t &Word : State) {
-      // SplitMix64 step; spreads low-entropy seeds over the full state.
+      Word = splitMix64(Seed);
       Seed += 0x9e3779b97f4a7c15ULL;
-      uint64_t Z = Seed;
-      Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-      Word = Z ^ (Z >> 31);
     }
   }
 

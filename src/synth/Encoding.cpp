@@ -1047,7 +1047,7 @@ void Encoding::blockCurrent() {
             Blocking.push_back(mkLit(C.U, true));
     }
   }
-  Solver.addClause(std::move(Blocking));
+  Solver.addBlockingClause(std::move(Blocking));
   HasModel = false;
 }
 

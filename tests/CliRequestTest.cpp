@@ -15,11 +15,13 @@
 
 #include "cli/RequestSpec.h"
 
+#include "cli/Execute.h"
 #include "core/Session.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 
 using namespace syrust;
 using namespace syrust::cli;
@@ -407,6 +409,28 @@ TEST(CliRequestTest, FinalizeExpandsAllCrates) {
       parseOk(Verb::Campaign, {"--crates", "all", "--budget", "3"});
   ASSERT_TRUE(finalize(S, Explicit).empty());
   EXPECT_EQ(Spec.Campaign.Spec.Crates, Explicit.Campaign.Spec.Crates);
+}
+
+TEST(CliRequestTest, CheckpointFromTheRestartingEnumeratorIsRefused) {
+  // The fingerprint the restarting enumerator's binary wrote for exactly
+  // this campaign. Its cells came from a different program stream, so a
+  // resume must be refused, not mixed into the new aggregate.
+  const std::string Path = testing::TempDir() + "/restarting_enum.jsonl";
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << "{\"fingerprint\":\"4d1d18a5ddfd0669\","
+           "\"kind\":\"campaign_checkpoint\",\"schema_version\":5}\n";
+  }
+  core::Session S;
+  RequestSpec Spec =
+      parseOk(Verb::Campaign, {"--crates", "slab", "--seeds", "2021",
+                               "--budget", "8", "--checkpoint", Path.c_str()});
+  ASSERT_TRUE(finalize(S, Spec).empty());
+  Response R = execute(S, Spec);
+  EXPECT_EQ(ExitUsage, R.ExitCode);
+  EXPECT_NE(std::string::npos, R.Error.find("different campaign"))
+      << R.Error;
+  EXPECT_NE(std::string::npos, R.Error.find("4d1d18a5ddfd0669")) << R.Error;
 }
 
 } // namespace

@@ -5,11 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ResultJson.h"
+#include "core/Session.h"
 #include "core/SyRustDriver.h"
+#include "synth/Synthesizer.h"
 #include "types/TypeParser.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 using namespace syrust;
@@ -325,6 +328,99 @@ TEST(DriverTest, ProgramHashHasNoCollisionsOnDashmap) {
   RunResult R = SyRustDriver(*findCrate("dashmap"), C).run();
   EXPECT_EQ(R.Synthesized, 476u);
   EXPECT_EQ(R.Synth.HashCollisions, 0u);
+}
+
+/// The programs of \p Crate's run set-up at seed 2021 and at most three
+/// lines, enumerated to exhaustion with no refinement feedback: their
+/// count and an order-independent digest, the sorted Program::hash()
+/// values folded with FNV-1a.
+struct ExhaustedSet {
+  uint64_t Programs = 0;
+  uint64_t Digest = 0;
+  uint64_t Duplicates = 0;
+};
+
+ExhaustedSet exhaust(const Session &S, const std::string &Crate,
+                     bool Interleave) {
+  const CrateSpec &Spec = *S.find(Crate);
+  auto Analysis = S.analysisFor(Spec);
+  RunSetup Setup = setUpRun(Spec, *Analysis, 2021, RunConfig().NumApis,
+                            /*BiasCoverage=*/false);
+  CrateInstance &Inst = *Setup.Inst;
+  synth::SynthOptions Opts;
+  Opts.InterleaveLengths = Interleave;
+  Opts.SolverSeed = 2021;
+  Opts.Compat = &Setup.Compat;
+  Opts.Graph = &Analysis->graph();
+  synth::Synthesizer Synth(Inst.Arena, Inst.Traits, Inst.Db, Inst.Inputs,
+                           std::min(3, Inst.MaxLen), Opts);
+  std::vector<uint64_t> Hashes;
+  while (std::optional<program::Program> P = Synth.next())
+    Hashes.push_back(P->hash());
+  std::sort(Hashes.begin(), Hashes.end());
+  ExhaustedSet Out;
+  Out.Programs = Hashes.size();
+  Out.Digest = 0xcbf29ce484222325ULL;
+  for (uint64_t H : Hashes)
+    Out.Digest = (Out.Digest ^ H) * 0x100000001b3ULL;
+  Out.Duplicates = Synth.stats().DuplicatesSkipped;
+  return Out;
+}
+
+TEST(ExhaustionTest, ProgramSetsAreIndependentOfSearchOrder) {
+  // How the solver walks the space - restarts, seeds, blocking at the
+  // root or at the model's own level, sequential or interleaved lengths -
+  // may reorder a stream but never change the set it exhausts. The table
+  // was recorded with the enumerator that restarted from the root for
+  // every model; the same sets must come out of any later one.
+  struct Row {
+    const char *Crate;
+    uint64_t Programs;
+    uint64_t Digest;
+  };
+  const Row Rows[] = {
+      {"smallvec", 433, 0x2e5cae30a2a5f672ULL},
+      {"crossbeam-utils", 987, 0x2465de47005be81ULL},
+      {"bytes", 512, 0x91a621b8059cb5b3ULL},
+      {"slab", 469, 0x9b246823d5f55e76ULL},
+      {"crossbeam-deque", 526, 0x5b91a0ff140c0bb8ULL},
+      {"generic-array", 1301, 0x5a242014a7d4f8d5ULL},
+      {"crossbeam-queue", 894, 0x88d4f05934bd3d2fULL},
+      {"num-rational", 31582, 0x4da82811a2d85b20ULL},
+      {"hashbrown", 901, 0xc22a736ffe068ddULL},
+      {"crossbeam", 2651, 0x14dc87ced2026edcULL},
+      {"petgraph", 1179, 0xd32e5a856615be9cULL},
+      {"im-rc", 2175, 0xaf7ff6d2957acebfULL},
+      {"bitvec", 109, 0xbf1db2b72ff84169ULL},
+      {"ndarray", 2404, 0x8770f3f3f48263d3ULL},
+      {"dashmap", 644, 0x11d2bbd56d0e1635ULL},
+      {"encoding_rs", 254, 0xe9bf71e7155495a9ULL},
+      {"bstr", 675, 0x1d607eef87eb7161ULL},
+      {"csv-core", 181, 0x58c3baeceda1180dULL},
+      {"data-encoding", 645, 0x960800340b7a81dbULL},
+      {"encode_unicode", 984, 0x9539e3490f77bf4bULL},
+      {"urlencoding", 359, 0xc3d0d782c0aef99aULL},
+      {"rmp-serde", 207, 0xb185360d202392b7ULL},
+      {"bytemuck", 572, 0x770c4bce32c841c7ULL},
+      {"sval", 406, 0x8cc00d3fb33941a4ULL},
+      {"base16", 113, 0x615ecd5ac7ccd94cULL},
+      {"cbor-codec", 53, 0x56a670528136e3c1ULL},
+      {"hcid", 66, 0x608e1995db82c962ULL},
+      {"utf8-width", 3489, 0xbc332594b6e5497eULL},
+  };
+  Session S;
+  ASSERT_EQ(std::size(Rows), S.supportedCrates().size());
+  for (const Row &Want : Rows) {
+    for (bool Interleave : {false, true}) {
+      ExhaustedSet Got = exhaust(S, Want.Crate, Interleave);
+      const char *Mode = Interleave ? "interleaved" : "sequential";
+      EXPECT_EQ(Got.Duplicates, 0u) << Want.Crate << " " << Mode;
+      EXPECT_EQ(Got.Programs, Want.Programs) << Want.Crate << " " << Mode;
+      EXPECT_EQ(Got.Digest, Want.Digest)
+          << Want.Crate << " " << Mode << ": {\"" << Want.Crate << "\", "
+          << Got.Programs << ", 0x" << std::hex << Got.Digest << "ULL},";
+    }
+  }
 }
 
 } // namespace

@@ -26,24 +26,40 @@ std::vector<Var> makeVars(Solver &S, int N) {
   return Vars;
 }
 
+/// The clause that blocks the current model's values on \p Projection.
+std::vector<Lit> blockingClause(const Solver &S,
+                                const std::vector<Var> &Projection) {
+  std::vector<Lit> Blocking;
+  for (Var V : Projection)
+    Blocking.push_back(mkLit(V, S.modelValue(V) == Value::True));
+  return Blocking;
+}
+
 /// Algorithm 1's solve-and-block loop over a projection: calls \p OnModel
 /// on each model, then blocks the model's values on \p Projection.
 /// Returns the model count, stopping one past \p Limit so that a
 /// blocking bug fails the count instead of looping forever.
 template <typename OnModelFn>
 int enumerateModels(Solver &S, const std::vector<Var> &Projection,
-                    int Limit, OnModelFn OnModel) {
+                    int Limit, OnModelFn OnModel,
+                    const std::vector<Lit> &Assumptions = {}) {
   int Count = 0;
-  while (Count <= Limit && S.solve() == SolveResult::Sat) {
+  while (Count <= Limit && S.solve(Assumptions) == SolveResult::Sat) {
     ++Count;
     OnModel();
-    std::vector<Lit> Blocking;
-    for (Var V : Projection)
-      Blocking.push_back(mkLit(V, S.modelValue(V) == Value::True));
-    if (!S.addClause(std::move(Blocking)))
+    if (!S.addBlockingClause(blockingClause(S, Projection)))
       break;
   }
   return Count;
+}
+
+/// The current model's values on \p Vars as a bit mask.
+uint32_t modelBits(const Solver &S, const std::vector<Var> &Vars) {
+  uint32_t Bits = 0;
+  for (size_t I = 0; I < Vars.size(); ++I)
+    if (S.modelValue(Vars[I]) == Value::True)
+      Bits |= 1u << I;
+  return Bits;
 }
 
 //===----------------------------------------------------------------------===//
@@ -575,6 +591,228 @@ TEST_P(EnumerationPropertyTest, CountMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnumerationPropertyTest,
                          ::testing::Range<uint64_t>(0, 30));
+
+//===----------------------------------------------------------------------===//
+// Enumeration without restarts: addBlockingClause against brute force
+//===----------------------------------------------------------------------===//
+
+/// Random clauses and AtMost-k constraints over variables 0..N-1, with a
+/// brute-force model oracle.
+struct RandomFormula {
+  struct AtMost {
+    std::vector<Lit> Lits;
+    int K;
+  };
+  int N = 0;
+  std::vector<std::vector<Lit>> Clauses;
+  std::vector<AtMost> Cards;
+
+  RandomFormula(Rng &R, int N) : N(N) {
+    int NumClauses = 6 + static_cast<int>(R.below(14));
+    for (int C = 0; C < NumClauses; ++C)
+      Clauses.push_back(randomLits(R, 2 + static_cast<int>(R.below(3))));
+    int NumCards = 1 + static_cast<int>(R.below(3));
+    for (int C = 0; C < NumCards; ++C) {
+      std::vector<Lit> Lits = randomLits(R, 3 + static_cast<int>(R.below(5)));
+      int K = 1 + static_cast<int>(R.below(Lits.size() - 2));
+      Cards.push_back(AtMost{std::move(Lits), K});
+    }
+  }
+
+  /// \p Len literals over distinct variables.
+  std::vector<Lit> randomLits(Rng &R, int Len) const {
+    std::vector<Lit> Lits;
+    std::set<Var> Used;
+    while (static_cast<int>(Lits.size()) < Len) {
+      Var V = static_cast<Var>(R.below(static_cast<uint64_t>(N)));
+      if (Used.insert(V).second)
+        Lits.push_back(mkLit(V, R.chance(0.5)));
+    }
+    return Lits;
+  }
+
+  static bool holds(uint32_t Bits, Lit L) {
+    return (((Bits >> var(L)) & 1) != 0) != sign(L);
+  }
+
+  bool satisfiedBy(uint32_t Bits, bool WithClauses = true) const {
+    auto Holds = [Bits](Lit L) { return holds(Bits, L); };
+    if (WithClauses)
+      for (const auto &Cl : Clauses)
+        if (std::none_of(Cl.begin(), Cl.end(), Holds))
+          return false;
+    for (const AtMost &Card : Cards)
+      if (std::count_if(Card.Lits.begin(), Card.Lits.end(), Holds) > Card.K)
+        return false;
+    return true;
+  }
+
+  std::set<uint32_t> models(bool WithClauses = true) const {
+    std::set<uint32_t> Out;
+    for (uint32_t Bits = 0; Bits < (1u << N); ++Bits)
+      if (satisfiedBy(Bits, WithClauses))
+        Out.insert(Bits);
+    return Out;
+  }
+
+  /// Adds the formula to \p S, each clause guarded by \p Guard when given
+  /// (the selector idiom of the encoder's generation guard). Returns false
+  /// when the solver proves it root-inconsistent.
+  bool addTo(Solver &S, Lit Guard = LitUndef) const {
+    bool Ok = true;
+    for (std::vector<Lit> Cl : Clauses) {
+      if (Guard != LitUndef)
+        Cl.push_back(~Guard);
+      Ok = S.addClause(std::move(Cl)) && Ok;
+    }
+    for (const AtMost &Card : Cards)
+      Ok = S.addAtMost(Card.Lits, Card.K) && Ok;
+    return Ok;
+  }
+};
+
+constexpr int kBlockingFormulaVars = 10;
+constexpr uint64_t kBlockingSeeds = 40;
+
+/// Solver over a formula's N variables plus two free variables outside
+/// the projection: a blocking clause that leaked past the projection
+/// would enumerate their values as duplicates.
+std::vector<Var> makeProjectedVars(Solver &S, int N) {
+  std::vector<Var> Vars = makeVars(S, N);
+  makeVars(S, 2);
+  return Vars;
+}
+
+TEST(BlockingClauseTest, EnumeratesUnderSelectorAssumption) {
+  for (uint64_t Seed = 0; Seed < kBlockingSeeds; ++Seed) {
+    Rng R(Seed * 7919 + 3);
+    RandomFormula F(R, kBlockingFormulaVars);
+    Solver S;
+    std::vector<Var> Vars = makeProjectedVars(S, F.N);
+    Lit Sel = mkLit(S.newVar());
+    if (!F.addTo(S, Sel)) {
+      EXPECT_TRUE(F.models(/*WithClauses=*/false).empty()) << Seed;
+      continue;
+    }
+    // Under the selector: exactly the formula's models, each once.
+    const std::set<uint32_t> Want = F.models();
+    std::set<uint32_t> Got;
+    int Count = enumerateModels(
+        S, Vars, static_cast<int>(Want.size()),
+        [&] {
+          uint32_t Bits = modelBits(S, Vars);
+          EXPECT_TRUE(F.satisfiedBy(Bits)) << Seed << ": bogus " << Bits;
+          EXPECT_TRUE(Got.insert(Bits).second) << Seed << ": dup " << Bits;
+        },
+        {Sel});
+    EXPECT_EQ(Count, static_cast<int>(Want.size())) << Seed;
+    EXPECT_EQ(Got, Want) << Seed;
+    EXPECT_EQ(S.solve({Sel}), SolveResult::Unsat) << Seed;
+    // Without it, only the cardinality constraints bind, and the blocked
+    // models stay blocked: whatever a backjump learned under the
+    // assumption must not cut into the rest.
+    std::set<uint32_t> Rest;
+    for (uint32_t Bits : F.models(/*WithClauses=*/false))
+      if (!Want.count(Bits))
+        Rest.insert(Bits);
+    std::set<uint32_t> GotRest;
+    enumerateModels(
+        S, Vars, static_cast<int>(Rest.size()),
+        [&] {
+          EXPECT_TRUE(GotRest.insert(modelBits(S, Vars)).second) << Seed;
+        },
+        {~Sel});
+    EXPECT_EQ(GotRest, Rest) << Seed;
+  }
+}
+
+TEST(BlockingClauseTest, ClauseAddedMidEnumerationRestartsFromRoot) {
+  for (uint64_t Seed = 0; Seed < kBlockingSeeds; ++Seed) {
+    Rng R(Seed * 104729 + 5);
+    RandomFormula F(R, kBlockingFormulaVars);
+    Solver S;
+    std::vector<Var> Vars = makeProjectedVars(S, F.N);
+    if (!F.addTo(S)) {
+      EXPECT_TRUE(F.models().empty()) << Seed;
+      continue;
+    }
+    const std::set<uint32_t> All = F.models();
+    const std::vector<Lit> Extra = F.randomLits(R, 3);
+    std::set<uint32_t> Got;
+    bool Added = false;
+    size_t Limit = All.size() + 1;
+    while (Got.size() < Limit && S.solve() == SolveResult::Sat) {
+      uint32_t Bits = modelBits(S, Vars);
+      EXPECT_TRUE(F.satisfiedBy(Bits)) << Seed << ": bogus " << Bits;
+      EXPECT_TRUE(!Added || std::any_of(Extra.begin(), Extra.end(),
+                                        [&](Lit L) {
+                                          return RandomFormula::holds(Bits,
+                                                                      L);
+                                        }))
+          << Seed << ": model violates the added clause";
+      EXPECT_TRUE(Got.insert(Bits).second) << Seed << ": dup " << Bits;
+      if (!S.addBlockingClause(blockingClause(S, Vars)))
+        break;
+      if (!Added && Got.size() * 2 >= All.size()) {
+        // Halfway: a new clause cancels the kept trail to the root.
+        Added = true;
+        if (!S.addClause(Extra))
+          break;
+      }
+    }
+    // The first half, then every model of the strengthened formula not
+    // already emitted.
+    std::set<uint32_t> Want;
+    for (uint32_t Bits : All)
+      if (Got.count(Bits) ||
+          std::any_of(Extra.begin(), Extra.end(), [&](Lit L) {
+            return RandomFormula::holds(Bits, L);
+          }))
+        Want.insert(Bits);
+    EXPECT_EQ(Got, Want) << Seed;
+    EXPECT_EQ(S.solve(), SolveResult::Unsat) << Seed;
+  }
+}
+
+TEST(BlockingClauseTest, ResumesAfterBudgetUnknown) {
+  int Unknowns = 0;
+  for (uint64_t Seed = 0; Seed < kBlockingSeeds; ++Seed) {
+    Rng R(Seed * 15485863 + 1);
+    RandomFormula F(R, kBlockingFormulaVars);
+    Solver S;
+    std::vector<Var> Vars = makeProjectedVars(S, F.N);
+    if (!F.addTo(S)) {
+      EXPECT_TRUE(F.models().empty()) << Seed;
+      continue;
+    }
+    const std::set<uint32_t> Want = F.models();
+    std::set<uint32_t> Got;
+    // One conflict per solve: any solve that needs search answers
+    // Unknown, at the root, and the next one runs unlimited.
+    S.setConflictBudget(1);
+    while (Got.size() <= Want.size()) {
+      SolveResult Res = S.solve();
+      if (Res == SolveResult::Unknown) {
+        ++Unknowns;
+        EXPECT_TRUE(S.budgetExhausted()) << Seed;
+        EXPECT_TRUE(S.okay()) << Seed;
+        S.setConflictBudget(0);
+        continue;
+      }
+      if (Res != SolveResult::Sat)
+        break;
+      uint32_t Bits = modelBits(S, Vars);
+      EXPECT_TRUE(F.satisfiedBy(Bits)) << Seed << ": bogus " << Bits;
+      EXPECT_TRUE(Got.insert(Bits).second) << Seed << ": dup " << Bits;
+      S.setConflictBudget(1);
+      if (!S.addBlockingClause(blockingClause(S, Vars)))
+        break;
+    }
+    EXPECT_EQ(Got, Want) << Seed;
+  }
+  // The budget must actually have bitten for the resume to be tested.
+  EXPECT_GT(Unknowns, 0);
+}
 
 TEST(BudgetTest, ConflictBudgetStopsSearch) {
   // A hard pigeonhole instance with a tiny budget must report exhaustion.
