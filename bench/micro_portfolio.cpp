@@ -14,18 +14,19 @@
 /// trips the conflict budget returns Unknown, the length goes dormant
 /// instead of retiring, and every later database change revives it for
 /// another budget-capped attempt (Synthesizer::notifyDatabaseChanged).
-/// Under the rebuild-the-world refinement path each revival replays the
-/// formula into a fresh solver, so the attempts share no learned clauses
-/// and the proof never completes - the off side pays one budget per round
-/// forever. The portfolio instead races helper strategies the moment
-/// member 0's budget trips; a helper carries BudgetFactor x the episode
-/// budget, finishes the proof once, and the Unsat retires the length
-/// permanently (proofs survive destructive changes, so no revival ever
-/// re-solves it). Episodes are fixed-seed random 3-SAT at 4.4 clauses per
-/// variable - comfortably past the phase transition, so the chosen seeds
-/// are Unsat with proofs of 1-3k conflicts, which real solver-strategy
-/// variance makes an honest race. Both sides run the identical formulas;
-/// the only difference is Portfolio::configure.
+/// Under the rebuild-the-world refinement path (incremental refinement
+/// off) each revival replays the formula into a fresh solver, so the
+/// attempts share no learned clauses and the proof never completes - the
+/// off side pays one budget per round forever. The portfolio instead
+/// races helper strategies the moment member 0's budget trips; a helper
+/// carries BudgetFactor x the episode budget, finishes the proof once,
+/// and the Unsat retires the length permanently (proofs survive bans and
+/// combo blocks, so no revival ever re-solves it). Episodes are
+/// fixed-seed random 3-SAT at 4.4 clauses per variable - comfortably past
+/// the phase transition, so the chosen seeds are Unsat with proofs of
+/// 1-3k conflicts, which real solver-strategy variance makes an honest
+/// race. Both sides run the identical formulas; the only difference is
+/// Portfolio::configure.
 ///
 /// The off side's wall-to-retirement under rebuild revivals is infinite -
 /// every attempt starts from scratch - so the off number reported here is
@@ -84,8 +85,8 @@ constexpr uint64_t kEpisodeBudget = 200;
 // cannot converge at any round count (fresh solver per round), so this
 // cap only bounds the measurement; raising it scales the off-side wall
 // linearly without changing the outcome. 64 is generous next to real
-// campaigns, whose refinement loops revive every dormant length on every
-// destructive database change.
+// campaigns, whose refinement loops revive every budget-stopped length on
+// every database change.
 constexpr int kRebuildRounds = 64;
 // With incremental refinement the learned clauses persist, so the proof
 // does complete across rounds; the cap is just a safety net.
@@ -126,9 +127,10 @@ struct StressSide {
 };
 
 /// The off side under rebuild-the-world refinement: every revival round
-/// replays the formula into a fresh solver (exactly what retireEncoding +
-/// makeEncoding do after a destructive database change) and re-attempts
-/// the proof under the episode budget. Learning never accumulates.
+/// replays the formula into a fresh solver (exactly what
+/// Synthesizer::retire + makeEncoding do on every database change when
+/// incremental refinement is off) and re-attempts the proof under the
+/// episode budget. Learning never accumulates.
 StressSide runOffRebuild() {
   StressSide Out;
   WallTimer W;
@@ -180,7 +182,7 @@ StressSide runOffIncremental() {
 /// The on side: the identical episode through the portfolio. Member 0
 /// trips the same budget, the racers launch, and a helper's 64x-budget
 /// proof retires the instance in the first round - no revival ever
-/// re-solves it, because an Unsat proof survives destructive changes.
+/// re-solves it, because an Unsat proof survives bans and combo blocks.
 StressSide runOnPortfolio() {
   StressSide Out;
   WallTimer W;

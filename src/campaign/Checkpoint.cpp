@@ -22,7 +22,8 @@ namespace {
 /// blocking or seeding), so a checkpoint written by the previous
 /// enumerator is refused rather than mixed into a new aggregate.
 /// 2: models are blocked at their own decision level, not from the root.
-constexpr int64_t kEnumerationEpoch = 2;
+/// 3: bans extend the live encoding instead of rebuilding it.
+constexpr int64_t kEnumerationEpoch = 3;
 
 /// The canonical spec document the fingerprint hashes: everything that
 /// determines results, nothing that doesn't (Jobs, Trace).

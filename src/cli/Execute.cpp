@@ -108,10 +108,9 @@ std::string renderRunSummary(const crates::CrateSpec &Spec,
   O += format("executed         %llu\n",
               static_cast<unsigned long long>(R.Executed));
   O += format("synthesis        %llu rebuilds, %llu incremental "
-              "extends, %llu models re-blocked\n",
+              "extends\n",
               static_cast<unsigned long long>(R.Synth.Rebuilds),
-              static_cast<unsigned long long>(R.Synth.IncrementalExtends),
-              static_cast<unsigned long long>(R.Synth.ModelsReblocked));
+              static_cast<unsigned long long>(R.Synth.IncrementalExtends));
   O += format("                 %llu duplicates skipped, %llu "
               "dead-length revivals\n",
               static_cast<unsigned long long>(R.Synth.DuplicatesSkipped),

@@ -137,8 +137,6 @@ json::Value syrust::core::resultToJson(const RunResult &R,
   Synth.set("incremental_extends",
             Value::integer(
                 static_cast<int64_t>(R.Synth.IncrementalExtends)));
-  Synth.set("models_reblocked",
-            Value::integer(static_cast<int64_t>(R.Synth.ModelsReblocked)));
   Synth.set("dead_length_revivals",
             Value::integer(
                 static_cast<int64_t>(R.Synth.DeadLengthRevivals)));
@@ -410,7 +408,6 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
     Out.Synth.HashCollisions = S.u64("hash_collisions");
     Out.Synth.Rebuilds = S.u64("rebuilds");
     Out.Synth.IncrementalExtends = S.u64("incremental_extends");
-    Out.Synth.ModelsReblocked = S.u64("models_reblocked");
     Out.Synth.DeadLengthRevivals = S.u64("dead_length_revivals");
     Out.Synth.SolveCalls = S.u64("solve_calls");
     Out.Synth.SolverConflicts = S.u64("solver_conflicts");

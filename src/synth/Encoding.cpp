@@ -18,10 +18,10 @@
 /// dropped spuriously, the solver could "forget" an active &mut borrow and
 /// slip past the Rule 8/9 exclusivity clauses.
 ///
-/// Incremental sync discipline: the initial build and every in-place
-/// extension run the same sync() path against snapshots of the previous
-/// state (empty on first build). Each constraint falls into one of three
-/// classes:
+/// Incremental sync discipline: the initial build and every extension
+/// that adds APIs run the same sync() path against snapshots of the
+/// previous state (empty on first build). Each constraint falls into one
+/// of three classes:
 ///
 ///   * additive - per-candidate/per-pair clauses whose meaning never
 ///     changes as the database grows (U=>A, U=>V, incompatibility pairs,
@@ -38,6 +38,11 @@
 ///     generation guard and are re-emitted under a fresh guard each
 ///     sync; solving assumes the current guard, and a unit clause
 ///     retires the previous generation.
+///
+/// Bans and combo blocks only shrink the space. A banned API keeps its
+/// place in the encoded list and its materialized sites get root units
+/// ~A; a combo block adds its own clauses. Neither touches the guarded
+/// layer, so a change that adds no API keeps the current generation.
 ///
 /// Dead-site elimination (DESIGN.md 5g): a call site whose required
 /// input slot has zero candidates can never be chosen, so instead of
@@ -84,20 +89,6 @@ Encoding::Encoding(TypeArena &Arena, const TraitEnv &Traits,
   sync();
 }
 
-const Type *Encoding::renamedInput(ApiId F, size_t J) const {
-  for (size_t K = 0; K < Active.size(); ++K)
-    if (Active[K] == F)
-      return RenIn[K][J];
-  return nullptr;
-}
-
-const Type *Encoding::renamedOutput(ApiId F) const {
-  for (size_t K = 0; K < Active.size(); ++K)
-    if (Active[K] == F)
-      return RenOut[K];
-  return nullptr;
-}
-
 bool Encoding::isOwnedNonCopy(const Type *Ty) const {
   return !Ty->isRef() && !Traits.isCopy(Ty);
 }
@@ -114,6 +105,11 @@ sat::Var Encoding::getV(VarId X, const Type *Ty, int Line) {
 
 bool Encoding::hasV(VarId X, const Type *Ty, int Line) const {
   return VMap.count(std::make_tuple(X, Ty, Line)) != 0;
+}
+
+bool Encoding::isEncoded(ApiId Id) const {
+  size_t Idx = static_cast<size_t>(Id);
+  return Idx < IsEncoded.size() && IsEncoded[Idx];
 }
 
 bool Encoding::isNewType(VarId X, const Type *Ty) const {
@@ -181,19 +177,26 @@ void Encoding::addGuarded(std::vector<Lit> Lits) {
 bool Encoding::extendForDatabaseChange() {
   if (!Opts.IncrementalRefinement)
     return false;
-  std::vector<ApiId> NewActive = Db.activeIds();
-  if (NewActive.size() < Active.size() ||
-      !std::equal(Active.begin(), Active.end(), NewActive.begin()))
-    return false; // Destructive change (ban): caller rebuilds.
   // Flush the pending model before any new variables exist: blockCurrent
   // reads model values, and the saved model only covers current vars.
   if (HasModel)
     blockCurrent();
-  sync();
+  std::vector<ApiId> Now = Db.activeIds();
+  if (std::any_of(Now.begin(), Now.end(),
+                  [&](ApiId Id) { return !isEncoded(Id); })) {
+    sync();
+    return true;
+  }
+  // Types, candidates and sites come only from APIs, so no closure-
+  // sensitive clause gains a member: the current generation stays valid
+  // and the change only excludes (bans and combo blocks).
+  snapshot();
+  buildBans();
+  buildBlockedCombos();
   return true;
 }
 
-void Encoding::sync() {
+void Encoding::snapshot() {
   // Snapshot the previous closure so the build functions can tell new
   // sites, candidates, and (var, type) pairs from already-encoded ones.
   PrevActive = Active.size();
@@ -212,6 +215,25 @@ void Encoding::sync() {
         PrevSlots[I][Kk][J] = Sites[I][Kk].Slots[J].size();
     }
   }
+}
+
+void Encoding::buildBans() {
+  // Bans only shrink the space, so they need no guard: a permanent root
+  // unit per materialized site. Dead sites have no A to forbid, and
+  // buildCallSites never revives a banned one.
+  for (size_t Kk = 0; Kk < Active.size(); ++Kk) {
+    if (Banned[Kk] || !Db.isBanned(Active[Kk]))
+      continue;
+    Banned[Kk] = 1;
+    for (std::vector<CallSite> &LineSites : Sites)
+      if (LineSites[Kk].A != sat::VarUndef)
+        Solver.addClause(mkLit(LineSites[Kk].A, true));
+  }
+}
+
+void Encoding::sync() {
+  snapshot();
+  buildBans();
 
   // Turn the generation over: retire the previous guard's clauses and
   // open a fresh one.
@@ -225,18 +247,21 @@ void Encoding::sync() {
     Gen = Solver.newVar();
   }
 
-  // Refresh the active set; extendForDatabaseChange guarantees the old
-  // Active is a prefix, so renamed signatures only append.
-  Active = Db.activeIds();
-  RenIn.resize(Active.size());
-  RenOut.resize(Active.size());
-  for (size_t K = PrevActive; K < Active.size(); ++K) {
-    const ApiSig &Sig = Db.get(Active[K]);
-    std::string Suffix = format("a%d", Active[K]);
+  // Append the active APIs not encoded yet, in database order; renamed
+  // signatures only append with them.
+  IsEncoded.resize(Db.size(), 0);
+  for (ApiId Id : Db.activeIds()) {
+    if (isEncoded(Id))
+      continue;
+    IsEncoded[static_cast<size_t>(Id)] = 1;
+    Active.push_back(Id);
+    Banned.push_back(0);
+    const ApiSig &Sig = Db.get(Id);
+    std::string Suffix = format("a%d", Id);
+    RenIn.emplace_back();
     for (const Type *In : Sig.Inputs)
-      RenIn[K].push_back(renameVars(Arena, In, Suffix));
-    RenOut[K] = renameVars(Arena, Sig.Output, Suffix);
-    ActiveIndex[Active[K]] = K;
+      RenIn.back().push_back(renameVars(Arena, In, Suffix));
+    RenOut.push_back(renameVars(Arena, Sig.Output, Suffix));
   }
 
   buildTypeUniverse();
@@ -252,14 +277,14 @@ void Encoding::sync() {
     buildRedundancyConstraints();
   }
   buildBlockedCombos();
-  VarCount = static_cast<size_t>(Solver.numVars());
   if (Opts.Obs)
     Opts.Obs->instant("synth.sync", "synth",
                       obs::ArgList()
                           .add("length", NumLines)
                           .add("active_apis",
                                static_cast<uint64_t>(Active.size()))
-                          .add("sat_vars", static_cast<uint64_t>(VarCount))
+                          .add("sat_vars",
+                               static_cast<uint64_t>(numSatVars()))
                           .add("candidates",
                                static_cast<uint64_t>(TotalCandidates)));
 }
@@ -343,6 +368,8 @@ void Encoding::buildCallSites() {
     std::vector<CallSite> &LineSites = Sites[static_cast<size_t>(I)];
     LineSites.resize(Active.size());
     for (size_t Kk = 0; Kk < Active.size(); ++Kk) {
+      if (Banned[Kk])
+        continue; // Never grown or revived: its A is false at the root.
       const ApiSig &Sig = Db.get(Active[Kk]);
       CallSite &Site = LineSites[Kk];
 
@@ -938,7 +965,7 @@ void Encoding::buildBlockedCombos() {
       // type tuples. To keep the encoding closed-form we instead intersect
       // per-slot candidate types and test each cross-product lazily below,
       // bounded by slots' distinct-type counts.)
-      if (Site.Slots.empty())
+      if (Site.Slots.empty() || Banned[Kk])
         continue;
       std::vector<std::vector<const Type *>> SlotTypes(Site.Slots.size());
       for (size_t J = 0; J < Site.Slots.size(); ++J) {
@@ -1011,31 +1038,8 @@ bool Encoding::nextModel() {
   return HasModel;
 }
 
-void Encoding::recordCurrentSig() {
-  ModelSig Sig;
-  Sig.Lines.resize(static_cast<size_t>(NumLines));
-  for (size_t I = 0; I < Sites.size(); ++I) {
-    for (size_t Kk = 0; Kk < Sites[I].size(); ++Kk) {
-      CallSite &Site = Sites[I][Kk];
-      if (Solver.modelValue(Site.A) != Value::True)
-        continue;
-      Sig.Lines[I].Api = Active[Kk];
-      for (auto &Slot : Site.Slots)
-        for (Candidate &C : Slot)
-          if (Solver.modelValue(C.U) == Value::True) {
-            Sig.Lines[I].Uses.emplace_back(C.Var, C.Ty);
-            break;
-          }
-      break;
-    }
-  }
-  BlockedSigs.push_back(std::move(Sig));
-}
-
 void Encoding::blockCurrent() {
   assert(HasModel && "no model to block");
-  if (Opts.IncrementalRefinement)
-    recordCurrentSig();
   std::vector<Lit> Blocking;
   for (auto &LineSites : Sites) {
     for (CallSite &Site : LineSites) {
@@ -1049,67 +1053,6 @@ void Encoding::blockCurrent() {
   }
   Solver.addBlockingClause(std::move(Blocking));
   HasModel = false;
-}
-
-size_t Encoding::seedBlockedModels(const std::vector<ModelSig> &Sigs) {
-  size_t Count = 0;
-  for (const ModelSig &Sig : Sigs) {
-    if (static_cast<int>(Sig.Lines.size()) != NumLines)
-      continue;
-    std::vector<Lit> Blocking;
-    bool Mapped = true;
-    for (int I = 0; I < NumLines && Mapped; ++I) {
-      const ModelSig::LinePick &Pick =
-          Sig.Lines[static_cast<size_t>(I)];
-      auto It = ActiveIndex.find(Pick.Api);
-      if (It == ActiveIndex.end()) {
-        Mapped = false;
-        break;
-      }
-      CallSite &Site = Sites[static_cast<size_t>(I)][It->second];
-      // A dead-eliminated site has no A-variable: the program cannot be
-      // synthesized here, so (like a vanished candidate) the signature
-      // is dropped.
-      if (Site.A == sat::VarUndef ||
-          Pick.Uses.size() != Site.Slots.size()) {
-        Mapped = false;
-        break;
-      }
-      Blocking.push_back(mkLit(Site.A, true));
-      for (size_t J = 0; J < Site.Slots.size(); ++J) {
-        sat::Var U = sat::VarUndef;
-        for (Candidate &C : Site.Slots[J])
-          if (C.Var == Pick.Uses[J].first &&
-              C.Ty == Pick.Uses[J].second) {
-            U = C.U;
-            break;
-          }
-        if (U == sat::VarUndef) {
-          Mapped = false;
-          break;
-        }
-        Blocking.push_back(mkLit(U, true));
-      }
-    }
-    if (!Mapped)
-      continue;
-    // The U=>A and per-slot exactly-one structure make this clause
-    // semantically identical to the blockCurrent() clause of the
-    // original model: it excludes exactly that program.
-    Solver.addClause(std::move(Blocking));
-    BlockedSigs.push_back(Sig);
-    ++Count;
-  }
-  return Count;
-}
-
-std::vector<Encoding::ModelSig> Encoding::takeBlockedModels() {
-  if (HasModel) {
-    if (Opts.IncrementalRefinement)
-      recordCurrentSig();
-    HasModel = false;
-  }
-  return std::move(BlockedSigs);
 }
 
 Program Encoding::decode() const {

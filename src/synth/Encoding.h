@@ -28,18 +28,21 @@
 /// of those (a ~20-literal clause) blocks exactly that program.
 ///
 /// Incremental refinement (update(phi, A) without rebuild-the-world):
-/// when the database only grows, extendForDatabaseChange() adds the new
-/// call-site variables and clauses to the *live* solver instead of
-/// recreating it, so learned clauses and every emitted-model blocking
-/// clause survive. Constraints whose clause sets are closure-sensitive
-/// ("A implies some candidate", "V implies some trigger", exactly-one's
-/// at-least half, owned-value persistence, created-refs-must-be-used) are
-/// guarded by a per-generation selector variable: each sync retires the
-/// previous generation with a unit clause and re-emits those constraints
-/// over the grown sets under a fresh guard, and solving assumes the
-/// current guard. Destructive changes (bans) still rebuild, but the
-/// synthesizer replays blocked-model signatures (ModelSig) into the fresh
-/// solver so enumeration never re-walks emitted programs.
+/// extendForDatabaseChange() absorbs every database change into the
+/// *live* solver, so learned clauses and every emitted-model blocking
+/// clause survive. The encoding keeps its own list of encoded APIs and
+/// only ever appends to it; a banned API stays in the list and each of
+/// its materialized call sites gets a permanent root unit ~A. A change
+/// that adds APIs adds their call-site variables and clauses. Constraints
+/// whose clause sets are closure-sensitive ("A implies some candidate",
+/// "V implies some trigger", exactly-one's at-least half, owned-value
+/// persistence, created-refs-must-be-used) are guarded by a
+/// per-generation selector variable: such a sync retires the previous
+/// generation with a unit clause and re-emits those constraints over the
+/// grown sets under a fresh guard, and solving assumes the current guard.
+/// Types, candidates and call sites come only from APIs, so a change that
+/// adds none (bans, combo blocks) keeps the current generation and adds
+/// only its ban units and combo clauses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,11 +77,12 @@ struct SynthOptions {
   /// next, round-robin across all lengths so deep call chains are
   /// reached early. Off reproduces Algorithm 1's strict length order.
   bool InterleaveLengths = false;
-  /// Additive database refinements extend the live encoding in place
-  /// (generation-guarded clauses + assumption solving) and blocked
-  /// models persist across full rebuilds. Off = the historical
-  /// rebuild-the-world path, kept selectable for A/B comparisons; it
-  /// emits bit-identical formulas to the pre-incremental encoder.
+  /// Every database refinement extends the live encodings in place
+  /// (generation-guarded clauses + assumption solving; bans become root
+  /// units), so blocking clauses persist and no encoding is rebuilt
+  /// after it is built. Off = the historical rebuild-the-world path,
+  /// kept selectable for A/B comparisons; it emits bit-identical
+  /// formulas to the pre-incremental encoder.
   bool IncrementalRefinement = true;
   /// Conflict budget per solve (0 = unlimited).
   uint64_t SolveConflictBudget = 200000;
@@ -173,19 +177,6 @@ struct PruneStats {
 /// SAT encoding for one (API database snapshot, program length) pair.
 class Encoding {
 public:
-  /// A solver-independent signature of one blocked model: per line, the
-  /// chosen API and the (variable, encoder-type) pair used in each input
-  /// slot. Types are interned in the TypeArena and ApiIds are stable, so
-  /// a signature maps onto any later encoding of the same length whose
-  /// database still contains the participating APIs and candidates.
-  struct ModelSig {
-    struct LinePick {
-      api::ApiId Api = api::ApiIdInvalid;
-      std::vector<std::pair<program::VarId, const types::Type *>> Uses;
-    };
-    std::vector<LinePick> Lines;
-  };
-
   Encoding(types::TypeArena &Arena, const types::TraitEnv &Traits,
            const api::ApiDatabase &Db,
            const std::vector<program::TemplateInput> &Inputs, int NumLines,
@@ -206,24 +197,14 @@ public:
   /// Blocks the current model's program so enumeration advances.
   void blockCurrent();
 
-  /// Grows the encoding in place after a database refinement that only
-  /// *added* API instances (the active set is a prefix of the new one).
-  /// Returns false - leaving the encoding untouched - when the change was
-  /// destructive or incremental refinement is disabled; the caller must
-  /// then rebuild from scratch.
+  /// Absorbs a database refinement into the live encoding, blocking a
+  /// still-pending current model first. Newly banned APIs get root units
+  /// on their call sites; newly active APIs are appended and synced under
+  /// a fresh generation; a change that adds no API adds only its ban
+  /// units and combo clauses. Returns false - leaving the encoding
+  /// untouched - only when incremental refinement is disabled; the caller
+  /// must then rebuild from scratch.
   bool extendForDatabaseChange();
-
-  /// Replays blocked-model signatures (from a retired encoding of the
-  /// same length) as blocking clauses. Signatures that no longer map -
-  /// their API was banned or a candidate disappeared - are dropped; such
-  /// programs can never be synthesized again anyway. Returns how many
-  /// were re-blocked.
-  size_t seedBlockedModels(const std::vector<ModelSig> &Sigs);
-
-  /// Hands over every blocked model (including a still-pending current
-  /// model) for replay into a successor encoding. Leaves this encoding
-  /// without a current model; only call when retiring it.
-  std::vector<ModelSig> takeBlockedModels();
 
   /// Rule 7 path check, run as post-processing (Section 4.4.3): verifies
   /// no variable is used after a root owner on its lifetime path has been
@@ -232,8 +213,7 @@ public:
                           const api::ApiDatabase &Db,
                           const types::TraitEnv &Traits);
 
-  size_t numSatVars() const { return VarCount; }
-  size_t numCandidates() const { return TotalCandidates; }
+  size_t numSatVars() const { return static_cast<size_t>(Solver.numVars()); }
   const sat::SolverStats &solverStats() const { return Solver.stats(); }
   /// Deterministic portfolio race counters (all zero when the portfolio
   /// is off).
@@ -264,9 +244,8 @@ private:
 
   sat::Var getV(program::VarId X, const types::Type *Ty, int Line);
   bool hasV(program::VarId X, const types::Type *Ty, int Line) const;
-  const types::Type *renamedInput(api::ApiId F, size_t J) const;
-  const types::Type *renamedOutput(api::ApiId F) const;
   bool isOwnedNonCopy(const types::Type *Ty) const;
+  bool isEncoded(api::ApiId Id) const;
 
   /// True when (X, Ty) entered VarTypes[X] during the current sync.
   bool isNewType(program::VarId X, const types::Type *Ty) const;
@@ -292,12 +271,16 @@ private:
   /// Adds a closure-sensitive clause under the current generation guard
   /// (plain clause when guards are off).
   void addGuarded(std::vector<sat::Lit> Lits);
-  void recordCurrentSig();
 
   /// Unified build/extend: the initial build is a sync against empty
-  /// previous state; extendForDatabaseChange() is a sync against the
-  /// snapshots taken last time.
+  /// previous state; an extension that adds APIs is a sync against a
+  /// snapshot of the state before it.
   void sync();
+  /// Takes the pre-sync snapshots (Prev*) the build functions consult.
+  void snapshot();
+  /// Root units ~A on every materialized site of each encoded API the
+  /// database banned since the last call.
+  void buildBans();
   void buildTypeUniverse();
   void buildCallSites();
   void buildContextConstraints();
@@ -312,9 +295,14 @@ private:
   int NumLines;
   SynthOptions Opts;
 
+  /// The encoded APIs, in encoding order: every API active at some sync,
+  /// banned ones included. Syncs only append, so positions are stable.
   std::vector<api::ApiId> Active;
-  /// Position in Active per active ApiId.
-  std::map<api::ApiId, size_t> ActiveIndex;
+  /// Per ApiId: nonzero once the API is in Active.
+  std::vector<char> IsEncoded;
+  /// Per position in Active: nonzero once the API's ban units are in.
+  /// A banned site never grows or revives.
+  std::vector<char> Banned;
   /// Renamed signatures indexed by position in Active.
   std::vector<std::vector<const types::Type *>> RenIn;
   std::vector<const types::Type *> RenOut;
@@ -359,11 +347,7 @@ private:
            std::vector<sat::Var>>
       ComboAux;
 
-  /// Signatures of every model blocked so far (incremental mode only).
-  std::vector<ModelSig> BlockedSigs;
-
   mutable sat::Portfolio Solver;
-  size_t VarCount = 0;
   size_t TotalCandidates = 0;
   PruneStats Prune;
   bool HasModel = false;

@@ -65,44 +65,26 @@ Synthesizer::Synthesizer(types::TypeArena &Arena,
       Opts.InterleaveLengths ? MaxLines : std::min(MaxLines, 1);
   for (int L = 1; L <= Upfront; ++L)
     LengthEncs[static_cast<size_t>(L - 1)] = makeEncoding(L);
-  snapshotDb();
-}
-
-void Synthesizer::snapshotDb() {
-  ActiveSnapshot = Db.activeIds();
   DbSizeSnapshot = Db.size();
 }
 
-std::unique_ptr<Encoding>
-Synthesizer::makeEncoding(int Length,
-                          const std::vector<Encoding::ModelSig> &Sigs) {
+std::unique_ptr<Encoding> Synthesizer::makeEncoding(int Length) {
   auto T0 = std::chrono::steady_clock::now();
   auto E =
       std::make_unique<Encoding>(Arena, Traits, Db, Inputs, Length, Opts);
   ++Stats.Rebuilds;
-  size_t Reblocked = E->seedBlockedModels(Sigs);
-  Stats.ModelsReblocked += Reblocked;
   Stats.BuildSeconds += secondsSince(T0);
   if (Opts.Obs) {
     Opts.Obs->instant("synth.build", "synth",
-                      obs::ArgList()
-                          .add("length", Length)
-                          .add("reblocked",
-                               static_cast<uint64_t>(Reblocked)));
+                      obs::ArgList().add("length", Length));
     Opts.Obs->count("synth.builds");
   }
   return E;
 }
 
-std::vector<Encoding::ModelSig>
-Synthesizer::retire(std::unique_ptr<Encoding> &E) {
+void Synthesizer::retire(std::unique_ptr<Encoding> &E) {
   addEncodingCounters(Stats, *E);
-  // Empty unless incremental refinement records signatures. Ones that
-  // stop mapping (their API got banned) are unreachable and dropped on
-  // replay.
-  std::vector<Encoding::ModelSig> Sigs = E->takeBlockedModels();
   E.reset();
-  return Sigs;
 }
 
 SynthStats Synthesizer::stats() const {
@@ -114,12 +96,6 @@ SynthStats Synthesizer::stats() const {
 }
 
 void Synthesizer::notifyDatabaseChanged() {
-  std::vector<api::ApiId> NewActive = Db.activeIds();
-  // Adding instances appends to the database with stable ids, so an
-  // add-only change leaves the previous active list as a prefix.
-  bool AddOnly = NewActive.size() >= ActiveSnapshot.size() &&
-                 std::equal(ActiveSnapshot.begin(), ActiveSnapshot.end(),
-                            NewActive.begin());
   bool Additions = Db.size() > DbSizeSnapshot;
 
   // Unbuilt slots need nothing: sequential mode builds a length from the
@@ -133,16 +109,13 @@ void Synthesizer::notifyDatabaseChanged() {
     // A length proven UNSAT stays dead unless the database actually grew:
     // bans and combo blocks only shrink the space, so the proof stands.
     // A length that went dormant on a budget stop (Unknown) has no such
-    // proof - it must get another chance on *any* change, destructive
-    // ones included.
+    // proof - it must get another chance on *any* change, bans and combo
+    // blocks included.
     if (!Live && !Additions && !LengthUnknown[Idx])
       continue;
-    bool Extended = false;
-    if (AddOnly) {
-      auto T0 = std::chrono::steady_clock::now();
-      Extended = Slot->extendForDatabaseChange();
-      Stats.BuildSeconds += secondsSince(T0);
-    }
+    auto T0 = std::chrono::steady_clock::now();
+    bool Extended = Slot->extendForDatabaseChange();
+    Stats.BuildSeconds += secondsSince(T0);
     if (Extended) {
       ++Stats.IncrementalExtends;
       if (Opts.Obs) {
@@ -151,7 +124,8 @@ void Synthesizer::notifyDatabaseChanged() {
         Opts.Obs->count("synth.extends");
       }
     } else {
-      Slot = makeEncoding(Length, retire(Slot));
+      retire(Slot);
+      Slot = makeEncoding(Length);
     }
     if (!Live) {
       LengthLive[Idx] = 1;
@@ -164,7 +138,7 @@ void Synthesizer::notifyDatabaseChanged() {
       }
     }
   }
-  snapshotDb();
+  DbSizeSnapshot = Db.size();
 }
 
 bool Synthesizer::acceptProgram(Program &P) {
@@ -181,7 +155,7 @@ bool Synthesizer::acceptProgram(Program &P) {
     ++Stats.DuplicatesSkipped;
     if (Opts.Obs)
       Opts.Obs->count("synth.duplicates_skipped");
-    return false; // Re-emitted after a rebuild; skip.
+    return false; // Re-emitted after a --no-incremental rebuild; skip.
   }
   if (Outcome == SeenOutcome::Collision) {
     // A bare hash set would have dropped this distinct program.

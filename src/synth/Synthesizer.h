@@ -18,14 +18,13 @@
 ///
 ///   * model blocking (phi := phi AND NOT sigma) - done with small
 ///     projected blocking clauses;
-///   * API-database refinement (update(phi, A)) - classified on
-///     notifyDatabaseChanged(): additive changes (the common eager/lazy
-///     concretization case) extend the built encodings in place, keeping
-///     learned clauses and every blocking clause; destructive changes
-///     (bans) rebuild, handing the retired encoding's blocked-model
-///     signatures to its replacement. Either way the solver never
-///     re-walks an emitted program, with the structural-hash set kept as
-///     a last-resort safety net.
+///   * API-database refinement (update(phi, A)) - notifyDatabaseChanged()
+///     extends every built encoding in place, keeping learned clauses
+///     and every blocking clause: additions add sites and candidates,
+///     bans add root units, combo blocks add their clauses. The solver
+///     never re-walks an emitted program, with the structural-hash set
+///     kept as a last-resort safety net (it catches the re-emissions of
+///     the rebuild-the-world path that IncrementalRefinement off keeps).
 ///
 /// Models failing the Rule 7 path post-check are blocked and counted but
 /// never emitted.
@@ -54,12 +53,11 @@ struct SynthStats {
   /// verification (SeenPrograms): distinct programs that a bare hash set
   /// would have silently dropped. Such programs are still emitted.
   uint64_t HashCollisions = 0;
-  /// Full encoding constructions (one per length per rebuild).
+  /// Full encoding constructions: one per length built, plus one per
+  /// length per database change when incremental refinement is off.
   uint64_t Rebuilds = 0;
   /// Database changes absorbed by extending a live encoding in place.
   uint64_t IncrementalExtends = 0;
-  /// Blocking clauses replayed into fresh encodings after rebuilds.
-  uint64_t ModelsReblocked = 0;
   /// Exhausted lengths brought back by database additions.
   uint64_t DeadLengthRevivals = 0;
   /// nextModel() calls and the solver work they cost, summed over all
@@ -119,10 +117,10 @@ public:
   /// Produces the next program, or nullopt when all lengths are exhausted.
   std::optional<program::Program> next();
 
-  /// Signals that the API database was refined. Add-only changes extend
-  /// the built encodings in place; destructive changes rebuild them and
-  /// replay the blocked models. Additions also revive exhausted lengths
-  /// (interleaved mode), since new instances can unlock them.
+  /// Signals that the API database was refined. Every built encoding is
+  /// extended in place (rebuilt when incremental refinement is off).
+  /// Additions also revive exhausted lengths (interleaved mode), since
+  /// new instances can unlock them.
   void notifyDatabaseChanged();
 
   /// Coverage feedback for --bias-coverage: the driver reports how many
@@ -144,14 +142,10 @@ public:
   bool sawBudgetStop() const { return BudgetStop; }
 
 private:
-  /// Builds the encoding of \p Length and replays \p Sigs, the blocked
-  /// models of the encoding it replaces, into it.
-  std::unique_ptr<Encoding>
-  makeEncoding(int Length, const std::vector<Encoding::ModelSig> &Sigs = {});
-  /// Folds \p E's counters into Stats, destroys it and returns its
-  /// blocked-model signatures for a replacement of the same length.
-  std::vector<Encoding::ModelSig> retire(std::unique_ptr<Encoding> &E);
-  void snapshotDb();
+  /// Builds the encoding of \p Length from the current database.
+  std::unique_ptr<Encoding> makeEncoding(int Length);
+  /// Folds \p E's counters into Stats and destroys it.
+  void retire(std::unique_ptr<Encoding> &E);
   /// The length policy: nullopt once no length is live. Sequential mode
   /// takes the shortest live length. Interleaved mode takes the
   /// --bias-coverage weighted draw (weight 1 plus the length's decayed
@@ -175,7 +169,7 @@ private:
   std::vector<char> LengthLive;
   /// Interleaved mode: marks lengths that went dormant on a budget stop
   /// (Unknown) rather than a real UNSAT proof. Such a length must be
-  /// revived by *any* database change - including destructive ones,
+  /// revived by *any* database change - including bans and combo blocks,
   /// which only an actual proof would let us skip.
   std::vector<char> LengthUnknown;
   size_t Rotation = 0;
@@ -193,10 +187,8 @@ private:
   /// a distinct program.
   SeenPrograms Seen;
 
-  /// Database state at the last (re)build/extend, for classifying the
-  /// next change: old activeIds being a prefix of the new ones means
-  /// add-only; a grown database means additions are present.
-  std::vector<api::ApiId> ActiveSnapshot;
+  /// Database size at the last change: a grown database means the next
+  /// change has additions, which may revive an UNSAT-proven length.
   size_t DbSizeSnapshot = 0;
 
   /// Everything but the table's encoder counters, which stats() adds;

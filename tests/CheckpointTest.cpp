@@ -99,6 +99,17 @@ TEST(CheckpointTest, ResultJsonRoundTripsByteIdentically) {
   std::string Err;
   ASSERT_TRUE(core::resultFromJson(P.Val, Back, Err)) << Err;
   EXPECT_EQ(Once, core::resultToJson(Back, NoWall).dump());
+
+  // Schema-5 documents written before the rebuild-and-replay path was
+  // deleted carry one more synthesis key, models_reblocked; readers must
+  // still load them, and the key drops out on re-render.
+  json::Value Old = P.Val;
+  json::Value Synth = Old.get("synthesis");
+  Synth.set("models_reblocked", json::Value::integer(0));
+  Old.set("synthesis", std::move(Synth));
+  core::RunResult FromOld;
+  ASSERT_TRUE(core::resultFromJson(Old, FromOld, Err)) << Err;
+  EXPECT_EQ(Once, core::resultToJson(FromOld, NoWall).dump());
 }
 
 TEST(CheckpointTest, WriterLoaderRoundTrip) {

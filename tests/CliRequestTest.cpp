@@ -412,25 +412,30 @@ TEST(CliRequestTest, FinalizeExpandsAllCrates) {
 }
 
 TEST(CliRequestTest, CheckpointFromTheRestartingEnumeratorIsRefused) {
-  // The fingerprint the restarting enumerator's binary wrote for exactly
-  // this campaign. Its cells came from a different program stream, so a
-  // resume must be refused, not mixed into the new aggregate.
-  const std::string Path = testing::TempDir() + "/restarting_enum.jsonl";
-  {
-    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out << "{\"fingerprint\":\"4d1d18a5ddfd0669\","
-           "\"kind\":\"campaign_checkpoint\",\"schema_version\":5}\n";
+  // The fingerprints earlier enumerators' binaries wrote for exactly this
+  // campaign: the one that restarted from the root for every model
+  // (epoch 1) and the one that rebuilt encodings after bans and replayed
+  // their blocked models (epoch 2). Their cells came from different
+  // program streams, so a resume must be refused, not mixed into the new
+  // aggregate.
+  for (const char *Fingerprint : {"4d1d18a5ddfd0669", "61f27a36dff8a9dc"}) {
+    const std::string Path = testing::TempDir() + "/restarting_enum.jsonl";
+    {
+      std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+      Out << "{\"fingerprint\":\"" << Fingerprint
+          << "\",\"kind\":\"campaign_checkpoint\",\"schema_version\":5}\n";
+    }
+    core::Session S;
+    RequestSpec Spec = parseOk(Verb::Campaign,
+                               {"--crates", "slab", "--seeds", "2021",
+                                "--budget", "8", "--checkpoint", Path.c_str()});
+    ASSERT_TRUE(finalize(S, Spec).empty());
+    Response R = execute(S, Spec);
+    EXPECT_EQ(ExitUsage, R.ExitCode) << Fingerprint;
+    EXPECT_NE(std::string::npos, R.Error.find("different campaign"))
+        << R.Error;
+    EXPECT_NE(std::string::npos, R.Error.find(Fingerprint)) << R.Error;
   }
-  core::Session S;
-  RequestSpec Spec =
-      parseOk(Verb::Campaign, {"--crates", "slab", "--seeds", "2021",
-                               "--budget", "8", "--checkpoint", Path.c_str()});
-  ASSERT_TRUE(finalize(S, Spec).empty());
-  Response R = execute(S, Spec);
-  EXPECT_EQ(ExitUsage, R.ExitCode);
-  EXPECT_NE(std::string::npos, R.Error.find("different campaign"))
-      << R.Error;
-  EXPECT_NE(std::string::npos, R.Error.find("4d1d18a5ddfd0669")) << R.Error;
 }
 
 } // namespace

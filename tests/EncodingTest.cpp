@@ -144,6 +144,42 @@ TEST_F(EncodingFixture, BlockedComboRemovesExactlyThatInstantiation) {
   EXPECT_EQ(After[0].Stmts[0].Args[0], 0) << "p(x) must survive";
 }
 
+TEST_F(EncodingFixture, BanAndComboBlockExtendWithoutANewGeneration) {
+  // A change that adds no API keeps the live generation: a ban adds only
+  // root units, and a combo block only its own clauses over one aux
+  // variable per slot - no fresh guard. Neither excluded program is
+  // decoded afterwards, and nothing emitted comes back.
+  Traits.addDefaultPrimImpls();
+  ApiId F = addApi("f", {"usize"}, "bool");
+  ApiId P = addApi("p", {"T"}, "u8");
+  ApiId G = addApi("g", {"usize"}, "u16");
+  // The space: f(x), p(x), p(s) and g(x).
+  Encoding Enc(Arena, Traits, Db, {{"x", ty("usize")}, {"s", ty("String")}},
+               1, SynthOptions{});
+  ASSERT_TRUE(Enc.nextModel());
+  const Program First = Enc.decode();
+  // Exclude two programs the first model is not: one by a ban, one by a
+  // combo block on p.
+  const ApiId Banned = First.Stmts[0].Api == F ? G : F;
+  const VarId BlockedArg =
+      First.Stmts[0].Api == P && First.Stmts[0].Args[0] == 1 ? 0 : 1;
+  const size_t Vars = Enc.numSatVars();
+  Db.ban(Banned);
+  ASSERT_TRUE(Enc.extendForDatabaseChange());
+  EXPECT_EQ(Enc.numSatVars(), Vars);
+  Db.blockCombo(P, {BlockedArg == 0 ? ty("usize") : ty("String")});
+  ASSERT_TRUE(Enc.extendForDatabaseChange());
+  EXPECT_EQ(Enc.numSatVars(), Vars + 1);
+  std::set<uint64_t> Hashes{First.hash()};
+  while (Enc.nextModel()) {
+    Program Q = Enc.decode();
+    EXPECT_NE(Q.Stmts[0].Api, Banned);
+    EXPECT_FALSE(Q.Stmts[0].Api == P && Q.Stmts[0].Args[0] == BlockedArg);
+    EXPECT_TRUE(Hashes.insert(Q.hash()).second);
+  }
+  EXPECT_EQ(Hashes.size(), 2u);
+}
+
 TEST_F(EncodingFixture, SatVarCountGrowsWithLength) {
   Traits.addDefaultPrimImpls();
   addBuiltinApis(Db, Arena);
