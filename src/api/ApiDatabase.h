@@ -45,9 +45,10 @@ public:
 
   /// Blocks an input-type combination on a polymorphic original after its
   /// refinement was duplicated (Section 5.3: "we block combinations rather
-  /// than individual input types").
-  void blockCombo(ApiId Id, std::vector<const types::Type *> Combo) {
-    BlockedCombos[Id].insert(std::move(Combo));
+  /// than individual input types"). Returns false when the combination
+  /// was blocked already, so the database did not change.
+  bool blockCombo(ApiId Id, std::vector<const types::Type *> Combo) {
+    return BlockedCombos[Id].insert(std::move(Combo)).second;
   }
 
   bool isComboBlocked(ApiId Id,

@@ -174,9 +174,21 @@ bool RefinementEngine::duplicateWithConcreteTypes(
     return false;
   Db.add(std::move(Dup));
   // Keep the duplicate disjoint from the original (Section 5.3).
-  Db.blockCombo(Orig, std::move(Inputs));
-  ++Stats.ComboBlocks;
+  if (Db.blockCombo(Orig, std::move(Inputs)))
+    ++Stats.ComboBlocks;
   ++Stats.OutputDuplications;
+  return true;
+}
+
+bool RefinementEngine::blockCombo(const Diagnostic &Diag) {
+  // The checker can report concrete inputs no encoder-level candidate
+  // type matches, so the same combination recurs; re-blocking it changes
+  // nothing.
+  if (Diag.ActualInputs.empty() ||
+      !Db.blockCombo(Diag.Api, Diag.ActualInputs))
+    return false;
+  ++Stats.ComboBlocks;
+  note("combo_block", &Diag);
   return true;
 }
 
@@ -199,13 +211,7 @@ bool RefinementEngine::onDiagnostic(const Diagnostic &Diag) {
     }
     // Polymorphic original (Section 5.2): never match this combination
     // again.
-    if (!Diag.ActualInputs.empty()) {
-      Db.blockCombo(Diag.Api, Diag.ActualInputs);
-      ++Stats.ComboBlocks;
-      note("combo_block", &Diag);
-      return true;
-    }
-    return false;
+    return blockCombo(Diag);
   }
   case ErrorDetail::Polymorphism: {
     if (Diag.ExpectedOutput && !Diag.ActualInputs.empty()) {
@@ -233,23 +239,10 @@ bool RefinementEngine::onDiagnostic(const Diagnostic &Diag) {
       note("eager_concretize", &Diag);
       return true;
     }
-    if (!Diag.ActualInputs.empty()) {
-      Db.blockCombo(Diag.Api, Diag.ActualInputs);
-      ++Stats.ComboBlocks;
-      note("combo_block", &Diag);
-      return true;
-    }
-    return false;
+    return blockCombo(Diag);
   }
-  case ErrorDetail::TypeMismatch: {
-    if (!Diag.ActualInputs.empty()) {
-      Db.blockCombo(Diag.Api, Diag.ActualInputs);
-      ++Stats.ComboBlocks;
-      note("combo_block", &Diag);
-      return true;
-    }
-    return false;
-  }
+  case ErrorDetail::TypeMismatch:
+    return blockCombo(Diag);
   case ErrorDetail::Arity: {
     // A skewed collected signature is unfixable; after a few strikes the
     // API is deemed unfixable and disabled (Section 3).

@@ -56,7 +56,8 @@ enum class RefinementMode {
 struct RefinementStats {
   uint64_t EagerConcretizations = 0;
   uint64_t TraitRemovals = 0;   ///< Concrete APIs removed on trait errors.
-  uint64_t ComboBlocks = 0;     ///< Section 5.2/5.3 combination blocks.
+  uint64_t ComboBlocks = 0;     ///< Section 5.2/5.3 combinations newly
+                                ///< blocked (a repeat is not counted).
   uint64_t OutputDuplications = 0; ///< Section 5.3 duplicate-and-block.
   uint64_t DirectFixes = 0;     ///< "expected X, got Y" direct fixes.
   uint64_t Bans = 0;            ///< Unfixable APIs disabled.
@@ -104,6 +105,9 @@ private:
   bool duplicateWithConcreteTypes(api::ApiId Orig,
                                   std::vector<const types::Type *> Inputs,
                                   const types::Type *Output);
+  /// Blocks the diagnostic's input combination on its API (Sections
+  /// 5.2/5.3). Returns true only when the combination is newly blocked.
+  bool blockCombo(const rustsim::Diagnostic &Diag);
 
   types::TypeArena &Arena;
   api::ApiDatabase &Db;

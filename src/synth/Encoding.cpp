@@ -19,9 +19,11 @@
 /// slip past the Rule 8/9 exclusivity clauses.
 ///
 /// Incremental sync discipline: the initial build and every extension
-/// that adds APIs run the same sync() path against snapshots of the
-/// previous state (empty on first build). Each constraint falls into one
-/// of three classes:
+/// that adds APIs run the same sync() path. Every candidate, call site
+/// and (variable, type) pair carries the number of the sync that added
+/// it, so each build function can ask isNew() of the facts it walks (the
+/// first sync finds all of them new). Each constraint falls into one of
+/// three classes:
 ///
 ///   * additive - per-candidate/per-pair clauses whose meaning never
 ///     changes as the database grows (U=>A, U=>V, incompatibility pairs,
@@ -67,6 +69,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 
 using namespace syrust;
 using namespace syrust::api;
@@ -103,32 +106,23 @@ sat::Var Encoding::getV(VarId X, const Type *Ty, int Line) {
   return V;
 }
 
-bool Encoding::hasV(VarId X, const Type *Ty, int Line) const {
-  return VMap.count(std::make_tuple(X, Ty, Line)) != 0;
-}
-
 bool Encoding::isEncoded(ApiId Id) const {
   size_t Idx = static_cast<size_t>(Id);
   return Idx < IsEncoded.size() && IsEncoded[Idx];
 }
 
-bool Encoding::isNewType(VarId X, const Type *Ty) const {
-  size_t Idx = static_cast<size_t>(X);
-  return Idx >= PrevTypes.size() || PrevTypes[Idx].count(Ty) == 0;
-}
-
-size_t Encoding::prevSlotCount(int Line, size_t Kk, size_t J) const {
-  size_t L = static_cast<size_t>(Line);
-  if (L >= PrevSlots.size() || Kk >= PrevSlots[L].size() ||
-      J >= PrevSlots[L][Kk].size())
-    return 0;
-  return PrevSlots[L][Kk][J];
-}
-
-bool Encoding::wasLive(int Line, size_t Kk) const {
-  size_t L = static_cast<size_t>(Line);
-  return L < PrevHadA.size() && Kk < PrevHadA[L].size() &&
-         PrevHadA[L][Kk] != 0;
+const Type *Encoding::builtinOutput(BuiltinKind B, const Type *Arg) const {
+  switch (B) {
+  case BuiltinKind::LetMut:
+    return Arg;
+  case BuiltinKind::Borrow:
+    return Arena.ref(Arg, /*Mutable=*/false);
+  case BuiltinKind::BorrowMut:
+    return Arena.ref(Arg, /*Mutable=*/true);
+  case BuiltinKind::None:
+    break;
+  }
+  return nullptr;
 }
 
 bool Encoding::probeUnifiable2(const Type *Ty, const Type *Pattern) const {
@@ -189,32 +183,13 @@ bool Encoding::extendForDatabaseChange() {
   }
   // Types, candidates and sites come only from APIs, so no closure-
   // sensitive clause gains a member: the current generation stays valid
-  // and the change only excludes (bans and combo blocks).
-  snapshot();
+  // and the change only excludes (bans and combo blocks). Advancing the
+  // sync number is all it takes to leave nothing new for the combo
+  // wiring.
+  ++Sync;
   buildBans();
   buildBlockedCombos();
   return true;
-}
-
-void Encoding::snapshot() {
-  // Snapshot the previous closure so the build functions can tell new
-  // sites, candidates, and (var, type) pairs from already-encoded ones.
-  PrevActive = Active.size();
-  PrevTypes.assign(VarTypes.size(), {});
-  for (size_t X = 0; X < VarTypes.size(); ++X)
-    PrevTypes[X].insert(VarTypes[X].begin(), VarTypes[X].end());
-  PrevSlots.assign(Sites.size(), {});
-  PrevHadA.assign(Sites.size(), {});
-  for (size_t I = 0; I < Sites.size(); ++I) {
-    PrevSlots[I].resize(Sites[I].size());
-    PrevHadA[I].resize(Sites[I].size());
-    for (size_t Kk = 0; Kk < Sites[I].size(); ++Kk) {
-      PrevHadA[I][Kk] = Sites[I][Kk].A != sat::VarUndef;
-      PrevSlots[I][Kk].resize(Sites[I][Kk].Slots.size());
-      for (size_t J = 0; J < Sites[I][Kk].Slots.size(); ++J)
-        PrevSlots[I][Kk][J] = Sites[I][Kk].Slots[J].size();
-    }
-  }
 }
 
 void Encoding::buildBans() {
@@ -232,7 +207,7 @@ void Encoding::buildBans() {
 }
 
 void Encoding::sync() {
-  snapshot();
+  ++Sync;
   buildBans();
 
   // Turn the generation over: retire the previous guard's clauses and
@@ -294,14 +269,15 @@ void Encoding::buildTypeUniverse() {
   // pointer order - so encodings (and therefore enumeration order and
   // every experiment table) are reproducible across processes. The
   // recompute is total; newly producible types may interleave among old
-  // ones, which is why the sync snapshots are per-variable type *sets*.
+  // ones, which is why each pair's birth sync comes from TypeBorn.
   int K = static_cast<int>(Inputs.size());
   VarTypes.assign(static_cast<size_t>(K + NumLines), {});
-  VarProducers.assign(static_cast<size_t>(K + NumLines), {});
-  for (int X = 0; X < K; ++X) {
-    VarTypes[static_cast<size_t>(X)] = {Inputs[static_cast<size_t>(X)].Ty};
-    VarProducers[static_cast<size_t>(X)] = {ApiIdInvalid};
-  }
+  auto AddType = [&](VarId X, const Type *Ty, ApiId Producer) {
+    unsigned Born = TypeBorn.try_emplace({X, Ty}, Sync).first->second;
+    VarTypes[static_cast<size_t>(X)].push_back(VarType{Ty, Producer, Born});
+  };
+  for (int X = 0; X < K; ++X)
+    AddType(X, Inputs[static_cast<size_t>(X)].Ty, ApiIdInvalid);
 
   // Types available strictly before each line, grown monotonically.
   std::vector<const Type *> Avail;
@@ -314,17 +290,13 @@ void Encoding::buildTypeUniverse() {
     AddAvail(Inputs[static_cast<size_t>(X)].Ty);
 
   for (int I = 0; I < NumLines; ++I) {
-    std::vector<const Type *> OutTys;
-    std::vector<ApiId> OutProds;
     std::set<const Type *> OutSeen;
     // Producer recorded per type at zero probe cost; the dedup keeps
     // the first producer, which is enough - equal interned outputs give
     // equal probe answers whichever producer keys the graph row.
     auto AddOut = [&](const Type *Ty, ApiId Producer) {
-      if (OutSeen.insert(Ty).second) {
-        OutTys.push_back(Ty);
-        OutProds.push_back(Producer);
-      }
+      if (OutSeen.insert(Ty).second)
+        AddType(K + I, Ty, Producer);
     };
     for (size_t Kk = 0; Kk < Active.size(); ++Kk) {
       const ApiSig &Sig = Db.get(Active[Kk]);
@@ -335,28 +307,12 @@ void Encoding::buildTypeUniverse() {
       // Builtins derive their output from the chosen argument type;
       // those types have no frozen-graph producer and take the
       // fallback probe arm.
-      for (const Type *Ty : Avail) {
-        if (Ty->isRef())
-          continue; // Encoder restriction: builtins act on non-refs.
-        switch (Sig.Builtin) {
-        case BuiltinKind::LetMut:
-          AddOut(Ty, ApiIdInvalid);
-          break;
-        case BuiltinKind::Borrow:
-          AddOut(Arena.ref(Ty, /*Mutable=*/false), ApiIdInvalid);
-          break;
-        case BuiltinKind::BorrowMut:
-          AddOut(Arena.ref(Ty, /*Mutable=*/true), ApiIdInvalid);
-          break;
-        case BuiltinKind::None:
-          break;
-        }
-      }
+      for (const Type *Ty : Avail)
+        if (!Ty->isRef()) // Encoder restriction: builtins act on non-refs.
+          AddOut(builtinOutput(Sig.Builtin, Ty), ApiIdInvalid);
     }
-    VarTypes[static_cast<size_t>(K + I)] = OutTys;
-    VarProducers[static_cast<size_t>(K + I)] = OutProds;
-    for (const Type *Ty : OutTys)
-      AddAvail(Ty);
+    for (const VarType &VT : VarTypes[static_cast<size_t>(K + I)])
+      AddAvail(VT.Ty);
   }
 }
 
@@ -379,23 +335,21 @@ void Encoding::buildCallSites() {
       auto Probe = [&](size_t J, bool NewOnly,
                        std::vector<Candidate> &Out) {
         for (int X = 0; X < K + I; ++X) {
-          const std::vector<const Type *> &Tys =
-              VarTypes[static_cast<size_t>(X)];
-          for (size_t Ti = 0; Ti < Tys.size(); ++Ti) {
-            const Type *Ty = Tys[Ti];
-            if (NewOnly && !isNewType(X, Ty))
+          for (const VarType &VT : VarTypes[static_cast<size_t>(X)]) {
+            if (NewOnly && !isNew(VT))
               continue; // Candidate already encoded.
-            if (Sig.Builtin != BuiltinKind::None && Ty->isRef())
+            if (Sig.Builtin != BuiltinKind::None && VT.Ty->isRef())
               continue; // Builtins act on non-reference values.
             if (Opts.SemanticAware &&
                 Sig.Builtin == BuiltinKind::BorrowMut && X < K)
               continue; // Template bindings are immutable (no `mut`).
-            if (!probeFeeds(VarProducers[static_cast<size_t>(X)][Ti], Ty,
-                            Kk, J))
+            if (!probeFeeds(VT.Producer, VT.Ty, Kk, J))
               continue;
             Candidate C;
             C.Var = X;
-            C.Ty = Ty;
+            C.Ty = VT.Ty;
+            C.Out = builtinOutput(Sig.Builtin, VT.Ty);
+            C.Born = Sync;
             Out.push_back(C);
           }
         }
@@ -443,6 +397,7 @@ void Encoding::buildCallSites() {
       // Materialize in the historical order: A first, then the slot-
       // major U sequence.
       Site.A = Solver.newVar();
+      Site.Born = Sync;
       Site.Slots.assign(Sig.Inputs.size(), {});
       for (size_t J = 0; J < Sig.Inputs.size(); ++J) {
         for (Candidate &C : Tmp[J]) {
@@ -461,21 +416,21 @@ void Encoding::buildContextConstraints() {
   // Template availability at line 0 plus V-propagation for all variables.
   // Both are per-(var, type) facts: emitted once, when the pair appears.
   for (int X = 0; X < K; ++X) {
-    const Type *Ty = Inputs[static_cast<size_t>(X)].Ty;
-    if (!isNewType(X, Ty))
+    const VarType &VT = VarTypes[static_cast<size_t>(X)].front();
+    if (!isNew(VT))
       continue;
-    Solver.addClause(mkLit(getV(X, Ty, 0)));
+    Solver.addClause(mkLit(getV(X, VT.Ty, 0)));
     for (int I = 1; I <= NumLines; ++I)
-      Solver.addClause(mkLit(getV(X, Ty, I), true),
-                       mkLit(getV(X, Ty, I - 1)));
+      Solver.addClause(mkLit(getV(X, VT.Ty, I), true),
+                       mkLit(getV(X, VT.Ty, I - 1)));
   }
   for (int J = 0; J < NumLines; ++J) {
-    for (const Type *Ty : VarTypes[static_cast<size_t>(K + J)]) {
-      if (!isNewType(K + J, Ty))
+    for (const VarType &VT : VarTypes[static_cast<size_t>(K + J)]) {
+      if (!isNew(VT))
         continue;
       for (int I = J + 2; I <= NumLines; ++I)
-        Solver.addClause(mkLit(getV(K + J, Ty, I), true),
-                         mkLit(getV(K + J, Ty, I - 1)));
+        Solver.addClause(mkLit(getV(K + J, VT.Ty, I), true),
+                         mkLit(getV(K + J, VT.Ty, I - 1)));
     }
   }
 
@@ -491,14 +446,14 @@ void Encoding::buildContextConstraints() {
     // this generation, the same verdict the historical per-site
     // forced-false As produced.
     std::vector<Lit> ALits;
-    size_t PrevLiveN = 0;
-    for (size_t Kk = 0; Kk < LineSites.size(); ++Kk) {
-      if (LineSites[Kk].A != sat::VarUndef)
-        ALits.push_back(mkLit(LineSites[Kk].A));
-      if (wasLive(I, Kk))
-        ++PrevLiveN;
+    bool LiveGrew = false;
+    for (const CallSite &Site : LineSites) {
+      if (Site.A == sat::VarUndef)
+        continue;
+      ALits.push_back(mkLit(Site.A));
+      LiveGrew |= isNew(Site);
     }
-    if (ALits.size() > PrevLiveN)
+    if (LiveGrew)
       Solver.addAtMost(ALits, 1);
     addGuarded(ALits);
 
@@ -509,23 +464,22 @@ void Encoding::buildContextConstraints() {
       CallSite &Site = LineSites[Kk];
       if (Site.A == sat::VarUndef)
         continue; // Dead-eliminated: no variables, no clauses.
-      for (size_t J = 0; J < Site.Slots.size(); ++J) {
-        std::vector<Candidate> &Slot = Site.Slots[J];
-        size_t Prev = prevSlotCount(I, Kk, J);
+      for (const std::vector<Candidate> &Slot : Site.Slots) {
         std::vector<Lit> AtLeast{mkLit(Site.A, true)};
         std::vector<Lit> ULits;
-        for (size_t Ci = 0; Ci < Slot.size(); ++Ci) {
-          Candidate &C = Slot[Ci];
-          if (Ci >= Prev) {
+        bool SlotGrew = false;
+        for (const Candidate &C : Slot) {
+          if (isNew(C)) {
             Solver.addClause(mkLit(C.U, true), mkLit(Site.A)); // U => A
             Solver.addClause(mkLit(C.U, true),
                              mkLit(getV(C.Var, C.Ty, I))); // U => V
+            SlotGrew = true;
           }
           AtLeast.push_back(mkLit(C.U));
           ULits.push_back(mkLit(C.U));
         }
         addGuarded(AtLeast);            // A => some candidate used.
-        if (Slot.size() > Prev)
+        if (SlotGrew)
           Solver.addAtMost(ULits, 1);   // At most one per slot.
       }
 
@@ -533,14 +487,10 @@ void Encoding::buildContextConstraints() {
       // Additive: only pairs involving a candidate new this sync.
       for (size_t J1 = 0; J1 < Site.Slots.size(); ++J1) {
         for (size_t J2 = J1 + 1; J2 < Site.Slots.size(); ++J2) {
-          size_t P1 = prevSlotCount(I, Kk, J1);
-          size_t P2 = prevSlotCount(I, Kk, J2);
-          for (size_t I1 = 0; I1 < Site.Slots[J1].size(); ++I1) {
-            for (size_t I2 = 0; I2 < Site.Slots[J2].size(); ++I2) {
-              if (I1 < P1 && I2 < P2)
+          for (const Candidate &C1 : Site.Slots[J1]) {
+            for (const Candidate &C2 : Site.Slots[J2]) {
+              if (!isNew(C1) && !isNew(C2))
                 continue;
-              Candidate &C1 = Site.Slots[J1][I1];
-              Candidate &C2 = Site.Slots[J2][I2];
               bool Compatible = true;
               if (C1.Var == C2.Var && !C1.Ty->isPrim() &&
                   !C1.Ty->isSharedRef()) {
@@ -561,44 +511,28 @@ void Encoding::buildContextConstraints() {
     // trigger=>V implications are additive; the V=>triggers closure is
     // guarded (a later sync can add triggers for this type).
     VarId Out = K + I;
-    for (const Type *Ty : VarTypes[static_cast<size_t>(Out)]) {
+    for (const VarType &VT : VarTypes[static_cast<size_t>(Out)]) {
+      const Type *Ty = VT.Ty;
       std::vector<Lit> Triggers;
       std::vector<Lit> NewTriggers;
       for (size_t Kk = 0; Kk < LineSites.size(); ++Kk) {
-        if (LineSites[Kk].A == sat::VarUndef)
+        const CallSite &Site = LineSites[Kk];
+        if (Site.A == sat::VarUndef)
           continue; // Dead site: no candidates, no triggers.
-        const ApiSig &Sig = Db.get(Active[Kk]);
-        if (Sig.Builtin == BuiltinKind::None) {
+        if (Db.get(Active[Kk]).Builtin == BuiltinKind::None) {
           if (RenOut[Kk] == Ty) {
-            Triggers.push_back(mkLit(LineSites[Kk].A));
-            if (!wasLive(I, Kk))
-              NewTriggers.push_back(mkLit(LineSites[Kk].A));
+            Triggers.push_back(mkLit(Site.A));
+            if (isNew(Site))
+              NewTriggers.push_back(mkLit(Site.A));
           }
           continue;
         }
-        size_t Prev = prevSlotCount(I, Kk, 0);
-        std::vector<Candidate> &Slot = LineSites[Kk].Slots[0];
-        for (size_t Ci = 0; Ci < Slot.size(); ++Ci) {
-          Candidate &C = Slot[Ci];
-          const Type *Derived = nullptr;
-          switch (Sig.Builtin) {
-          case BuiltinKind::LetMut:
-            Derived = C.Ty;
-            break;
-          case BuiltinKind::Borrow:
-            Derived = Arena.ref(C.Ty, false);
-            break;
-          case BuiltinKind::BorrowMut:
-            Derived = Arena.ref(C.Ty, true);
-            break;
-          case BuiltinKind::None:
-            break;
-          }
-          if (Derived == Ty) {
-            Triggers.push_back(mkLit(C.U));
-            if (Ci >= Prev)
-              NewTriggers.push_back(mkLit(C.U));
-          }
+        for (const Candidate &C : Site.Slots[0]) {
+          if (C.Out != Ty)
+            continue;
+          Triggers.push_back(mkLit(C.U));
+          if (isNew(C))
+            NewTriggers.push_back(mkLit(C.U));
         }
       }
       sat::Var V = getV(Out, Ty, I + 1);
@@ -630,8 +564,9 @@ void Encoding::buildSemanticConstraints() {
   // Classify each (var, type) pair and collect its use variables per line.
   for (int X = 0; X < NumVars; ++X) {
     int FirstLine = X < K ? 0 : X - K + 1;
-    for (const Type *Ty : VarTypes[static_cast<size_t>(X)]) {
-      bool PairNew = isNewType(X, Ty);
+    for (const VarType &VT : VarTypes[static_cast<size_t>(X)]) {
+      const Type *Ty = VT.Ty;
+      bool PairNew = isNew(VT);
       bool OwnedNonCopy = isOwnedNonCopy(Ty);
       // `&mut T` is not Copy: like owned non-Copy values it moves when
       // passed by value (a non-ref parameter pattern, e.g. a bare type
@@ -639,10 +574,10 @@ void Encoding::buildSemanticConstraints() {
       bool Consumable = OwnedNonCopy || Ty->isMutRef();
       bool TieHandled = Ty->isRef() && X >= K; // Output refs get ties.
       for (int I = FirstLine; I < NumLines; ++I) {
-        // Consuming uses of (X, Ty) on line I, counting how many were
-        // already present before this sync.
+        // Consuming uses of (X, Ty) on line I, noting whether this sync
+        // added one.
         std::vector<Lit> Consuming;
-        size_t OldConsuming = 0;
+        bool ConsumingGrew = false;
         if (Consumable) {
           for (size_t Kk = 0; Kk < Active.size(); ++Kk) {
             const ApiSig &Sig = Db.get(Active[Kk]);
@@ -653,13 +588,10 @@ void Encoding::buildSemanticConstraints() {
             for (size_t J = 0; J < Site.Slots.size(); ++J) {
               if (!movesOnUse(Ty, RenIn[Kk][J], Traits))
                 continue; // Ref-typed parameter: reborrow, not a move.
-              size_t Prev = prevSlotCount(I, Kk, J);
-              for (size_t Ci = 0; Ci < Site.Slots[J].size(); ++Ci) {
-                Candidate &C = Site.Slots[J][Ci];
+              for (const Candidate &C : Site.Slots[J]) {
                 if (C.Var == X && C.Ty == Ty) {
                   Consuming.push_back(mkLit(C.U));
-                  if (Kk < PrevActive && Ci < Prev)
-                    ++OldConsuming;
+                  ConsumingGrew |= isNew(C);
                 }
               }
             }
@@ -675,7 +607,7 @@ void Encoding::buildSemanticConstraints() {
           // values stay available, so the encoder emits use-after-move
           // programs the checker rejects with Ownership errors.
           if (!Opts.WeakenConsumptionKills && !Consuming.empty() &&
-              (PairNew || Consuming.size() > OldConsuming)) {
+              (PairNew || ConsumingGrew)) {
             std::vector<Lit> Card = Consuming;
             Card.push_back(mkLit(VNext));
             Solver.addAtMost(Card, 1);
@@ -711,8 +643,6 @@ void Encoding::buildSemanticConstraints() {
       CallSite &Site = LineSites[Kk];
       if (Site.A == sat::VarUndef)
         continue; // Dead-eliminated: no candidates to tie.
-      size_t PrevFirstSlot =
-          Site.Slots.empty() ? 0 : prevSlotCount(I, Kk, 0);
 
       // Mutable borrows require a `let mut` binding (Section 6.2's
       // assignment-to-mutable builtin exists exactly to enable this).
@@ -723,20 +653,18 @@ void Encoding::buildSemanticConstraints() {
       // retract it); once both ends exist, the implication is emitted
       // exactly once, when the later of the two appeared.
       if (Sig.Builtin == BuiltinKind::BorrowMut) {
-        for (size_t Ci = 0; Ci < Site.Slots[0].size(); ++Ci) {
-          Candidate &C = Site.Slots[0][Ci];
+        for (const Candidate &C : Site.Slots[0]) {
           if (C.Var < K)
             continue; // Filtered at candidate creation.
-          bool CandNew = Ci >= PrevFirstSlot;
           int DefLine = C.Var - K;
           // Find the let_mut site of the defining line.
           for (size_t K2 = 0; K2 < Active.size(); ++K2) {
             if (Db.get(Active[K2]).Builtin != BuiltinKind::LetMut)
               continue;
-            CallSite &Def = Sites[static_cast<size_t>(DefLine)][K2];
+            const CallSite &Def = Sites[static_cast<size_t>(DefLine)][K2];
             if (Def.A == sat::VarUndef)
               addGuarded({mkLit(C.U, true)});
-            else if (CandNew || !wasLive(DefLine, K2))
+            else if (isNew(C) || isNew(Def))
               Solver.addClause(mkLit(C.U, true), mkLit(Def.A));
           }
         }
@@ -749,7 +677,8 @@ void Encoding::buildSemanticConstraints() {
       // (it is not Copy); the consuming-use list is closure-sensitive,
       // so those clauses are guarded and re-emitted over all candidates
       // each sync.
-      auto AddTie = [&](Candidate &C, const Type *RefTy, bool NewCand) {
+      auto AddTie = [&](const Candidate &C, const Type *RefTy) {
+        bool NewCand = isNew(C);
         bool MutRef = RefTy->isMutRef();
         const std::vector<std::vector<Lit>> *ConsumedBy = nullptr;
         if (MutRef) {
@@ -784,23 +713,17 @@ void Encoding::buildSemanticConstraints() {
       if (Sig.Builtin == BuiltinKind::Borrow ||
           Sig.Builtin == BuiltinKind::BorrowMut) {
         bool Mut = Sig.Builtin == BuiltinKind::BorrowMut;
-        size_t Begin = Mut ? 0 : PrevFirstSlot;
-        for (size_t Ci = Begin; Ci < Site.Slots[0].size(); ++Ci) {
-          Candidate &C = Site.Slots[0][Ci];
-          AddTie(C, Arena.ref(C.Ty, Mut), Ci >= PrevFirstSlot);
-        }
+        for (const Candidate &C : Site.Slots[0])
+          if (Mut || isNew(C))
+            AddTie(C, C.Out);
       } else if (!Sig.PropagatesFrom.empty() && RenOut[Kk]->isRef()) {
         bool MutOut = RenOut[Kk]->isMutRef();
         for (int J : Sig.PropagatesFrom) {
           if (J < 0 || static_cast<size_t>(J) >= Site.Slots.size())
             continue;
-          size_t Prev = prevSlotCount(I, Kk, static_cast<size_t>(J));
-          std::vector<Candidate> &Slot =
-              Site.Slots[static_cast<size_t>(J)];
-          size_t Begin = MutOut ? 0 : Prev;
-          for (size_t Ci = Begin; Ci < Slot.size(); ++Ci)
-            if (Slot[Ci].Ty->isRef())
-              AddTie(Slot[Ci], RenOut[Kk], Ci >= Prev);
+          for (const Candidate &C : Site.Slots[static_cast<size_t>(J)])
+            if ((MutOut || isNew(C)) && C.Ty->isRef())
+              AddTie(C, RenOut[Kk]);
         }
       }
     }
@@ -811,15 +734,14 @@ void Encoding::buildSemanticConstraints() {
   // (first, second) borrow pair: emit when either end is new.
   int NumVarsAll = K + NumLines;
   for (int X = 0; X < NumVarsAll; ++X) {
-    for (const Type *Ty : VarTypes[static_cast<size_t>(X)]) {
-      if (Ty->isRef())
+    for (const VarType &VT : VarTypes[static_cast<size_t>(X)]) {
+      if (VT.Ty->isRef())
         continue;
       // Collect per-line borrow uses of (X, Ty).
       struct BorrowUse {
         int Line;
-        sat::Var U;
+        const Candidate *C;
         bool Mut;
-        bool New;
       };
       std::vector<BorrowUse> Borrows;
       for (int I = 0; I < NumLines; ++I) {
@@ -831,30 +753,26 @@ void Encoding::buildSemanticConstraints() {
           if (Sites[static_cast<size_t>(I)][Kk].A == sat::VarUndef)
             continue; // Dead-eliminated on this line.
           bool Mut = Sig.Builtin == BuiltinKind::BorrowMut;
-          size_t Prev = prevSlotCount(I, Kk, 0);
-          std::vector<Candidate> &Slot =
-              Sites[static_cast<size_t>(I)][Kk].Slots[0];
-          for (size_t Ci = 0; Ci < Slot.size(); ++Ci)
-            if (Slot[Ci].Var == X && Slot[Ci].Ty == Ty)
-              Borrows.push_back(BorrowUse{
-                  I, Slot[Ci].U, Mut, Kk >= PrevActive || Ci >= Prev});
+          for (const Candidate &C :
+               Sites[static_cast<size_t>(I)][Kk].Slots[0])
+            if (C.Var == X && C.Ty == VT.Ty)
+              Borrows.push_back(BorrowUse{I, &C, Mut});
         }
       }
       for (const BorrowUse &First : Borrows) {
-        const Type *RefTy = Arena.ref(Ty, First.Mut);
         for (const BorrowUse &Second : Borrows) {
           if (Second.Line <= First.Line)
             continue;
           // Rule 8 (mut blocks all) / Rule 9 (shared blocks mut).
           if (!First.Mut && !Second.Mut)
             continue; // Shared borrows coexist.
-          if (!First.New && !Second.New)
+          if (!isNew(*First.C) && !isNew(*Second.C))
             continue; // Pair already constrained.
           sat::Var RefAlive =
-              getV(K + First.Line, RefTy, Second.Line + 1);
+              getV(K + First.Line, First.C->Out, Second.Line + 1);
           Solver.addClause(std::vector<Lit>{
-              mkLit(First.U, true), mkLit(RefAlive, true),
-              mkLit(Second.U, true)});
+              mkLit(First.C->U, true), mkLit(RefAlive, true),
+              mkLit(Second.C->U, true)});
         }
       }
     }
@@ -886,19 +804,15 @@ void Encoding::buildRedundancyConstraints() {
           Sites[static_cast<size_t>(I)][static_cast<size_t>(LetMutIdx)];
       if (Mover.A == sat::VarUndef)
         continue; // Dead-eliminated on this line.
-      size_t Prev = prevSlotCount(I, static_cast<size_t>(LetMutIdx), 0);
-      std::vector<Candidate> &Slot = Mover.Slots[0];
-      for (size_t Ci = 0; Ci < Slot.size(); ++Ci) {
-        Candidate &C = Slot[Ci];
+      for (const Candidate &C : Mover.Slots[0]) {
         if (C.Var < K)
           continue;
         int DefLine = C.Var - K;
-        CallSite &Def = Sites[static_cast<size_t>(DefLine)]
-                             [static_cast<size_t>(LetMutIdx)];
+        const CallSite &Def = Sites[static_cast<size_t>(DefLine)]
+                                   [static_cast<size_t>(LetMutIdx)];
         if (Def.A == sat::VarUndef)
           continue; // A dead let_mut can never be chosen there.
-        if (Ci >= Prev ||
-            !wasLive(DefLine, static_cast<size_t>(LetMutIdx)))
+        if (isNew(C) || isNew(Def))
           Solver.addClause(mkLit(C.U, true), mkLit(Def.A, true));
       }
     }
@@ -908,27 +822,24 @@ void Encoding::buildRedundancyConstraints() {
   // Monotone: re-emit when the list grew past one.
   int NumVarsAll = K + NumLines;
   for (int X = 0; X < NumVarsAll; ++X) {
-    for (const Type *Ty : VarTypes[static_cast<size_t>(X)]) {
+    for (const VarType &VT : VarTypes[static_cast<size_t>(X)]) {
       std::vector<Lit> MutBorrows;
-      size_t OldCount = 0;
+      bool Grew = false;
       for (int I = 0; I < NumLines; ++I) {
         for (size_t Kk : BorrowIdxs) {
           if (Db.get(Active[Kk]).Builtin != BuiltinKind::BorrowMut)
             continue;
           if (Sites[static_cast<size_t>(I)][Kk].A == sat::VarUndef)
             continue; // Dead-eliminated on this line.
-          size_t Prev = prevSlotCount(I, Kk, 0);
-          std::vector<Candidate> &Slot =
-              Sites[static_cast<size_t>(I)][Kk].Slots[0];
-          for (size_t Ci = 0; Ci < Slot.size(); ++Ci)
-            if (Slot[Ci].Var == X && Slot[Ci].Ty == Ty) {
-              MutBorrows.push_back(mkLit(Slot[Ci].U));
-              if (Kk < PrevActive && Ci < Prev)
-                ++OldCount;
+          for (const Candidate &C :
+               Sites[static_cast<size_t>(I)][Kk].Slots[0])
+            if (C.Var == X && C.Ty == VT.Ty) {
+              MutBorrows.push_back(mkLit(C.U));
+              Grew |= isNew(C);
             }
         }
       }
-      if (MutBorrows.size() > 1 && MutBorrows.size() > OldCount)
+      if (MutBorrows.size() > 1 && Grew)
         Solver.addAtMost(MutBorrows, 1);
     }
   }
@@ -978,8 +889,10 @@ void Encoding::buildBlockedCombos() {
       size_t Total = 1;
       for (auto &Ts : SlotTypes)
         Total *= std::max<size_t>(Ts.size(), 1);
+      // Pathological products get no combo clauses at all, so the site's
+      // blocked combinations stay possible: nothing re-checks them later.
       if (Total > 4096)
-        continue; // Pathological; blocked combos re-checked at codegen.
+        continue;
       for (size_t N = 0; N < Total; ++N) {
         std::vector<const Type *> Combo;
         size_t Rem = N;
@@ -999,13 +912,11 @@ void Encoding::buildBlockedCombos() {
         if (Existing != ComboAux.end()) {
           // Already blocked: wire candidates new this sync into the
           // existing aux vars so the block stays complete as slots grow.
-          for (size_t J = 0; J < Site.Slots.size(); ++J) {
-            size_t Prev = prevSlotCount(I, Kk, J);
-            for (size_t Ci = Prev; Ci < Site.Slots[J].size(); ++Ci)
-              if (Site.Slots[J][Ci].Ty == Combo[J])
-                Solver.addClause(mkLit(Site.Slots[J][Ci].U, true),
+          for (size_t J = 0; J < Site.Slots.size(); ++J)
+            for (const Candidate &C : Site.Slots[J])
+              if (isNew(C) && C.Ty == Combo[J])
+                Solver.addClause(mkLit(C.U, true),
                                  mkLit(Existing->second[J]));
-          }
           continue;
         }
         // Block: not all slots may simultaneously use these types.
@@ -1096,17 +1007,10 @@ Program Encoding::decode() const {
 
     // Predict the declared output type from predicted argument types.
     const Type *Decl = nullptr;
-    switch (Sig.Builtin) {
-    case BuiltinKind::LetMut:
-      Decl = Predicted[static_cast<size_t>(S.Args[0])];
-      break;
-    case BuiltinKind::Borrow:
-      Decl = Arena.ref(Predicted[static_cast<size_t>(S.Args[0])], false);
-      break;
-    case BuiltinKind::BorrowMut:
-      Decl = Arena.ref(Predicted[static_cast<size_t>(S.Args[0])], true);
-      break;
-    case BuiltinKind::None: {
+    if (Sig.Builtin != BuiltinKind::None) {
+      Decl = builtinOutput(Sig.Builtin,
+                           Predicted[static_cast<size_t>(S.Args[0])]);
+    } else {
       // Deliberately not routed through the probe helpers: this is the
       // one unification that needs the accumulated substitution (each
       // argument extends Pred toward the output prediction), not a
@@ -1120,8 +1024,6 @@ Program Encoding::decode() const {
           Pred = Attempt;
       }
       Decl = applySubst(Arena, RenOut[static_cast<size_t>(Chosen)], Pred);
-      break;
-    }
     }
     Predicted[static_cast<size_t>(S.Out)] = Decl;
     S.DeclType = Decl;

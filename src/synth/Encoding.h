@@ -42,7 +42,10 @@
 /// grown sets under a fresh guard, and solving assumes the current guard.
 /// Types, candidates and call sites come only from APIs, so a change that
 /// adds none (bans, combo blocks) keeps the current generation and adds
-/// only its ban units and combo clauses.
+/// only its ban units and combo clauses. Every candidate, call site and
+/// (variable, type) pair carries the number of the sync that added it,
+/// which is how a sync tells the facts it adds from the ones already
+/// encoded.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +65,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 namespace syrust::synth {
@@ -228,7 +230,12 @@ private:
   struct Candidate {
     program::VarId Var;
     const types::Type *Ty;
+    /// At a builtin site, the output type this argument yields
+    /// (builtinOutput); null at a library API's site.
+    const types::Type *Out = nullptr;
     sat::Var U = sat::VarUndef;
+    /// The sync that added the candidate.
+    unsigned Born = 0;
   };
 
   /// Per (line, api) call-site encoding. A stays VarUndef - and Slots
@@ -238,23 +245,39 @@ private:
   /// every slot fillable materializes it from scratch.
   struct CallSite {
     sat::Var A = sat::VarUndef;
+    /// The sync that materialized the site (meaningless while dead).
+    unsigned Born = 0;
     /// Candidates per input slot.
     std::vector<std::vector<Candidate>> Slots;
   };
 
+  /// One possible encoder-level type of a variable.
+  struct VarType {
+    const types::Type *Ty;
+    /// The non-builtin API whose renamed output the type is (the first
+    /// producer when several share an interned output - any of them
+    /// keys the same graph row answer), or ApiIdInvalid for template
+    /// inputs and builtin-derived types, which take the fallback probe
+    /// arm.
+    api::ApiId Producer;
+    /// The sync that first made the type possible for the variable.
+    unsigned Born;
+  };
+
   sat::Var getV(program::VarId X, const types::Type *Ty, int Line);
-  bool hasV(program::VarId X, const types::Type *Ty, int Line) const;
   bool isOwnedNonCopy(const types::Type *Ty) const;
   bool isEncoded(api::ApiId Id) const;
 
-  /// True when (X, Ty) entered VarTypes[X] during the current sync.
-  bool isNewType(program::VarId X, const types::Type *Ty) const;
-  /// Candidate count of (line, site, slot) before the current sync.
-  size_t prevSlotCount(int Line, size_t Kk, size_t J) const;
-  /// True when site (Line, Kk) was already materialized before the
-  /// current sync (distinguishes revived dead sites and brand-new APIs,
-  /// which need full emission, from live sites, which only append).
-  bool wasLive(int Line, size_t Kk) const;
+  /// True when the candidate, call site or variable type was added by
+  /// the current sync.
+  template <typename Fact> bool isNew(const Fact &F) const {
+    return F.Born == Sync;
+  }
+  /// The output type a builtin derives from its argument type (null for
+  /// library APIs): the type universe, candidate creation and decode
+  /// all derive it here.
+  const types::Type *builtinOutput(api::BuiltinKind B,
+                                   const types::Type *Arg) const;
   /// The three probe arms behind one face (identical answers each):
   /// pair compatibility via cache or direct unification...
   bool probeUnifiable2(const types::Type *Ty,
@@ -272,12 +295,10 @@ private:
   /// (plain clause when guards are off).
   void addGuarded(std::vector<sat::Lit> Lits);
 
-  /// Unified build/extend: the initial build is a sync against empty
-  /// previous state; an extension that adds APIs is a sync against a
-  /// snapshot of the state before it.
+  /// Unified build/extend: the initial build and every extension that
+  /// adds APIs run the same sync, which emits the clauses its new facts
+  /// need (the first sync finds every fact new).
   void sync();
-  /// Takes the pre-sync snapshots (Prev*) the build functions consult.
-  void snapshot();
   /// Root units ~A on every materialized site of each encoded API the
   /// database banned since the last call.
   void buildBans();
@@ -307,15 +328,16 @@ private:
   std::vector<std::vector<const types::Type *>> RenIn;
   std::vector<const types::Type *> RenOut;
 
-  /// Possible encoder-level types of each variable. Template variables
-  /// have exactly one; line outputs one per producible type.
-  std::vector<std::vector<const types::Type *>> VarTypes;
-  /// Parallel to VarTypes: the non-builtin API whose renamed output the
-  /// type is (the first producer when several share an interned output -
-  /// any of them keys the same graph row answer), or ApiIdInvalid for
-  /// template inputs and builtin-derived types, which take the fallback
-  /// probe arm. Recomputed with VarTypes at zero probe cost.
-  std::vector<std::vector<api::ApiId>> VarProducers;
+  /// Possible encoder-level types of each variable, recomputed by every
+  /// sync. Template variables have exactly one; line outputs one per
+  /// producible type.
+  std::vector<std::vector<VarType>> VarTypes;
+  /// The sync that first made each (variable, type) pair possible. A
+  /// recompute can interleave new types among old ones, so a pair's
+  /// birth is looked up here, never read off its position; the map is
+  /// never iterated (pointer order).
+  std::map<std::pair<program::VarId, const types::Type *>, unsigned>
+      TypeBorn;
 
   /// CallSites[i][k] for line i, Active[k].
   std::vector<std::vector<CallSite>> Sites;
@@ -324,17 +346,9 @@ private:
   std::map<std::tuple<program::VarId, const types::Type *, int>, sat::Var>
       VMap;
 
-  /// Pre-sync snapshots, consulted while syncing to emit only what is
-  /// new. Type sets per variable (NOT prefix counts: builtin-derived
-  /// output types interleave into VarTypes as the availability list
-  /// grows) and candidate counts per slot (slots only ever append).
-  std::vector<std::set<const types::Type *>> PrevTypes;
-  std::vector<std::vector<std::vector<size_t>>> PrevSlots;
-  /// Which call sites were materialized before this sync (dead sites
-  /// report 0 here AND zero PrevSlots counts, so a revival re-emits
-  /// everything as new).
-  std::vector<std::vector<char>> PrevHadA;
-  size_t PrevActive = 0;
+  /// Number of the current sync. Each sync() and each ban- or
+  /// combo-only extend advances it, so nothing older counts as new.
+  unsigned Sync = 0;
 
   /// Generation guard: closure-sensitive clauses carry ~Gen, solving
   /// assumes Gen. VarUndef when incremental refinement is off.

@@ -64,10 +64,3 @@ bool CompatCache::unifiableJoint(const Type *A1, const Type *P1,
     return unifiable(A1, P1, Joint) && unifiable(A2, P2, Joint);
   });
 }
-
-bool CompatCache::subtype2(const Type *A, const Type *P) {
-  return memo(&CompatCache::SubMap, PairKey{A, P}, [&] {
-    Substitution Probe;
-    return isSubtype(A, P, Probe);
-  });
-}

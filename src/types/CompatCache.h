@@ -35,7 +35,7 @@
 
 namespace syrust::types {
 
-/// Memoized isSubtype/unifiable probes over interned types. See file
+/// Memoized unifiable probes over interned types. See file
 /// comment for the chaining and thread-safety contract.
 class CompatCache {
 public:
@@ -57,9 +57,6 @@ public:
   bool unifiableJoint(const Type *A1, const Type *P1, const Type *A2,
                       const Type *P2);
 
-  /// Memoized `isSubtype(A, P)` under a fresh substitution.
-  bool subtype2(const Type *A, const Type *P);
-
   struct Stats {
     uint64_t Hits = 0;     ///< Answered from this cache's own tables.
     uint64_t BaseHits = 0; ///< Answered from the chained base cache.
@@ -68,9 +65,7 @@ public:
   const Stats &stats() const { return S; }
 
   /// Entries stored in this cache alone (excludes the base chain).
-  size_t size() const {
-    return PairMap.size() + QuadMap.size() + SubMap.size();
-  }
+  size_t size() const { return PairMap.size() + QuadMap.size(); }
 
 private:
   struct PairKey {
@@ -97,7 +92,6 @@ private:
   const CompatCache *Base = nullptr;
   std::unordered_map<PairKey, bool, PairHash> PairMap;
   std::unordered_map<QuadKey, bool, QuadHash> QuadMap;
-  std::unordered_map<PairKey, bool, PairHash> SubMap;
   Stats S;
 };
 

@@ -172,6 +172,23 @@ TEST_F(RefineFixture, TraitErrorOnPolymorphicApiBlocksCombo) {
   EXPECT_TRUE(Db.isComboBlocked(Ins, D.ActualInputs));
 }
 
+TEST_F(RefineFixture, RepeatedComboBlockIsNoDatabaseChange) {
+  // The checker reports concrete inputs that may match no encoder-level
+  // candidate type, so the same mismatch recurs. Blocking it again
+  // changes nothing: no change reported, no block counted.
+  ApiId New = addApi("AtomicCell::new", {"T"}, "AtomicCell<T>");
+  RefinementEngine Engine(Arena, Db, RefinementMode::Hybrid);
+  Engine.initialize(vecTemplate());
+  Diagnostic D;
+  D.Detail = ErrorDetail::TypeMismatch;
+  D.Api = New;
+  D.ActualInputs = {parse("AtomicCell<usize>")};
+  EXPECT_TRUE(Engine.onDiagnostic(D));
+  EXPECT_TRUE(Db.isComboBlocked(New, D.ActualInputs));
+  EXPECT_FALSE(Engine.onDiagnostic(D));
+  EXPECT_EQ(Engine.stats().ComboBlocks, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // 5.3: duplicate-and-block
 //===----------------------------------------------------------------------===//

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 
 using namespace syrust;
 using namespace syrust::api;
@@ -424,6 +426,77 @@ TEST_F(SynthFixture, DeadLengthRevivedByDatabaseAddition) {
     SawLen3 |= P->Stmts.size() == 3;
   EXPECT_TRUE(SawLen3);
   EXPECT_GE(Synth.stats().DeadLengthRevivals, 1u);
+}
+
+TEST_F(SynthFixture, DormantLengthSleepsThroughBanAndComboBlock) {
+  // Interleaved mode keeps an exhausted length's encoding dormant. A ban
+  // or a combo block only shrinks the space, so an UNSAT-proven length
+  // sleeps through both; the next addition extends it, and that one sync
+  // must absorb the ban units and combo clauses it slept through.
+  addApi("mk", {"String"}, "Token");
+  addApi("eat", {"Token"}, "usize");
+  ApiId Pick = addApi("pick", {"T"}, "usize");
+  ApiId F = addApi("f", {"usize"}, "Token");
+  const Type *Token = parse("Token");
+  SynthOptions Opts;
+  Opts.InterleaveLengths = true;
+  const size_t MaxLines = 3;
+  Synthesizer Synth(Arena, Traits, Db, vecTemplate(), MaxLines, Opts);
+
+  // Both changes must touch the programs of the dormant lengths.
+  auto UsesF = [&](const Program &P) {
+    return std::any_of(P.Stmts.begin(), P.Stmts.end(),
+                       [&](const Stmt &S) { return S.Api == F; });
+  };
+  auto PicksToken = [&](const Program &P) {
+    return std::any_of(P.Stmts.begin(), P.Stmts.end(), [&](const Stmt &S) {
+      VarId Arg = S.Args[0];
+      VarId K = static_cast<VarId>(P.Inputs.size());
+      return S.Api == Pick && Arg >= K &&
+             P.Stmts[static_cast<size_t>(Arg - K)].DeclType == Token;
+    });
+  };
+  std::map<size_t, std::set<std::string>> Before;
+  bool SawF = false, SawPickToken = false;
+  while (auto P = Synth.next()) {
+    Before[P->Stmts.size()].insert(P->render(Db));
+    SawF |= UsesF(*P);
+    SawPickToken |= PicksToken(*P);
+  }
+  ASSERT_TRUE(SawF);
+  ASSERT_TRUE(SawPickToken);
+
+  Db.ban(F);
+  Synth.notifyDatabaseChanged();
+  Db.blockCombo(Pick, {Token});
+  Synth.notifyDatabaseChanged();
+  EXPECT_EQ(Synth.stats().DeadLengthRevivals, 0u);
+
+  addApi("gulp", {"usize"}, "u8");
+  Synth.notifyDatabaseChanged();
+  EXPECT_EQ(Synth.stats().DeadLengthRevivals, MaxLines);
+  std::map<size_t, std::vector<std::string>> After;
+  while (auto P = Synth.next()) {
+    EXPECT_FALSE(UsesF(*P)) << P->render(Db);
+    EXPECT_FALSE(PicksToken(*P)) << P->render(Db);
+    After[P->Stmts.size()].push_back(P->render(Db));
+  }
+
+  // Each revived length emits exactly what a fresh synthesizer finds at
+  // that length on the final database, minus what it emitted before.
+  Synthesizer Fresh(Arena, Traits, Db, vecTemplate(), MaxLines);
+  std::map<size_t, std::set<std::string>> Expected;
+  while (auto P = Fresh.next())
+    if (!Before[P->Stmts.size()].count(P->render(Db)))
+      Expected[P->Stmts.size()].insert(P->render(Db));
+  ASSERT_FALSE(Expected[MaxLines].empty());
+  for (size_t L = 1; L <= MaxLines; ++L) {
+    std::vector<std::string> Got = After[L];
+    std::sort(Got.begin(), Got.end());
+    EXPECT_EQ(Got, std::vector<std::string>(Expected[L].begin(),
+                                            Expected[L].end()))
+        << "length " << L;
+  }
 }
 
 TEST_F(SynthFixture, DeadLengthRevivedOnRebuildPathToo) {

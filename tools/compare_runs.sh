@@ -1,0 +1,108 @@
+#!/usr/bin/env bash
+#===--- compare_runs.sh - Byte-compare the outputs of two syrust builds ---===#
+#
+# Usage: tools/compare_runs.sh OLD NEW
+#
+# Runs two syrust binaries over the same deterministic workload and
+# compares what they write byte for byte:
+#
+#   * every synthesizable crate (`syrust list`, last column "yes") in
+#     eight modes - default, --interleave, --lazy, --eager, --no-semantic,
+#     --no-incremental, --bias-coverage, --mutate-inputs - at --budget 120
+#     with --trace-out: the trace, and the printed report minus its one
+#     wall-clock line, plus the exit code;
+#   * `campaign --crates all --seeds 2021 --budget 60` over seven
+#     variants (aggregate.json);
+#   * `audit --crates all --seeds 2021` (audit.json).
+#
+# Prints one line per differing cell or document, then a summary. Exits
+# 0 when everything matches, 1 when something differs, 2 on bad usage.
+#
+# Environment: JOBS (default 4) is how many runs go at once and the
+# --jobs of the campaign and the audit; KEEP=DIR writes the outputs to
+# DIR (kept) instead of a temporary directory (removed on exit).
+#
+#===-----------------------------------------------------------------------===#
+
+set -u
+
+if [ $# -ne 2 ] || [ ! -x "$1" ] || [ ! -x "$2" ]; then
+  echo "usage: $0 OLD NEW (two executable syrust binaries)" >&2
+  exit 2
+fi
+
+OLD=$(realpath "$1")
+NEW=$(realpath "$2")
+JOBS=${JOBS:-4}
+MODES="none interleave lazy eager no-semantic no-incremental bias-coverage mutate-inputs"
+VARIANTS=base,interleave,lazy,eager,no-semantic,no-incremental,coverage-bias
+
+if [ -n "${KEEP:-}" ]; then
+  WORK=$KEEP
+  mkdir -p "$WORK"
+else
+  WORK=$(mktemp -d)
+  trap 'rm -rf "$WORK"' EXIT
+fi
+mkdir -p "$WORK/old" "$WORK/new"
+
+# run_cell BIN OUTDIR CRATE MODE
+run_cell() {
+  local Flag=()
+  [ "$4" != none ] && Flag=("--$4")
+  local Base="$2/$3.$4"
+  "$1" run "$3" --budget 120 "${Flag[@]}" --trace-out "$Base.trace.json" \
+    > "$Base.out" 2>&1
+  echo "exit $?" >> "$Base.out"
+  # The report's only host-dependent line.
+  sed -i '/(wall)$/d' "$Base.out"
+}
+export -f run_cell
+
+"$OLD" list > "$WORK/old/list.txt"
+"$NEW" list > "$WORK/new/list.txt"
+CRATES=$(awk 'NR > 2 && $NF == "yes" { print $1 }' "$WORK/old/list.txt")
+
+echo "runs: $(echo "$CRATES" | wc -w) crates x 8 modes, both binaries"
+for Crate in $CRATES; do
+  for Mode in $MODES; do
+    echo "$OLD $WORK/old $Crate $Mode"
+    echo "$NEW $WORK/new $Crate $Mode"
+  done
+done | xargs -P "$JOBS" -L 1 bash -c 'run_cell "$@"' _
+
+for Side in old new; do
+  Bin=$OLD
+  [ "$Side" = new ] && Bin=$NEW
+  echo "campaign and audit: $Side"
+  "$Bin" campaign --crates all --seeds 2021 --budget 60 \
+    --variants "$VARIANTS" --jobs "$JOBS" --out "$WORK/$Side/campaign" \
+    > "$WORK/$Side/campaign.log" 2>&1
+  "$Bin" audit --crates all --seeds 2021 --jobs "$JOBS" \
+    --out "$WORK/$Side/audit" > "$WORK/$Side/audit.log" 2>&1
+done
+
+Differ=0
+# same LABEL RELPATH: reports RELPATH when the two sides differ.
+same() {
+  if ! cmp -s "$WORK/old/$2" "$WORK/new/$2"; then
+    echo "differs: $1"
+    Differ=$((Differ + 1))
+  fi
+}
+same "list" list.txt
+for Crate in $CRATES; do
+  for Mode in $MODES; do
+    same "run $Crate $Mode (trace)" "$Crate.$Mode.trace.json"
+    same "run $Crate $Mode (report)" "$Crate.$Mode.out"
+  done
+done
+same "campaign aggregate.json" campaign/aggregate.json
+same "audit audit.json" audit/audit.json
+
+if [ "$Differ" -ne 0 ]; then
+  echo "$Differ outputs differ${KEEP:+ (outputs kept in $KEEP)}"
+  exit 1
+fi
+echo "all outputs identical"
+exit 0
