@@ -42,6 +42,7 @@
 #include "report/Table.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
+#include "support/StringUtils.h"
 
 #include <cinttypes>
 #include <cstdint>

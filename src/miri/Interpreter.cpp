@@ -174,7 +174,7 @@ ExecResult Interpreter::run(const Program &P) {
       Args.add("kind", ubKindName(R.Report.Kind));
       Args.add("line", R.Report.Line);
     }
-    Obs->instant("exec.verdict", "miri", std::move(Args));
+    Obs->instant("exec.verdict", "miri", Args);
     Obs->count("exec.runs");
     if (R.UbFound)
       Obs->count("exec.ub");

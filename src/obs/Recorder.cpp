@@ -6,8 +6,10 @@
 
 #include "obs/Recorder.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
 using namespace syrust;
 using namespace syrust::obs;
@@ -27,44 +29,94 @@ std::string numToken(double V) {
   return Buf;
 }
 
+void appendString(std::string &Out, std::string_view V) {
+  Out += '"';
+  Out += json::escape(V);
+  Out += '"';
+}
+
+template <typename Int> void appendInt(std::string &Out, Int V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // ArgList
 //===----------------------------------------------------------------------===//
 
-ArgList &ArgList::add(std::string Key, const std::string &V) {
-  Items.emplace_back(std::move(Key), "\"" + json::escape(V) + "\"");
+ArgList::Arg &ArgList::push(const char *Key, Arg::KindTy Kind) {
+  Arg &A = Size < InlineArgs ? Inline[Size] : Spill.emplace_back();
+  ++Size;
+  A.Key = Key;
+  A.Kind = Kind;
+  return A;
+}
+
+ArgList &ArgList::add(const char *Key, const std::string &V) {
+  Arg &A = push(Key, Arg::Owned);
+  A.Own.Off = Strings.size();
+  A.Own.Len = V.size();
+  Strings += V;
   return *this;
 }
 
-ArgList &ArgList::add(std::string Key, const char *V) {
-  return add(std::move(Key), std::string(V));
-}
-
-ArgList &ArgList::add(std::string Key, int64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(V));
-  Items.emplace_back(std::move(Key), Buf);
+ArgList &ArgList::add(const char *Key, const char *V) {
+  push(Key, Arg::Borrowed).Str = V;
   return *this;
 }
 
-ArgList &ArgList::add(std::string Key, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu",
-                static_cast<unsigned long long>(V));
-  Items.emplace_back(std::move(Key), Buf);
+ArgList &ArgList::add(const char *Key, int64_t V) {
+  push(Key, Arg::Signed).I = V;
   return *this;
 }
 
-ArgList &ArgList::add(std::string Key, double V) {
-  Items.emplace_back(std::move(Key), numToken(V));
+ArgList &ArgList::add(const char *Key, uint64_t V) {
+  push(Key, Arg::Unsigned).U = V;
   return *this;
 }
 
-ArgList &ArgList::add(std::string Key, bool V) {
-  Items.emplace_back(std::move(Key), V ? "true" : "false");
+ArgList &ArgList::add(const char *Key, double V) {
+  push(Key, Arg::Real).D = V;
   return *this;
+}
+
+ArgList &ArgList::add(const char *Key, bool V) {
+  push(Key, Arg::Flag).B = V;
+  return *this;
+}
+
+void ArgList::render(std::string &Out) const {
+  for (size_t I = 0; I < Size; ++I) {
+    const Arg &A = at(I);
+    if (I)
+      Out += ',';
+    Out += '"';
+    Out += json::escape(A.Key);
+    Out += "\":";
+    switch (A.Kind) {
+    case Arg::Borrowed:
+      appendString(Out, A.Str);
+      break;
+    case Arg::Owned:
+      appendString(Out,
+                   std::string_view(Strings).substr(A.Own.Off, A.Own.Len));
+      break;
+    case Arg::Signed:
+      appendInt(Out, A.I);
+      break;
+    case Arg::Unsigned:
+      appendInt(Out, A.U);
+      break;
+    case Arg::Real:
+      Out += numToken(A.D);
+      break;
+    case Arg::Flag:
+      Out += A.B ? "true" : "false";
+      break;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -106,15 +158,9 @@ void Tracer::push(const char *Name, const char *Cat, char Phase,
   E += numToken(Lane);
   if (!Args.empty() || CaptureWall) {
     E += ",\"args\":{";
-    bool First = true;
-    for (const auto &[K, V] : Args.items()) {
-      if (!First)
-        E += ',';
-      First = false;
-      E += "\"" + json::escape(K) + "\":" + V;
-    }
+    Args.render(E);
     if (CaptureWall) {
-      if (!First)
+      if (!Args.empty())
         E += ',';
       E += "\"wall_us\":" + numToken(wallSeconds() * 1e6);
     }
@@ -124,21 +170,21 @@ void Tracer::push(const char *Name, const char *Cat, char Phase,
   Events.push_back(std::move(E));
 }
 
-void Tracer::begin(const char *Name, const char *Cat, ArgList Args) {
+void Tracer::begin(const char *Name, const char *Cat, const ArgList &Args) {
   push(Name, Cat, 'B', now(), 0, Args);
 }
 
-void Tracer::end(const char *Name, const char *Cat, ArgList Args) {
+void Tracer::end(const char *Name, const char *Cat, const ArgList &Args) {
   push(Name, Cat, 'E', now(), 0, Args);
 }
 
 void Tracer::complete(const char *Name, const char *Cat,
                       double StartSeconds, double DurSeconds,
-                      ArgList Args) {
+                      const ArgList &Args) {
   push(Name, Cat, 'X', StartSeconds, DurSeconds, Args);
 }
 
-void Tracer::instant(const char *Name, const char *Cat, ArgList Args) {
+void Tracer::instant(const char *Name, const char *Cat, const ArgList &Args) {
   push(Name, Cat, 'i', now(), 0, Args);
 }
 
@@ -183,27 +229,30 @@ void Histogram::observe(double X) {
 // MetricsRegistry
 //===----------------------------------------------------------------------===//
 
-Counter &MetricsRegistry::counter(const std::string &Name) {
-  auto &Slot = Counters[Name];
-  if (!Slot)
-    Slot = std::make_unique<Counter>();
-  return *Slot;
+Counter &MetricsRegistry::counter(std::string_view Name) {
+  auto It = Counters.find(Name);
+  if (It == Counters.end())
+    It = Counters.emplace(Name, std::make_unique<Counter>()).first;
+  return *It->second;
 }
 
-Gauge &MetricsRegistry::gauge(const std::string &Name) {
-  auto &Slot = Gauges[Name];
-  if (!Slot)
-    Slot = std::make_unique<Gauge>();
-  return *Slot;
+Gauge &MetricsRegistry::gauge(std::string_view Name) {
+  auto It = Gauges.find(Name);
+  if (It == Gauges.end())
+    It = Gauges.emplace(Name, std::make_unique<Gauge>()).first;
+  return *It->second;
 }
 
-Histogram &MetricsRegistry::histogram(const std::string &Name,
+Histogram &MetricsRegistry::histogram(std::string_view Name,
                                       double FirstEdge, double Factor,
                                       size_t NumEdges) {
-  auto &Slot = Histograms[Name];
-  if (!Slot)
-    Slot = std::make_unique<Histogram>(FirstEdge, Factor, NumEdges);
-  return *Slot;
+  auto It = Histograms.find(Name);
+  if (It == Histograms.end())
+    It = Histograms
+             .emplace(Name, std::make_unique<Histogram>(FirstEdge, Factor,
+                                                        NumEdges))
+             .first;
+  return *It->second;
 }
 
 json::Value MetricsRegistry::snapshotValue(double AtSeconds) const {

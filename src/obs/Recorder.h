@@ -17,8 +17,13 @@
 /// second timestamp (`wall_us` arg on every event) for profiling; it is
 /// off by default precisely because it breaks that determinism.
 ///
-/// Zero cost when disabled: pipeline components hold a `Recorder *` that
+/// Cost when a half is off: pipeline components hold a `Recorder *` that
 /// is null by default, so the uninstrumented path pays one pointer check.
+/// With a recorder attached but tracing off (every campaign worker), an
+/// event's ArgList still gets built, but it only stores raw values; the
+/// tracer renders them into JSON when tracing is on. A metric update is
+/// one lookup of its name in the registry, which builds no string, and
+/// one increment.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,36 +35,69 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace syrust::obs {
 
-/// Ordered key/value list attached to a trace event. Values are stored as
-/// rendered JSON tokens so the writer emits them verbatim, in insertion
+/// Ordered key/value list attached to a trace event, kept in insertion
 /// order (deterministic output needs a stable arg order, not map order).
+/// It stores raw values; Tracer renders them, so building an ArgList for
+/// a recorder with tracing off formats nothing. Keys and `const char *`
+/// values are borrowed, not copied: they must outlive the list (string
+/// literals and the static name tables do). `std::string` values are
+/// copied.
 class ArgList {
 public:
-  ArgList &add(std::string Key, const std::string &V);
-  ArgList &add(std::string Key, const char *V);
-  ArgList &add(std::string Key, int64_t V);
-  ArgList &add(std::string Key, uint64_t V);
-  ArgList &add(std::string Key, int V) {
-    return add(std::move(Key), static_cast<int64_t>(V));
+  ArgList &add(const char *Key, const std::string &V);
+  ArgList &add(const char *Key, const char *V);
+  ArgList &add(const char *Key, int64_t V);
+  ArgList &add(const char *Key, uint64_t V);
+  ArgList &add(const char *Key, int V) {
+    return add(Key, static_cast<int64_t>(V));
   }
-  ArgList &add(std::string Key, double V);
-  ArgList &add(std::string Key, bool V);
+  ArgList &add(const char *Key, double V);
+  ArgList &add(const char *Key, bool V);
 
-  bool empty() const { return Items.empty(); }
-  const std::vector<std::pair<std::string, std::string>> &items() const {
-    return Items;
-  }
+  bool empty() const { return Size == 0; }
+
+  /// Appends the arguments as comma-separated JSON members
+  /// (`"key":value`), each value rendered as its JSON token.
+  void render(std::string &Out) const;
 
 private:
-  std::vector<std::pair<std::string, std::string>> Items;
+  struct Arg {
+    const char *Key;
+    enum KindTy : uint8_t { Borrowed, Owned, Signed, Unsigned, Real, Flag };
+    KindTy Kind;
+    union {
+      const char *Str;
+      struct {
+        size_t Off, Len; ///< Into Strings.
+      } Own;
+      int64_t I;
+      uint64_t U;
+      double D;
+      bool B;
+    };
+  };
+  /// Most events carry a handful of arguments; they stay inline.
+  static constexpr size_t InlineArgs = 6;
+
+  Arg &push(const char *Key, Arg::KindTy Kind);
+  const Arg &at(size_t I) const {
+    return I < InlineArgs ? Inline[I] : Spill[I - InlineArgs];
+  }
+
+  Arg Inline[InlineArgs] = {};
+  size_t Size = 0;
+  std::vector<Arg> Spill;
+  std::string Strings; ///< Bytes of the copied `std::string` values.
 };
 
 /// Records trace events against the simulated clock and renders them in
@@ -85,17 +123,17 @@ public:
 
   /// Begin/end span pair ("B"/"E" phases). Nest freely; Chrome matches
   /// them per thread by order.
-  void begin(const char *Name, const char *Cat, ArgList Args = {});
-  void end(const char *Name, const char *Cat, ArgList Args = {});
+  void begin(const char *Name, const char *Cat, const ArgList &Args = {});
+  void end(const char *Name, const char *Cat, const ArgList &Args = {});
 
   /// Complete span ("X" phase) with an explicit start and duration in
   /// simulated seconds — the natural shape for pipeline stages whose cost
   /// is a known SimClock charge.
   void complete(const char *Name, const char *Cat, double StartSeconds,
-                double DurSeconds, ArgList Args = {});
+                double DurSeconds, const ArgList &Args = {});
 
   /// Instant event ("i" phase) at the current simulated time.
-  void instant(const char *Name, const char *Cat, ArgList Args = {});
+  void instant(const char *Name, const char *Cat, const ArgList &Args = {});
 
   size_t numEvents() const { return Events.size(); }
   int lane() const { return Lane; }
@@ -175,10 +213,10 @@ private:
 /// cache them. Names are emitted in sorted order (deterministic output).
 class MetricsRegistry {
 public:
-  Counter &counter(const std::string &Name);
-  Gauge &gauge(const std::string &Name);
+  Counter &counter(std::string_view Name);
+  Gauge &gauge(std::string_view Name);
   /// Creation parameters apply on first use only.
-  Histogram &histogram(const std::string &Name, double FirstEdge = 1.0,
+  Histogram &histogram(std::string_view Name, double FirstEdge = 1.0,
                        double Factor = 2.0, size_t NumEdges = 24);
 
   /// Appends one snapshot line capturing every metric at simulated time
@@ -194,14 +232,16 @@ public:
 
   /// Every counter by name (sorted). Campaign merging sums these across
   /// workers into the aggregate's per-stage totals.
-  const std::map<std::string, std::unique_ptr<Counter>> &counters() const {
+  const std::map<std::string, std::unique_ptr<Counter>, std::less<>> &
+  counters() const {
     return Counters;
   }
 
 private:
-  std::map<std::string, std::unique_ptr<Counter>> Counters;
-  std::map<std::string, std::unique_ptr<Gauge>> Gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> Histograms;
+  // std::less<> looks names up without building a std::string.
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> Counters;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> Gauges;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> Histograms;
   std::vector<std::string> Lines;
 };
 
@@ -233,35 +273,34 @@ public:
   Tracer &tracer() { return Trace; }
   MetricsRegistry &metrics() { return Metrics; }
 
-  void begin(const char *Name, const char *Cat, ArgList Args = {}) {
+  void begin(const char *Name, const char *Cat, const ArgList &Args = {}) {
     if (TraceOn)
-      Trace.begin(Name, Cat, std::move(Args));
+      Trace.begin(Name, Cat, Args);
   }
-  void end(const char *Name, const char *Cat, ArgList Args = {}) {
+  void end(const char *Name, const char *Cat, const ArgList &Args = {}) {
     if (TraceOn)
-      Trace.end(Name, Cat, std::move(Args));
+      Trace.end(Name, Cat, Args);
   }
   void complete(const char *Name, const char *Cat, double StartSeconds,
-                double DurSeconds, ArgList Args = {}) {
+                double DurSeconds, const ArgList &Args = {}) {
     if (TraceOn)
-      Trace.complete(Name, Cat, StartSeconds, DurSeconds,
-                     std::move(Args));
+      Trace.complete(Name, Cat, StartSeconds, DurSeconds, Args);
   }
-  void instant(const char *Name, const char *Cat, ArgList Args = {}) {
+  void instant(const char *Name, const char *Cat, const ArgList &Args = {}) {
     if (TraceOn)
-      Trace.instant(Name, Cat, std::move(Args));
+      Trace.instant(Name, Cat, Args);
   }
   double now() const { return Trace.now(); }
 
-  void count(const std::string &Name, uint64_t N = 1) {
+  void count(std::string_view Name, uint64_t N = 1) {
     if (MetricsOn)
       Metrics.counter(Name).inc(N);
   }
-  void gaugeSet(const std::string &Name, double V) {
+  void gaugeSet(std::string_view Name, double V) {
     if (MetricsOn)
       Metrics.gauge(Name).set(V);
   }
-  void observe(const std::string &Name, double V) {
+  void observe(std::string_view Name, double V) {
     if (MetricsOn)
       Metrics.histogram(Name).observe(V);
   }

@@ -107,7 +107,7 @@ void RefinementEngine::note(const char *Action,
     Args.add("api", static_cast<int64_t>(Diag->Api));
     Args.add("line", Diag->Line);
   }
-  Obs->instant("refine.action", "refine", std::move(Args));
+  Obs->instant("refine.action", "refine", Args);
   Obs->count(std::string("refine.") + Action);
 }
 

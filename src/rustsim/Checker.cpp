@@ -129,7 +129,7 @@ CompileResult Checker::check(const Program &P,
       Args.add("detail", detailName(R.Diag.Detail));
       Args.add("line", R.Diag.Line);
     }
-    Obs->instant("compile.verdict", "rustsim", std::move(Args));
+    Obs->instant("compile.verdict", "rustsim", Args);
     Obs->count("compile.checks");
     if (!R.Success) {
       Obs->count("compile.rejected");

@@ -295,7 +295,7 @@ SolveResult Portfolio::solveRace(const std::vector<Lit> &Assumptions) {
                        : Final == SolveResult::Unsat ? "unsat"
                                                      : "unknown");
     Args.add("cancels", CancelsSent);
-    Obs->instant("sat.strategy.race", "sat", std::move(Args));
+    Obs->instant("sat.strategy.race", "sat", Args);
   }
   return Final;
 }

@@ -291,9 +291,8 @@ void Solver::cancelUntil(int Level) {
   QHead = Trail.size();
 }
 
-bool Solver::propagateCard(uint32_t CardIdx, Lit P, Reason &ConflictOut) {
+bool Solver::propagateCard(uint32_t CardIdx, Reason &ConflictOut) {
   CardConstraint &Card = Cards[CardIdx];
-  (void)P;
   if (Card.TrueCount > Card.K) {
     ConflictOut = Reason{Reason::CardKind, CardIdx};
     return false;
@@ -322,7 +321,7 @@ Solver::Reason Solver::propagate() {
 
     // Cardinality constraints containing P just gained a true literal.
     for (uint32_t CardIdx : CardOccs[P.Code]) {
-      if (!propagateCard(CardIdx, P, Conflict)) {
+      if (!propagateCard(CardIdx, Conflict)) {
         QHead = Trail.size();
         return Conflict;
       }
@@ -402,38 +401,41 @@ void Solver::collectReasonLits(Reason Why, Lit Implied,
   int ImpliedPos = Implied == LitUndef
                        ? static_cast<int>(Trail.size())
                        : trailPos(var(Implied));
-  std::vector<Lit> TrueLits;
   for (Lit L : Card.Lits) {
     if (value(L) == Value::True && trailPos(var(L)) < ImpliedPos)
-      TrueLits.push_back(L);
+      Out.push_back(~L);
   }
-  std::sort(TrueLits.begin(), TrueLits.end(), [this](Lit A, Lit B) {
+  std::sort(Out.begin(), Out.end(), [this](Lit A, Lit B) {
     return trailPos(var(A)) < trailPos(var(B));
   });
-  assert(static_cast<int>(TrueLits.size()) >= Needed &&
+  assert(static_cast<int>(Out.size()) >= Needed &&
          "cardinality explanation underdetermined");
-  TrueLits.resize(Needed);
-  for (Lit L : TrueLits)
-    Out.push_back(~L);
+  Out.resize(Needed);
 }
 
-bool Solver::litRedundant(Lit P, uint32_t AbstractLevels) {
+bool Solver::litRedundant(Lit P) {
   // Local (non-recursive) minimization, MiniSat's "basic" mode: P is
   // redundant iff every antecedent of its reason is already in the learned
   // clause (Seen) or fixed at the root level. Deeper recursive schemes must
   // undo marks on failure; the local check needs no extra marking and is
-  // always sound.
-  (void)AbstractLevels;
+  // always sound. A clause reason is read where it is stored.
   Reason Why = VarInfo[var(P)].Why;
+  auto Covered = [this](Lit Q) {
+    return level(var(Q)) == 0 || Seen[var(Q)];
+  };
   if (Why.Kind == Reason::None)
     return false;
-  std::vector<Lit> Antecedents;
-  collectReasonLits(Why, ~P, Antecedents);
-  for (Lit Q : Antecedents) {
-    Var V = var(Q);
-    if (level(V) != 0 && !Seen[V])
-      return false;
+  if (Why.Kind == Reason::CardKind) {
+    collectReasonLits(Why, ~P, ReasonBuf);
+    return std::all_of(ReasonBuf.begin(), ReasonBuf.end(), Covered);
   }
+  // Reading a learned reason counts as a use, as in analyze().
+  if (header(Why.Index).Learned)
+    claBumpActivity(Why.Index);
+  const Lit *C = lits(Why.Index);
+  for (uint32_t I = 0, Size = header(Why.Index).Size; I < Size; ++I)
+    if (C[I] != ~P && !Covered(C[I]))
+      return false;
   return true;
 }
 
@@ -444,11 +446,10 @@ void Solver::analyze(Reason Conflict, std::vector<Lit> &Learned,
   int Counter = 0;
   Lit P = LitUndef;
   int Index = static_cast<int>(Trail.size()) - 1;
-  std::vector<Lit> ReasonLits;
 
   for (;;) {
-    collectReasonLits(Conflict, P, ReasonLits);
-    for (Lit Q : ReasonLits) {
+    collectReasonLits(Conflict, P, ReasonBuf);
+    for (Lit Q : ReasonBuf) {
       Var V = var(Q);
       assert(value(Q) == Value::False && "antecedents must be falsified");
       if (Seen[V] || level(V) == 0)
@@ -475,13 +476,10 @@ void Solver::analyze(Reason Conflict, std::vector<Lit> &Learned,
   // Minimization: drop literals whose reasons are subsumed by the clause.
   // Seen marks must be cleared for *all* originally collected literals,
   // including the dropped ones, so snapshot before minimizing.
-  std::vector<Lit> ToClear(Learned.begin() + 1, Learned.end());
-  uint32_t AbstractLevels = 0;
-  for (size_t I = 1; I < Learned.size(); ++I)
-    AbstractLevels |= 1u << (level(var(Learned[I])) & 31);
+  ClearBuf.assign(Learned.begin() + 1, Learned.end());
   size_t Out = 1;
   for (size_t I = 1; I < Learned.size(); ++I) {
-    if (!litRedundant(Learned[I], AbstractLevels))
+    if (!litRedundant(Learned[I]))
       Learned[Out++] = Learned[I];
   }
   Learned.resize(Out);
@@ -501,7 +499,7 @@ void Solver::analyze(Reason Conflict, std::vector<Lit> &Learned,
 
   // Clear the seen markers.
   Seen[var(Learned[0])] = 0;
-  for (Lit L : ToClear)
+  for (Lit L : ClearBuf)
     Seen[var(L)] = 0;
 }
 
@@ -741,7 +739,7 @@ uint64_t Solver::luby(uint64_t I) {
 }
 
 void Solver::learnAndBackjump(Reason Conflict) {
-  std::vector<Lit> Learned;
+  std::vector<Lit> &Learned = LearnedBuf;
   int BtLevel = 0;
   analyze(Conflict, Learned, BtLevel);
   cancelUntil(BtLevel);

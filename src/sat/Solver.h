@@ -230,12 +230,12 @@ private:
   /// Runs unit propagation; returns a conflicting constraint reason or a
   /// Reason with Kind==None when no conflict occurred.
   Reason propagate();
-  bool propagateCard(uint32_t CardIdx, Lit P, Reason &ConflictOut);
+  bool propagateCard(uint32_t CardIdx, Reason &ConflictOut);
   void cancelUntil(int Level);
 
   // --- conflict analysis ---------------------------------------------------
   void analyze(Reason Conflict, std::vector<Lit> &Learned, int &BtLevel);
-  bool litRedundant(Lit P, uint32_t AbstractLevels);
+  bool litRedundant(Lit P);
   void collectReasonLits(Reason Why, Lit Implied, std::vector<Lit> &Out);
 
   // --- decisions ------------------------------------------------------------
@@ -284,6 +284,10 @@ private:
   std::vector<Var> Heap;
 
   std::vector<char> Seen;
+  // Conflict-analysis buffers, reused by every conflict.
+  std::vector<Lit> LearnedBuf; ///< learnAndBackjump's learned clause.
+  std::vector<Lit> ReasonBuf;  ///< The reason being read.
+  std::vector<Lit> ClearBuf;   ///< analyze's Seen marks to undo.
 
   std::vector<Lit> Assumptions;
   std::vector<Value> Model;

@@ -951,19 +951,28 @@ bool Encoding::nextModel() {
 
 void Encoding::blockCurrent() {
   assert(HasModel && "no model to block");
+  // Exactly one A is true per line and U => A holds, so the chosen site
+  // holds every true literal of its line: the clause is that site's ~A,
+  // then its ~U literals in slot and candidate order.
   std::vector<Lit> Blocking;
-  for (auto &LineSites : Sites) {
-    for (CallSite &Site : LineSites) {
-      if (Solver.modelValue(Site.A) == Value::True)
-        Blocking.push_back(mkLit(Site.A, true));
-      for (auto &Slot : Site.Slots)
-        for (Candidate &C : Slot)
-          if (Solver.modelValue(C.U) == Value::True)
-            Blocking.push_back(mkLit(C.U, true));
-    }
+  for (const std::vector<CallSite> &LineSites : Sites) {
+    const CallSite &Site = LineSites[chosenSite(LineSites)];
+    Blocking.push_back(mkLit(Site.A, true));
+    for (const std::vector<Candidate> &Slot : Site.Slots)
+      for (const Candidate &C : Slot)
+        if (Solver.modelValue(C.U) == Value::True)
+          Blocking.push_back(mkLit(C.U, true));
   }
   Solver.addBlockingClause(std::move(Blocking));
   HasModel = false;
+}
+
+size_t Encoding::chosenSite(const std::vector<CallSite> &LineSites) const {
+  for (size_t Kk = 0; Kk < LineSites.size(); ++Kk)
+    if (Solver.modelValue(LineSites[Kk].A) == Value::True)
+      return Kk;
+  assert(false && "model must select an API per line");
+  return 0;
 }
 
 Program Encoding::decode() const {
@@ -980,19 +989,12 @@ Program Encoding::decode() const {
 
   for (int I = 0; I < NumLines; ++I) {
     const std::vector<CallSite> &LineSites = Sites[static_cast<size_t>(I)];
-    int Chosen = -1;
-    for (size_t Kk = 0; Kk < LineSites.size(); ++Kk) {
-      if (Solver.modelValue(LineSites[Kk].A) == Value::True) {
-        Chosen = static_cast<int>(Kk);
-        break;
-      }
-    }
-    assert(Chosen >= 0 && "model must select an API per line");
-    const CallSite &Site = LineSites[static_cast<size_t>(Chosen)];
-    const ApiSig &Sig = Db.get(Active[static_cast<size_t>(Chosen)]);
+    size_t Chosen = chosenSite(LineSites);
+    const CallSite &Site = LineSites[Chosen];
+    const ApiSig &Sig = Db.get(Active[Chosen]);
 
     Stmt S;
-    S.Api = Active[static_cast<size_t>(Chosen)];
+    S.Api = Active[Chosen];
     S.Out = K + I;
     for (const auto &Slot : Site.Slots) {
       for (const Candidate &C : Slot) {
@@ -1019,11 +1021,10 @@ Program Encoding::decode() const {
       for (size_t J = 0; J < S.Args.size(); ++J) {
         const Type *ArgTy = Predicted[static_cast<size_t>(S.Args[J])];
         Substitution Attempt = Pred;
-        if (unifiable(ArgTy, RenIn[static_cast<size_t>(Chosen)][J],
-                      Attempt))
+        if (unifiable(ArgTy, RenIn[Chosen][J], Attempt))
           Pred = Attempt;
       }
-      Decl = applySubst(Arena, RenOut[static_cast<size_t>(Chosen)], Pred);
+      Decl = applySubst(Arena, RenOut[Chosen], Pred);
     }
     Predicted[static_cast<size_t>(S.Out)] = Decl;
     S.DeclType = Decl;

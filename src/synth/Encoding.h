@@ -264,6 +264,9 @@ private:
     unsigned Born;
   };
 
+  /// The index of the site the current model chooses on a line: the one
+  /// whose A is true (exactly one is).
+  size_t chosenSite(const std::vector<CallSite> &LineSites) const;
   sat::Var getV(program::VarId X, const types::Type *Ty, int Line);
   bool isOwnedNonCopy(const types::Type *Ty) const;
   bool isEncoded(api::ApiId Id) const;

@@ -20,8 +20,8 @@
 #define SYRUST_SYNTH_SEENPROGRAMS_H
 
 #include "program/Program.h"
-#include "support/StringUtils.h"
 
+#include <charconv>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,10 +41,18 @@ public:
   /// is precisely "the hash told the truth".
   static std::string canonicalKey(const program::Program &P) {
     std::string Key;
+    auto Append = [&Key](int N) {
+      char Buf[12];
+      Key.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
+    };
     for (const program::Stmt &S : P.Stmts) {
-      Key += format("%d(", S.Api);
-      for (size_t J = 0; J < S.Args.size(); ++J)
-        Key += format(J ? ",%d" : "%d", S.Args[J]);
+      Append(S.Api);
+      Key += '(';
+      for (size_t J = 0; J < S.Args.size(); ++J) {
+        if (J)
+          Key += ',';
+        Append(S.Args[J]);
+      }
       Key += ')';
     }
     return Key;

@@ -167,6 +167,34 @@ TEST(TracerTest, CompleteSpanCarriesDurationAndArgs) {
   EXPECT_TRUE(E.get("args").get("ok").asBool());
 }
 
+TEST(TracerTest, ArgsRenderEveryValueKindToPinnedBytes) {
+  // Every value kind, and more arguments than an ArgList keeps inline.
+  // Golden traces and trace consumers depend on these exact bytes.
+  ArgList Args;
+  Args.add("text", std::string("q\"b\\s\x01t\n"))
+      .add("min", INT64_MIN)
+      .add("max", UINT64_MAX)
+      .add("whole", 42.0)
+      .add("frac", 0.1)
+      .add("yes", true)
+      .add("no", false)
+      .add("small", -7)
+      .add("borrowed", "lit\"eral")
+      .add("huge", 1e300)
+      .add("neg_whole", -3.0)
+      .add("k\"ey", int64_t(5));
+  Tracer T;
+  T.instant("e", "c", Args);
+  ASSERT_EQ(T.numEvents(), 1u);
+  EXPECT_EQ(T.events()[0],
+            R"({"name":"e","cat":"c","ph":"i","ts":0,"s":"t","pid":0,)"
+            R"("tid":0,"args":{"text":"q\"b\\s\u0001t\n",)"
+            R"("min":-9223372036854775808,"max":18446744073709551615,)"
+            R"("whole":42,"frac":0.10000000000000001,"yes":true,)"
+            R"("no":false,"small":-7,"borrowed":"lit\"eral",)"
+            R"("huge":1.0000000000000001e+300,"neg_whole":-3,"k\"ey":5}})");
+}
+
 TEST(TracerTest, UnboundClockFreezesAtLastReading) {
   SimClock Clock;
   Tracer T;
@@ -213,6 +241,21 @@ TEST(RecorderTest, HalvesAreIndependentlyDisableable) {
   EXPECT_EQ(R2.tracer().numEvents(), 1u);
   EXPECT_EQ(R2.metrics().counter("dropped").value(), 0u);
   EXPECT_EQ(R2.metrics().numSnapshots(), 0u);
+}
+
+TEST(RecorderTest, LiteralAndRuntimeNamesReachOneMetric) {
+  Recorder R;
+  R.count("x");
+  R.count(std::string("x"), 2);
+  R.count("x");
+  R.gaugeSet("g", 1.0);
+  R.gaugeSet(std::string("g"), 2.0);
+  R.observe("h", 1.0);
+  R.observe(std::string("h"), 3.0);
+  EXPECT_EQ(R.metrics().counters().size(), 1u);
+  EXPECT_EQ(R.metrics().counter("x").value(), 4u);
+  EXPECT_EQ(R.metrics().gauge("g").value(), 2.0);
+  EXPECT_EQ(R.metrics().histogram("h").count(), 2u);
 }
 
 } // namespace
