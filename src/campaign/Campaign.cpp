@@ -65,23 +65,32 @@ bool syrust::campaign::applyVariant(const std::string &Name,
 }
 
 std::vector<std::string>
-CampaignSpec::validate(const Session &S) const {
+MatrixSpec::validateMatrix(const Session &S, const std::string &Owner) const {
   std::vector<std::string> Errors;
   if (Crates.empty())
-    Errors.push_back("CampaignSpec.Crates must name at least one crate");
+    Errors.push_back(Owner + ".Crates must name at least one crate");
   std::set<std::string> Seen;
   for (const std::string &Name : Crates) {
     if (!Seen.insert(Name).second)
-      Errors.push_back("CampaignSpec.Crates lists '" + Name +
+      Errors.push_back(Owner + ".Crates lists '" + Name +
                        "' more than once");
     else if (!S.find(Name))
-      Errors.push_back("CampaignSpec.Crates names unknown crate '" +
-                       Name + "'; try `syrust list`");
+      Errors.push_back(Owner + ".Crates names unknown crate '" + Name +
+                       "'; try `syrust list`");
   }
   if (SeedEnd < SeedBegin)
-    Errors.push_back("CampaignSpec seed range is empty: SeedEnd " +
+    Errors.push_back(Owner + " seed range is empty: SeedEnd " +
                      std::to_string(SeedEnd) + " < SeedBegin " +
                      std::to_string(SeedBegin));
+  if (Jobs < 1)
+    Errors.push_back(Owner + ".Jobs must be at least 1, got " +
+                     std::to_string(Jobs));
+  return Errors;
+}
+
+std::vector<std::string>
+CampaignSpec::validate(const Session &S) const {
+  std::vector<std::string> Errors = validateMatrix(S, "CampaignSpec");
   if (Variants.empty())
     Errors.push_back(
         "CampaignSpec.Variants must name at least one variant");
@@ -94,9 +103,6 @@ CampaignSpec::validate(const Session &S) const {
                        "interleave, mutate-inputs, no-incremental, "
                        "portfolio, no-graph-prune, coverage-bias");
   }
-  if (Jobs < 1)
-    Errors.push_back("CampaignSpec.Jobs must be at least 1, got " +
-                     std::to_string(Jobs));
   std::vector<std::string> BaseErrors = Base.validate();
   Errors.insert(Errors.end(), BaseErrors.begin(), BaseErrors.end());
   return Errors;
@@ -105,24 +111,19 @@ CampaignSpec::validate(const Session &S) const {
 std::vector<CampaignJob>
 syrust::campaign::expandMatrix(const CampaignSpec &Spec) {
   std::vector<CampaignJob> Jobs;
-  size_t Index = 0;
-  for (const std::string &Crate : Spec.Crates) {
-    for (uint64_t Seed = Spec.SeedBegin; Seed <= Spec.SeedEnd; ++Seed) {
-      for (const std::string &Variant : Spec.Variants) {
-        CampaignJob Job;
-        Job.Index = Index++;
-        Job.Crate = Crate;
-        Job.Seed = Seed;
-        Job.Variant = Variant;
-        Job.Config = Spec.Base;
-        Job.Config.Seed = Seed;
-        applyVariant(Variant, Job.Config);
-        Jobs.push_back(std::move(Job));
-      }
-      if (Seed == UINT64_MAX)
-        break; // Seed + 1 would wrap.
+  Spec.forEachCell([&](const std::string &Crate, uint64_t Seed) {
+    for (const std::string &Variant : Spec.Variants) {
+      CampaignJob Job;
+      Job.Index = Jobs.size();
+      Job.Crate = Crate;
+      Job.Seed = Seed;
+      Job.Variant = Variant;
+      Job.Config = Spec.Base;
+      Job.Config.Seed = Seed;
+      applyVariant(Variant, Job.Config);
+      Jobs.push_back(std::move(Job));
     }
-  }
+  });
   return Jobs;
 }
 
@@ -187,24 +188,25 @@ json::Value syrust::campaign::campaignToJson(const CampaignSpec &Spec,
                    Value::integer(static_cast<int64_t>(N)));
   Totals.set("by_category", std::move(ByCategory));
   Root.set("totals", std::move(Totals));
+  setMergedSections(Root, R.ApiCoverage, R.MergedCounters);
+  return Root;
+}
 
-  // Per-crate API-pair coverage, already OR-merged in matrix order.
+void syrust::campaign::setMergedSections(
+    Value &Root, const CrateCoverage &ApiCoverage,
+    const std::map<std::string, uint64_t> &Counters) {
   Value ApiCov = Value::array();
-  for (const auto &[Crate, Data] : R.ApiCoverage) {
+  for (const auto &[Crate, Data] : ApiCoverage) {
     Value E = Value::object();
     E.set("crate", Value::string(Crate));
     E.set("api_coverage", coverage::apiCoverageToJson(Data));
     ApiCov.push(std::move(E));
   }
   Root.set("api_coverage", std::move(ApiCov));
-
-  // Per-stage totals from the pool's merged metric counters (std::map:
-  // sorted, deterministic).
   Value Metrics = Value::object();
-  for (const auto &[Name, N] : R.MergedCounters)
+  for (const auto &[Name, N] : Counters)
     Metrics.set(Name, Value::integer(static_cast<int64_t>(N)));
   Root.set("metrics", std::move(Metrics));
-  return Root;
 }
 
 std::string syrust::campaign::mergeWorkerTraces(

@@ -33,9 +33,10 @@
 
 namespace syrust::campaign {
 
-/// The job matrix: every named crate × every seed in [SeedBegin,
-/// SeedEnd] × every named variant, all sharing one base RunConfig.
-struct CampaignSpec {
+/// The (crate × seed) matrix shape campaigns and audits share: every
+/// named crate × every seed in [SeedBegin, SeedEnd], fanned across Jobs
+/// workers of runJobPool (CampaignRunner.h).
+struct MatrixSpec {
   /// Crate names (the CLI's `--crates`; Session::supportedCrates() is
   /// the `all` expansion).
   std::vector<std::string> Crates;
@@ -44,6 +45,31 @@ struct CampaignSpec {
   uint64_t SeedBegin = 2021;
   uint64_t SeedEnd = 2021;
 
+  /// Pool width (`--jobs`). 1 runs the whole matrix on the calling
+  /// thread — through the same code path, so results are identical.
+  int Jobs = 1;
+
+  /// Checks the crates against \p S, the seed range and the pool width.
+  /// Returns one specific message per problem, each naming \p Owner
+  /// (the spec type, e.g. "CampaignSpec"); empty = runnable.
+  std::vector<std::string> validateMatrix(const core::Session &S,
+                                          const std::string &Owner) const;
+
+  /// Calls \p Cell(Crate, Seed) for every cell in matrix order: crates
+  /// outermost (in the given order), then seeds ascending.
+  template <typename Fn> void forEachCell(Fn &&Cell) const {
+    for (const std::string &Crate : Crates)
+      for (uint64_t Seed = SeedBegin; Seed <= SeedEnd; ++Seed) {
+        Cell(Crate, Seed);
+        if (Seed == UINT64_MAX)
+          break; // Seed + 1 would wrap.
+      }
+  }
+};
+
+/// The job matrix: every cell of the MatrixSpec × every named variant,
+/// all sharing one base RunConfig.
+struct CampaignSpec : MatrixSpec {
   /// Named RunConfig transformations; see applyVariant() for the
   /// vocabulary. "base" is the identity.
   std::vector<std::string> Variants = {"base"};
@@ -51,10 +77,6 @@ struct CampaignSpec {
   /// Configuration every job starts from (each job then overrides Seed
   /// and applies its variant).
   core::RunConfig Base;
-
-  /// Pool width (`--jobs`). 1 runs the whole matrix on the calling
-  /// thread — through the same code path, so results are identical.
-  int Jobs = 1;
 
   /// Record per-worker flight-recorder traces and merge them into one
   /// multi-lane Chrome trace (CampaignResult::MergedTraceJson).
@@ -83,6 +105,11 @@ struct CampaignJobResult {
   int Worker = -1;
 };
 
+/// Per-crate API-pair coverage of a matrix: one entry per MatrixSpec::Crates
+/// name, same order.
+using CrateCoverage =
+    std::vector<std::pair<std::string, coverage::ApiCoverageData>>;
+
 /// Campaign-wide sums, accumulated in matrix order.
 struct CampaignTotals {
   uint64_t Synthesized = 0;
@@ -108,7 +135,7 @@ struct CampaignResult {
   /// Per-crate API-pair coverage, OR-merged across the crate's jobs in
   /// matrix order (bitset OR commutes, so this too is identical for any
   /// worker count). One entry per CampaignSpec::Crates name, same order.
-  std::vector<std::pair<std::string, coverage::ApiCoverageData>> ApiCoverage;
+  CrateCoverage ApiCoverage;
   /// Workers the pool actually spawned (diagnostic only).
   int Workers = 0;
 };
@@ -136,6 +163,38 @@ json::Value campaignToJson(const CampaignSpec &Spec,
 /// Merges per-worker tracers into one Chrome trace-event document with a
 /// named lane per worker, in worker-id order.
 std::string mergeWorkerTraces(const std::vector<const obs::Tracer *> &Lanes);
+
+/// OR-merges the API-pair coverage of finished matrix jobs (anything with
+/// `Job.Crate` and `Result.ApiCoverage`) into one slot per name in
+/// \p Crates, walking \p Jobs in matrix order. A merge that discards
+/// covered bits (ApiCoverageData::mergeFrom) counts in
+/// `coverage.api.merge_conflicts` of \p Counters, added only when
+/// nonzero so clean aggregates keep their exact key set.
+template <typename JobResult>
+CrateCoverage mergeApiCoverage(const std::vector<std::string> &Crates,
+                               const std::vector<JobResult> &Jobs,
+                               std::map<std::string, uint64_t> &Counters) {
+  CrateCoverage Merged;
+  for (const std::string &Crate : Crates)
+    Merged.emplace_back(Crate, coverage::ApiCoverageData());
+  uint64_t Conflicts = 0;
+  for (const JobResult &JR : Jobs)
+    for (auto &[Crate, Data] : Merged)
+      if (Crate == JR.Job.Crate) {
+        if (Data.mergeFrom(JR.Result.ApiCoverage))
+          ++Conflicts;
+        break;
+      }
+  if (Conflicts)
+    Counters["coverage.api.merge_conflicts"] += Conflicts;
+  return Merged;
+}
+
+/// Sets the two sections every aggregate document ends with: the
+/// per-crate `api_coverage` array and the merged `metrics` counters
+/// (std::map: sorted, deterministic).
+void setMergedSections(json::Value &Root, const CrateCoverage &ApiCoverage,
+                       const std::map<std::string, uint64_t> &Counters);
 
 } // namespace syrust::campaign
 

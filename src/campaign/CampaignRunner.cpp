@@ -53,6 +53,67 @@ struct WorkerQueue {
 
 } // namespace
 
+std::vector<obs::Recorder> syrust::campaign::runJobPool(
+    const std::vector<size_t> &Live, int Jobs, bool Trace,
+    const std::function<void(size_t, int, obs::Recorder &)> &Work) {
+  // Never spawn more workers than live jobs: an idle worker is pure
+  // overhead and its empty trace lane is noise.
+  int Workers = Jobs;
+  if (static_cast<size_t>(Workers) > Live.size())
+    Workers = static_cast<int>(Live.empty() ? 1 : Live.size());
+
+  // Deal the matrix round-robin so every worker starts with a fair
+  // slice; stealing rebalances when job durations diverge (a dashmap
+  // run costs ~2x a slab run of the same budget).
+  std::vector<WorkerQueue> Queues(Workers);
+  for (size_t I : Live)
+    Queues[I % Workers].push(I);
+
+  // One recorder per worker, wired into each of that worker's jobs in
+  // turn. Lane = worker id, so a merged trace shows one named track per
+  // worker.
+  std::vector<obs::Recorder> Recorders;
+  Recorders.reserve(Workers);
+  for (int W = 0; W < Workers; ++W) {
+    obs::Recorder::Options Opts;
+    Opts.Trace = Trace;
+    Opts.Metrics = true;
+    Opts.Lane = W;
+    Recorders.emplace_back(Opts);
+  }
+
+  auto WorkerLoop = [&](int Me) {
+    for (;;) {
+      std::optional<size_t> JobIdx = Queues[Me].popBack();
+      for (int Off = 1; !JobIdx && Off < Workers; ++Off)
+        JobIdx = Queues[(Me + Off) % Workers].stealFront();
+      if (!JobIdx)
+        return; // Every deque empty: no work will ever appear again.
+      Work(*JobIdx, Me, Recorders[Me]);
+    }
+  };
+
+  if (Workers <= 1) {
+    WorkerLoop(0); // Same code path, no thread: --jobs 1 is the oracle.
+  } else {
+    std::vector<std::thread> Pool;
+    Pool.reserve(Workers);
+    for (int W = 0; W < Workers; ++W)
+      Pool.emplace_back(WorkerLoop, W);
+    for (std::thread &T : Pool)
+      T.join();
+  }
+  return Recorders;
+}
+
+void syrust::campaign::addWorkerCounters(
+    std::vector<obs::Recorder> &Recorders,
+    std::map<std::string, uint64_t> &Into) {
+  for (obs::Recorder &Rec : Recorders)
+    for (const auto &[Name, C] : Rec.metrics().counters())
+      Into[Name] += C->value();
+}
+
 CampaignRunner::CampaignRunner(const Session &S, CampaignSpec Spec)
     : S(S), Spec(std::move(Spec)) {
   assert(this->Spec.validate(S).empty() &&
@@ -80,108 +141,56 @@ CampaignResult CampaignRunner::run() {
 
   // Resume: finished cells slot straight into their matrix positions and
   // never reach the pool. Worker -1 marks them as not run here.
-  size_t Live = 0;
-  std::vector<bool> IsPreloaded(Jobs.size(), false);
+  std::vector<size_t> Live;
   for (size_t I = 0; I < Jobs.size(); ++I) {
     auto It = Preloaded.find(I);
     if (It == Preloaded.end()) {
-      ++Live;
+      Live.push_back(I);
       continue;
     }
-    IsPreloaded[I] = true;
     Result.Jobs[I].Job = Jobs[I];
     Result.Jobs[I].Worker = -1;
     Result.Jobs[I].Result = It->second.Result;
   }
 
-  // Never spawn more workers than live jobs: an idle worker is pure
-  // overhead and its empty trace lane is noise.
-  int Workers = Spec.Jobs;
-  if (static_cast<size_t>(Workers) > Live)
-    Workers = static_cast<int>(Live ? Live : 1);
-  Result.Workers = Workers;
-
-  // Deal the matrix round-robin so every worker starts with a fair
-  // slice; stealing rebalances when job durations diverge (a dashmap
-  // run costs ~2x a slab run of the same budget).
-  std::vector<WorkerQueue> Queues(Workers);
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    if (!IsPreloaded[I])
-      Queues[I % Workers].push(I);
-
-  // One recorder per worker — owned here, wired into each of that
-  // worker's drivers in turn. Lane = worker id, so the merged trace
-  // shows one named track per worker.
-  std::vector<obs::Recorder> Recorders;
-  Recorders.reserve(Workers);
-  for (int W = 0; W < Workers; ++W) {
-    obs::Recorder::Options Opts;
-    Opts.Trace = Spec.Trace;
-    Opts.Metrics = true;
-    Opts.Lane = W;
-    Recorders.emplace_back(Opts);
-  }
-
   std::mutex JobDoneMu;
-  auto WorkerLoop = [&](int Me) {
-    obs::Recorder &Rec = Recorders[Me];
-    for (;;) {
-      std::optional<size_t> JobIdx = Queues[Me].popBack();
-      for (int Off = 1; !JobIdx && Off < Workers; ++Off)
-        JobIdx = Queues[(Me + Off) % Workers].stealFront();
-      if (!JobIdx)
-        return; // Every deque empty: no work will ever appear again.
-      const CampaignJob &Job = Jobs[*JobIdx];
-      CampaignJobResult &Slot = Result.Jobs[*JobIdx];
-      Slot.Job = Job;
-      Slot.Worker = Me;
-      // With a checkpoint sink armed, bracket the job with counter
-      // snapshots: jobs run serially per worker, so after-minus-before
-      // is exactly this job's contribution to the per-stage totals.
-      std::map<std::string, uint64_t> Before;
-      if (Checkpoint)
-        for (const auto &[Name, C] : Rec.metrics().counters())
-          Before[Name] = C->value();
-      Slot.Result = S.runOne(Job.Crate, Job.Config, &Rec);
-      std::map<std::string, uint64_t> Deltas;
-      if (Checkpoint)
-        // Zero deltas are kept deliberately: the aggregate's merged
-        // section lists registered-but-zero counters too, and on a
-        // resume with no live cells the stored deltas are the only
-        // source of that key set.
-        for (const auto &[Name, C] : Rec.metrics().counters()) {
-          auto It = Before.find(Name);
-          Deltas[Name] =
-              C->value() - (It == Before.end() ? 0 : It->second);
-        }
-      if (JobDone || Checkpoint) {
-        std::lock_guard<std::mutex> Lock(JobDoneMu);
-        if (JobDone)
-          JobDone(Slot);
+  std::vector<obs::Recorder> Recorders = runJobPool(
+      Live, Spec.Jobs, Spec.Trace,
+      [&](size_t Index, int Me, obs::Recorder &Rec) {
+        CampaignJobResult &Slot = Result.Jobs[Index];
+        Slot.Job = Jobs[Index];
+        Slot.Worker = Me;
+        // With a checkpoint sink armed, bracket the job with counter
+        // snapshots: jobs run serially per worker, so after-minus-before
+        // is exactly this job's contribution to the per-stage totals.
+        std::map<std::string, uint64_t> Before;
         if (Checkpoint)
-          Checkpoint(Slot, Deltas);
-      }
-    }
-  };
-
-  if (Workers <= 1) {
-    WorkerLoop(0); // Same code path, no thread: --jobs 1 is the oracle.
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Workers);
-    for (int W = 0; W < Workers; ++W)
-      Pool.emplace_back(WorkerLoop, W);
-    for (std::thread &T : Pool)
-      T.join();
-  }
+          for (const auto &[Name, C] : Rec.metrics().counters())
+            Before[Name] = C->value();
+        Slot.Result = S.runOne(Slot.Job.Crate, Slot.Job.Config, &Rec);
+        std::map<std::string, uint64_t> Deltas;
+        if (Checkpoint)
+          // Zero deltas are kept deliberately: the aggregate's merged
+          // section lists registered-but-zero counters too, and on a
+          // resume with no live cells the stored deltas are the only
+          // source of that key set.
+          for (const auto &[Name, C] : Rec.metrics().counters()) {
+            auto It = Before.find(Name);
+            Deltas[Name] =
+                C->value() - (It == Before.end() ? 0 : It->second);
+          }
+        if (JobDone || Checkpoint) {
+          std::lock_guard<std::mutex> Lock(JobDoneMu);
+          if (JobDone)
+            JobDone(Slot);
+          if (Checkpoint)
+            Checkpoint(Slot, Deltas);
+        }
+      });
+  Result.Workers = static_cast<int>(Recorders.size());
 
   // Merge in matrix order — completion order must never leak into the
-  // aggregate. Per-crate API coverage ORs together here: one slot per
-  // CampaignSpec::Crates name (matrix order again), fed by that crate's
-  // jobs as they appear.
-  for (const std::string &Crate : Spec.Crates)
-    Result.ApiCoverage.emplace_back(Crate, coverage::ApiCoverageData());
-  uint64_t MergeConflicts = 0;
+  // aggregate.
   for (const CampaignJobResult &JR : Result.Jobs) {
     const RunResult &R = JR.Result;
     Result.Totals.Synthesized += R.Synthesized;
@@ -192,30 +201,18 @@ CampaignResult CampaignRunner::run() {
     Result.Totals.SimSeconds += R.ElapsedSeconds;
     for (const auto &[Cat, N] : R.ByCategory)
       Result.Totals.ByCategory[Cat] += N;
-    for (auto &[Crate, Data] : Result.ApiCoverage)
-      if (Crate == JR.Job.Crate) {
-        if (Data.mergeFrom(R.ApiCoverage))
-          ++MergeConflicts;
-        break;
-      }
   }
-  // A conflict means covered bits were discarded; record it where every
-  // other anomaly counter lives. Added only when nonzero so clean
-  // aggregates keep their exact pre-existing key set.
-  if (MergeConflicts)
-    Result.MergedCounters["coverage.api.merge_conflicts"] += MergeConflicts;
+  Result.ApiCoverage =
+      mergeApiCoverage(Spec.Crates, Result.Jobs, Result.MergedCounters);
 
   // Per-stage totals: preloaded cells' recorded deltas plus each live
-  // worker's final counters. Integer sums commute, so the totals cannot
-  // depend on which worker ran what — or on where a resume split the
-  // matrix.
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    if (IsPreloaded[I])
-      for (const auto &[Name, N] : Preloaded.at(I).CounterDeltas)
+  // worker's final counters, so they cannot depend on where a resume
+  // split the matrix either.
+  for (const auto &[I, Cell] : Preloaded)
+    if (I < Jobs.size())
+      for (const auto &[Name, N] : Cell.CounterDeltas)
         Result.MergedCounters[Name] += N;
-  for (obs::Recorder &Rec : Recorders)
-    for (const auto &[Name, C] : Rec.metrics().counters())
-      Result.MergedCounters[Name] += C->value();
+  addWorkerCounters(Recorders, Result.MergedCounters);
 
   if (Spec.Trace) {
     std::vector<const obs::Tracer *> Lanes;

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fans a campaign's job matrix across a work-stealing thread pool and
-/// merges the results deterministically.
+/// The one work-stealing pool that fans a matrix of jobs across threads
+/// (runJobPool), and the campaign runner built on it. `syrust audit`
+/// (oracle/AuditRunner.h) runs its matrix on the same pool.
 ///
 /// Scheduling: jobs are dealt round-robin onto per-worker deques; a
 /// worker pops its own deque from the back (LIFO, cache-warm) and, when
@@ -32,6 +33,22 @@
 #include <map>
 
 namespace syrust::campaign {
+
+/// Calls \p Work(Index, Worker, Rec) once for every matrix index in
+/// \p Live (ascending) on max(1, min(\p Jobs, |Live|)) workers: index I
+/// is dealt to worker I % workers, which pops its own deque from the
+/// back and steals from the front of the others; a single worker runs
+/// inline on the calling thread. Each worker owns one recorder (metrics
+/// on, tracing only when \p Trace, lane = worker id), passed as Rec to
+/// each of its jobs and returned in worker order for merging.
+std::vector<obs::Recorder> runJobPool(
+    const std::vector<size_t> &Live, int Jobs, bool Trace,
+    const std::function<void(size_t, int, obs::Recorder &)> &Work);
+
+/// Adds every worker's final counters into \p Into. Integer sums
+/// commute, so the totals cannot depend on which worker ran what.
+void addWorkerCounters(std::vector<obs::Recorder> &Recorders,
+                       std::map<std::string, uint64_t> &Into);
 
 /// One finished cell recovered from a checkpoint (Checkpoint.h): the
 /// cell's result plus the per-stage counter increments it contributed.

@@ -59,6 +59,14 @@ core::RunConfig *runConfigOf(RequestSpec &S) {
   return nullptr;
 }
 
+/// The matrix a shared matrix knob lands in: the campaign's or the
+/// audit's, the only verbs those rows admit.
+campaign::MatrixSpec &matrixOf(RequestSpec &S) {
+  if (S.V == Verb::Audit)
+    return S.Audit.Spec;
+  return S.Campaign.Spec;
+}
+
 /// The largest integer a request may name where the option is 64-bit:
 /// 2^53 - 1. A JSON number carries every integer up to 2^53 exactly, but
 /// 2^53 itself is also what 2^53 + 1 rounds to, on the wire and in
@@ -250,13 +258,10 @@ const OptionDef Options[] = {
     // Matrix shape (campaign/audit).
     {"--crates", VCampaign | VAudit, OptionDef::Str,
      [](RequestSpec &S, const std::string &Text, double) {
-       std::vector<std::string> &Crates = S.V == Verb::Audit
-                                              ? S.Audit.Spec.Crates
-                                              : S.Campaign.Spec.Crates;
        // "all" stays the empty sentinel; finalize() expands it to every
        // synthesis-supporting crate.
-       Crates = Text == "all" ? std::vector<std::string>()
-                              : split(Text, ',');
+       matrixOf(S).Crates = Text == "all" ? std::vector<std::string>()
+                                          : split(Text, ',');
        return std::string();
      }},
     {"--seeds", VCampaign | VAudit, OptionDef::Str,
@@ -266,13 +271,8 @@ const OptionDef Options[] = {
          return "malformed seed range '" + Text +
                 "' for --seeds (want N or N..M with N <= M <= " +
                 std::to_string(kMaxExactInt) + ")";
-       if (S.V == Verb::Audit) {
-         S.Audit.Spec.SeedBegin = Begin;
-         S.Audit.Spec.SeedEnd = End;
-       } else {
-         S.Campaign.Spec.SeedBegin = Begin;
-         S.Campaign.Spec.SeedEnd = End;
-       }
+       matrixOf(S).SeedBegin = Begin;
+       matrixOf(S).SeedEnd = End;
        return std::string();
      }},
     {"--variants", VCampaign, OptionDef::Str,
@@ -282,10 +282,7 @@ const OptionDef Options[] = {
      }},
     {"--jobs", VCampaign | VAudit, OptionDef::Int,
      [](RequestSpec &S, const std::string &, double Val) {
-       if (S.V == Verb::Audit)
-         S.Audit.Spec.Jobs = static_cast<int>(Val);
-       else
-         S.Campaign.Spec.Jobs = static_cast<int>(Val);
+       matrixOf(S).Jobs = static_cast<int>(Val);
        return std::string();
      }},
 

@@ -117,13 +117,6 @@ std::vector<ApiId> syrust::core::selectApiSubset(
     for (ApiId Id : Selected)
       InSelected[static_cast<size_t>(Id)] = 1;
   }
-  auto EdgeCovered = [&](size_t EdgeIdx) {
-    if (!Opts.Coverage)
-      return false;
-    const std::vector<uint8_t> &Bits = Opts.Coverage->EdgeBits;
-    return EdgeIdx / 8 < Bits.size() &&
-           ((Bits[EdgeIdx / 8] >> (EdgeIdx % 8)) & 1) != 0;
-  };
   auto BiasBoost = [&](ApiId Id) {
     // 1 + never-covered edges joining Id to Selected or to itself
     // (capped). On the first draw (nothing selected yet) only
@@ -136,10 +129,8 @@ std::vector<ApiId> syrust::core::selectApiSubset(
     // 4:1 the bias nudges the draw without erasing per-seed
     // diversity.
     uint64_t Connect = 0;
-    for (size_t I = 0; I < BiasEdges->size(); ++I) {
-      const api::DependencyEdge &E = (*BiasEdges)[I];
-      const bool TouchesId = E.Producer == Id || E.Consumer == Id;
-      if (!TouchesId || EdgeCovered(I))
+    for (const api::DependencyEdge &E : *BiasEdges) {
+      if (E.Producer != Id && E.Consumer != Id)
         continue;
       const ApiId Other = E.Producer == Id ? E.Consumer : E.Producer;
       if (Other == Id || InSelected[static_cast<size_t>(Other)])
@@ -184,8 +175,7 @@ RunSetup syrust::core::setUpRun(const CrateSpec &Spec,
   Opts.Pinned = Inst.Pinned;
   Opts.NumApis = NumApis;
   // --bias-coverage: weight the draw by never-covered incident degree.
-  // At run start the coverage document is all-zero, so a null Coverage
-  // (every edge never covered) is exact; campaign workers inherit no
+  // At run start no edge is covered; campaign workers inherit no
   // cross-run bits by design - each cell stays a pure function of
   // (crate, seed, variant).
   Opts.Graph = BiasCoverage ? &Analysis.graph() : nullptr;

@@ -239,14 +239,11 @@ struct ApiSelectionOptions {
   /// Coverage-bias leg (RunConfig::BiasCoverage): when set, each
   /// candidate's weight is additionally multiplied by 1 plus its count
   /// of never-covered incident dependency-graph edges, so well-connected
-  /// APIs whose edges are still unvisited dominate the sample. Null
-  /// keeps the paper's unsafe-only weighting (the bias-off stream is
-  /// untouched by construction).
+  /// APIs whose edges are still unvisited dominate the sample. Selection
+  /// runs at run start, when no edge is covered yet. Null keeps the
+  /// paper's unsafe-only weighting (the bias-off stream is untouched by
+  /// construction).
   const api::DependencyGraph *Graph = nullptr;
-  /// Live coverage consulted for the never-covered test; null treats
-  /// every edge of Graph as never covered (the start-of-run state).
-  /// Ignored unless Graph is set.
-  const coverage::ApiCoverageData *Coverage = nullptr;
 };
 
 /// Section 6.2's API-subset selection: pinned picks first (deduplicated,

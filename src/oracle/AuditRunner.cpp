@@ -6,12 +6,11 @@
 
 #include "oracle/AuditRunner.h"
 
+#include "campaign/CampaignRunner.h"
+
 #include <cassert>
-#include <deque>
 #include <mutex>
-#include <optional>
-#include <set>
-#include <thread>
+#include <numeric>
 #include <utility>
 
 using namespace syrust;
@@ -21,25 +20,7 @@ using namespace syrust::oracle;
 using namespace syrust::rustsim;
 
 std::vector<std::string> AuditSpec::validate(const Session &S) const {
-  std::vector<std::string> Errors;
-  if (Crates.empty())
-    Errors.push_back("AuditSpec.Crates must name at least one crate");
-  std::set<std::string> Seen;
-  for (const std::string &Name : Crates) {
-    if (!Seen.insert(Name).second)
-      Errors.push_back("AuditSpec.Crates lists '" + Name +
-                       "' more than once");
-    else if (!S.find(Name))
-      Errors.push_back("AuditSpec.Crates names unknown crate '" + Name +
-                       "'; try `syrust list`");
-  }
-  if (SeedEnd < SeedBegin)
-    Errors.push_back("AuditSpec seed range is empty: SeedEnd " +
-                     std::to_string(SeedEnd) + " < SeedBegin " +
-                     std::to_string(SeedBegin));
-  if (Jobs < 1)
-    Errors.push_back("AuditSpec.Jobs must be at least 1, got " +
-                     std::to_string(Jobs));
+  std::vector<std::string> Errors = validateMatrix(S, "AuditSpec");
   std::vector<std::string> BaseErrors = Base.validate();
   Errors.insert(Errors.end(), BaseErrors.begin(), BaseErrors.end());
   return Errors;
@@ -48,58 +29,17 @@ std::vector<std::string> AuditSpec::validate(const Session &S) const {
 std::vector<AuditJob>
 syrust::oracle::expandAuditMatrix(const AuditSpec &Spec) {
   std::vector<AuditJob> Jobs;
-  size_t Index = 0;
-  for (const std::string &Crate : Spec.Crates) {
-    for (uint64_t Seed = Spec.SeedBegin; Seed <= Spec.SeedEnd; ++Seed) {
-      AuditJob Job;
-      Job.Index = Index++;
-      Job.Crate = Crate;
-      Job.Seed = Seed;
-      Job.Config = Spec.Base;
-      Job.Config.Seed = Seed;
-      Jobs.push_back(std::move(Job));
-      if (Seed == UINT64_MAX)
-        break; // Seed + 1 would wrap.
-    }
-  }
+  Spec.forEachCell([&](const std::string &Crate, uint64_t Seed) {
+    AuditJob Job;
+    Job.Index = Jobs.size();
+    Job.Crate = Crate;
+    Job.Seed = Seed;
+    Job.Config = Spec.Base;
+    Job.Config.Seed = Seed;
+    Jobs.push_back(std::move(Job));
+  });
   return Jobs;
 }
-
-namespace {
-
-/// One worker's job queue; the campaign pool's mutex-guarded deque
-/// (CampaignRunner.cpp), for the same reason: audits run for
-/// milliseconds to seconds, so queue operations are nowhere near the
-/// critical path and this version is trivially ThreadSanitizer-clean.
-struct WorkerQueue {
-  std::mutex Mu;
-  std::deque<size_t> Q;
-
-  void push(size_t Job) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Q.push_back(Job);
-  }
-  /// Owner end: newest first.
-  std::optional<size_t> popBack() {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (Q.empty())
-      return std::nullopt;
-    size_t Job = Q.back();
-    Q.pop_back();
-    return Job;
-  }
-  /// Thief end: oldest first.
-  std::optional<size_t> stealFront() {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (Q.empty())
-      return std::nullopt;
-    size_t Job = Q.front();
-    Q.pop_front();
-    return Job;
-  }
-};
-
-} // namespace
 
 AuditRunResult syrust::oracle::runAudit(
     const Session &S, const AuditSpec &Spec,
@@ -110,72 +50,25 @@ AuditRunResult syrust::oracle::runAudit(
 
   AuditRunResult Result;
   Result.Jobs.resize(Jobs.size());
-  int Workers = Spec.Jobs;
-  if (static_cast<size_t>(Workers) > Jobs.size())
-    Workers = static_cast<int>(Jobs.size() ? Jobs.size() : 1);
-  Result.Workers = Workers;
-
-  std::vector<WorkerQueue> Queues(Workers);
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    Queues[I % Workers].push(I);
-
-  // One metrics-only recorder per worker; the merged counters are
-  // integer sums, identical for any pool width.
-  std::vector<obs::Recorder> Recorders;
-  Recorders.reserve(Workers);
-  for (int W = 0; W < Workers; ++W) {
-    obs::Recorder::Options Opts;
-    Opts.Metrics = true;
-    Opts.Lane = W;
-    Recorders.emplace_back(Opts);
-  }
-
+  std::vector<size_t> Live(Jobs.size());
+  std::iota(Live.begin(), Live.end(), size_t(0));
   std::mutex JobDoneMu;
-  auto WorkerLoop = [&](int Me) {
-    obs::Recorder &Rec = Recorders[Me];
-    for (;;) {
-      std::optional<size_t> JobIdx = Queues[Me].popBack();
-      for (int Off = 1; !JobIdx && Off < Workers; ++Off)
-        JobIdx = Queues[(Me + Off) % Workers].stealFront();
-      if (!JobIdx)
-        return; // Every deque empty: no work will ever appear again.
-      const AuditJob &Job = Jobs[*JobIdx];
-      AuditJobResult &Slot = Result.Jobs[*JobIdx];
-      Slot.Job = Job;
-      Slot.Worker = Me;
-      Slot.Result = auditOne(S, Job.Crate, Job.Config, &Rec);
-      if (OnJobDone) {
-        std::lock_guard<std::mutex> Lock(JobDoneMu);
-        OnJobDone(Slot);
-      }
-    }
-  };
-
-  if (Workers <= 1) {
-    WorkerLoop(0); // Same code path, no thread: --jobs 1 is the oracle.
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Workers);
-    for (int W = 0; W < Workers; ++W)
-      Pool.emplace_back(WorkerLoop, W);
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  std::vector<obs::Recorder> Recorders = campaign::runJobPool(
+      Live, Spec.Jobs, /*Trace=*/false,
+      [&](size_t Index, int, obs::Recorder &Rec) {
+        AuditJobResult &Slot = Result.Jobs[Index];
+        Slot.Job = Jobs[Index];
+        Slot.Result = auditOne(S, Slot.Job.Crate, Slot.Job.Config, &Rec);
+        if (OnJobDone) {
+          std::lock_guard<std::mutex> Lock(JobDoneMu);
+          OnJobDone(Slot);
+        }
+      });
 
   // Merge in matrix order - completion order must never leak into the
-  // aggregate. Per-crate API coverage ORs into one slot per
-  // AuditSpec::Crates name.
-  for (const std::string &Crate : Spec.Crates)
-    Result.ApiCoverage.emplace_back(Crate, coverage::ApiCoverageData());
-  uint64_t MergeConflicts = 0;
+  // aggregate.
   for (const AuditJobResult &JR : Result.Jobs) {
     const AuditResult &R = JR.Result;
-    for (auto &[Crate, Data] : Result.ApiCoverage)
-      if (Crate == JR.Job.Crate) {
-        if (Data.mergeFrom(R.ApiCoverage))
-          ++MergeConflicts;
-        break;
-      }
     Result.Totals.ModelsReplayed += R.ModelsReplayed;
     Result.Totals.AgreePass += R.AgreePass;
     Result.Totals.AgreeReject += R.AgreeReject;
@@ -186,12 +79,9 @@ AuditRunResult syrust::oracle::runAudit(
     for (const auto &[Det, N] : R.Expected)
       Result.Totals.Expected[Det] += N;
   }
-  // Nonzero-only, so clean aggregates keep their exact key set.
-  if (MergeConflicts)
-    Result.MergedCounters["coverage.api.merge_conflicts"] += MergeConflicts;
-  for (obs::Recorder &Rec : Recorders)
-    for (const auto &[Name, C] : Rec.metrics().counters())
-      Result.MergedCounters[Name] += C->value();
+  Result.ApiCoverage = campaign::mergeApiCoverage(Spec.Crates, Result.Jobs,
+                                                  Result.MergedCounters);
+  campaign::addWorkerCounters(Recorders, Result.MergedCounters);
   return Result;
 }
 
@@ -304,21 +194,6 @@ json::Value syrust::oracle::auditToJson(const AuditSpec &Spec,
                  Value::integer(static_cast<int64_t>(N)));
   Totals.set("expected_by_detail", std::move(Expected));
   Root.set("totals", std::move(Totals));
-
-  // Per-crate API-pair coverage, already OR-merged in matrix order.
-  Value ApiCov = Value::array();
-  for (const auto &[Crate, Data] : R.ApiCoverage) {
-    Value E = Value::object();
-    E.set("crate", Value::string(Crate));
-    E.set("api_coverage", coverage::apiCoverageToJson(Data));
-    ApiCov.push(std::move(E));
-  }
-  Root.set("api_coverage", std::move(ApiCov));
-
-  // Merged pool counters (std::map: sorted, deterministic).
-  Value Metrics = Value::object();
-  for (const auto &[Name, N] : R.MergedCounters)
-    Metrics.set(Name, Value::integer(static_cast<int64_t>(N)));
-  Root.set("metrics", std::move(Metrics));
+  campaign::setMergedSections(Root, R.ApiCoverage, R.MergedCounters);
   return Root;
 }

@@ -6,20 +6,22 @@
 ///
 /// \file
 /// Fans an agreement-oracle matrix - every named crate × every seed in
-/// an inclusive range - across a work-stealing thread pool, exactly the
-/// campaign engine's shape (campaign/CampaignRunner.h): jobs are dealt
-/// round-robin, stolen when durations diverge, and merged strictly in
-/// matrix order, so the aggregate audit document is byte-identical for
-/// any `--jobs` count. The document (schema_version 5, kind "audit")
-/// carries per-job classification counts, every minimized repro,
-/// per-crate api_coverage, and the pool's merged `oracle.*` counters -
-/// and deliberately nothing scheduling-dependent.
+/// an inclusive range - across the campaign engine's work-stealing pool
+/// (campaign::runJobPool in campaign/CampaignRunner.h), with the same
+/// matrix checks and the same matrix-order merges, so the aggregate
+/// audit document is byte-identical for any `--jobs` count. Audit
+/// workers record counters only; nothing reads a trace of an audit. The
+/// document (schema_version 5, kind "audit") carries per-job
+/// classification counts, every minimized repro, per-crate api_coverage,
+/// and the pool's merged `oracle.*` counters - and deliberately nothing
+/// scheduling-dependent.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYRUST_ORACLE_AUDITRUNNER_H
 #define SYRUST_ORACLE_AUDITRUNNER_H
 
+#include "campaign/Campaign.h"
 #include "oracle/Oracle.h"
 #include "support/Json.h"
 
@@ -30,24 +32,11 @@
 
 namespace syrust::oracle {
 
-/// The audit matrix: every named crate × every seed in [SeedBegin,
-/// SeedEnd], all sharing one base OracleConfig (each job overrides
-/// Seed).
-struct AuditSpec {
-  /// Crate names (the CLI's `--crates`; Session::supportedCrates() is
-  /// the `all` expansion).
-  std::vector<std::string> Crates;
-
-  /// Inclusive seed range (`--seeds N..M`; a single seed is N..N).
-  uint64_t SeedBegin = 2021;
-  uint64_t SeedEnd = 2021;
-
+/// The audit matrix: every cell of the MatrixSpec, all sharing one base
+/// OracleConfig (each job overrides Seed).
+struct AuditSpec : campaign::MatrixSpec {
   /// Configuration every job starts from.
   OracleConfig Base;
-
-  /// Pool width (`--jobs`). 1 runs the whole matrix on the calling
-  /// thread - through the same code path, so results are identical.
-  int Jobs = 1;
 
   /// Checks the matrix against \p S and the base config against its
   /// domains. Returns one specific message per problem; empty =
@@ -67,9 +56,6 @@ struct AuditJob {
 struct AuditJobResult {
   AuditJob Job;
   AuditResult Result;
-  /// Which pool worker ran it. Diagnostic only - never serialized into
-  /// the aggregate document, which must not depend on scheduling.
-  int Worker = -1;
 };
 
 /// Audit-wide sums, accumulated in matrix order.
@@ -93,9 +79,7 @@ struct AuditRunResult {
   std::map<std::string, uint64_t> MergedCounters;
   /// Per-crate API-pair coverage of the audited streams, OR-merged
   /// across seeds in matrix order. One entry per AuditSpec::Crates name.
-  std::vector<std::pair<std::string, coverage::ApiCoverageData>> ApiCoverage;
-  /// Workers the pool actually spawned (diagnostic only).
-  int Workers = 0;
+  campaign::CrateCoverage ApiCoverage;
 
   /// The audit's pass/fail verdict: any unexpected disagreement
   /// anywhere in the matrix fails (`syrust audit` exits nonzero).

@@ -236,26 +236,6 @@ bool Solver::addAtMost(std::vector<Lit> Lits, int K) {
   return true;
 }
 
-bool Solver::addAtLeast(std::vector<Lit> Lits, int K) {
-  // AtLeast(L, K) over n literals == AtMost(~L, n - K).
-  int N = static_cast<int>(Lits.size());
-  if (K <= 0)
-    return true;
-  if (K > N) {
-    Ok = false;
-    return false;
-  }
-  for (Lit &L : Lits)
-    L = ~L;
-  return addAtMost(std::move(Lits), N - K);
-}
-
-bool Solver::addExactly(const std::vector<Lit> &Lits, int K) {
-  if (!addAtMost(Lits, K))
-    return false;
-  return addAtLeast(Lits, K);
-}
-
 //===----------------------------------------------------------------------===//
 // Assignment and propagation
 //===----------------------------------------------------------------------===//

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// A conflict-driven clause-learning SAT solver with *native* Boolean
-/// cardinality constraints (AtMost-k / AtLeast-k via counting propagation),
-/// standing in for Sat4J in the original system. The synthesis encoder of
+/// cardinality constraints (AtMost-k via counting propagation; AtLeast-k
+/// is AtMost-(n-k) over the negated literals), standing in for Sat4J in
+/// the original system. The synthesis encoder of
 /// Section 4 / Appendix C emits both CNF clauses and the pseudo-Boolean
 /// inequalities of Figure 14 directly to this interface.
 ///
@@ -93,12 +94,6 @@ public:
 
   /// Adds the constraint "at most \p K of \p Lits are true".
   bool addAtMost(std::vector<Lit> Lits, int K);
-
-  /// Adds the constraint "at least \p K of \p Lits are true".
-  bool addAtLeast(std::vector<Lit> Lits, int K);
-
-  /// Adds the constraint "exactly \p K of \p Lits are true".
-  bool addExactly(const std::vector<Lit> &Lits, int K);
 
   /// Detaches clauses satisfied at the root level (problem and learned)
   /// from the watch lists. Incremental clients that retire whole clause

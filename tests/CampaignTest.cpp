@@ -10,7 +10,9 @@
 /// aggregate JSON and the per-stage metric totals are byte-identical for
 /// any pool width — and both RunConfig::validate() and
 /// CampaignSpec::validate() must reject each bad field with a specific
-/// message.
+/// message. The pool itself (runJobPool, shared with audits) must run
+/// each live index exactly once, on a fixed number of workers whose
+/// recorders trace only when asked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace syrust;
@@ -55,6 +59,15 @@ uint64_t streamDigest(const RunResult &R) {
   for (const TestRecord &T : R.Db.records())
     Digest = (Digest ^ T.Hash) * 0x100000001b3ULL;
   return Digest;
+}
+
+/// \p N sparse matrix indices, ascending, as a resumed matrix leaves
+/// them live.
+std::vector<size_t> sparseIndices(size_t N) {
+  std::vector<size_t> Live;
+  for (size_t I = 0; I < N; ++I)
+    Live.push_back(3 * I + I % 2);
+  return Live;
 }
 
 bool contains(const std::vector<std::string> &Errors,
@@ -565,6 +578,70 @@ TEST(CampaignTest, MergedTraceHasOneNamedLanePerWorker) {
   EXPECT_EQ(Lanes, (std::set<int64_t>{0, 1}));
   EXPECT_EQ(LaneNames,
             (std::set<std::string>{"worker-0", "worker-1"}));
+}
+
+//===----------------------------------------------------------------------===//
+// The job pool campaigns and audits share.
+//===----------------------------------------------------------------------===//
+
+TEST(CampaignPoolTest, RunsEveryLiveIndexExactlyOnce) {
+  for (size_t N : {0, 1, 5, 17}) {
+    const std::vector<size_t> Live = sparseIndices(N);
+    const size_t Span = Live.empty() ? 1 : Live.back() + 2;
+    for (int Jobs : {1, 2, 4, 8}) {
+      std::vector<std::atomic<int>> Runs(Span);
+      std::vector<obs::Recorder> Recs = runJobPool(
+          Live, Jobs, /*Trace=*/false,
+          [&](size_t Index, int Worker, obs::Recorder &Rec) {
+            EXPECT_EQ(Rec.tracer().lane(), Worker);
+            ASSERT_LT(Index, Span);
+            ++Runs[Index];
+          });
+      const std::set<size_t> LiveSet(Live.begin(), Live.end());
+      for (size_t I = 0; I < Span; ++I)
+        EXPECT_EQ(Runs[I].load(), LiveSet.count(I) ? 1 : 0)
+            << "index " << I << ", " << N << " live, jobs " << Jobs;
+      ASSERT_EQ(Recs.size(), std::max<size_t>(
+                                 1, std::min<size_t>(Jobs, Live.size())))
+          << N << " live, jobs " << Jobs;
+      for (size_t W = 0; W < Recs.size(); ++W)
+        EXPECT_EQ(Recs[W].tracer().lane(), static_cast<int>(W));
+    }
+  }
+}
+
+TEST(CampaignPoolTest, OneWorkerRunsInlineNewestFirst) {
+  const std::vector<size_t> Live = sparseIndices(5);
+  std::vector<size_t> Order;
+  std::set<std::thread::id> Threads;
+  runJobPool(Live, 1, /*Trace=*/false,
+             [&](size_t Index, int Worker, obs::Recorder &) {
+               EXPECT_EQ(Worker, 0);
+               Order.push_back(Index);
+               Threads.insert(std::this_thread::get_id());
+             });
+  // The owner pops its own deque from the back.
+  EXPECT_EQ(Order, std::vector<size_t>(Live.rbegin(), Live.rend()));
+  EXPECT_EQ(Threads, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(CampaignPoolTest, RecordersTraceOnlyWhenAsked) {
+  const std::vector<size_t> Live = sparseIndices(5);
+  for (bool Trace : {false, true}) {
+    std::vector<obs::Recorder> Recs =
+        runJobPool(Live, 2, Trace, [](size_t, int, obs::Recorder &Rec) {
+          Rec.instant("pool.job", "test");
+          Rec.count("pool.jobs");
+        });
+    size_t Events = 0;
+    for (obs::Recorder &Rec : Recs)
+      Events += Rec.tracer().events().size();
+    EXPECT_EQ(Events, Trace ? Live.size() : 0u) << "trace " << Trace;
+    // Counters are recorded either way.
+    std::map<std::string, uint64_t> Counters;
+    addWorkerCounters(Recs, Counters);
+    EXPECT_EQ(Counters["pool.jobs"], Live.size()) << "trace " << Trace;
+  }
 }
 
 TEST(CampaignTest, TraceOffLeavesMergedTraceEmpty) {

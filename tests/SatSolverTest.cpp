@@ -26,6 +26,14 @@ std::vector<Var> makeVars(Solver &S, int N) {
   return Vars;
 }
 
+/// \p Lits with every literal negated: AtLeast-k of n literals is
+/// AtMost-(n-k) of their negations.
+std::vector<Lit> negated(std::vector<Lit> Lits) {
+  for (Lit &L : Lits)
+    L = ~L;
+  return Lits;
+}
+
 /// The clause that blocks the current model's values on \p Projection.
 std::vector<Lit> blockingClause(const Solver &S,
                                 const std::vector<Var> &Projection) {
@@ -219,7 +227,7 @@ TEST(CardinalityTest, AtLeastAllForcesAllTrue) {
   std::vector<Lit> Lits;
   for (Var V : Vars)
     Lits.push_back(mkLit(V));
-  ASSERT_TRUE(S.addAtLeast(Lits, 4));
+  ASSERT_TRUE(S.addAtMost(negated(Lits), 0)); // At least 4 of 4.
   ASSERT_EQ(S.solve(), SolveResult::Sat);
   for (Var V : Vars)
     EXPECT_EQ(S.modelValue(V), Value::True);
@@ -231,7 +239,8 @@ TEST(CardinalityTest, ExactlyOnePropagatesNegations) {
   std::vector<Lit> Lits;
   for (Var V : Vars)
     Lits.push_back(mkLit(V));
-  ASSERT_TRUE(S.addExactly(Lits, 1));
+  ASSERT_TRUE(S.addAtMost(Lits, 1));
+  ASSERT_TRUE(S.addAtMost(negated(Lits), 4)); // At least 1 of 5.
   ASSERT_TRUE(S.addClause(mkLit(Vars[2])));
   ASSERT_EQ(S.solve(), SolveResult::Sat);
   for (int I = 0; I < 5; ++I)
@@ -254,7 +263,7 @@ TEST(CardinalityTest, AtLeastMoreThanSizeIsUnsat) {
   Solver S;
   auto Vars = makeVars(S, 2);
   std::vector<Lit> Lits{mkLit(Vars[0]), mkLit(Vars[1])};
-  EXPECT_FALSE(S.addAtLeast(Lits, 3));
+  EXPECT_FALSE(S.addAtMost(negated(Lits), -1)); // At least 3 of 2.
 }
 
 TEST(CardinalityTest, MixedPolarityAtMost) {
@@ -318,7 +327,9 @@ TEST_P(CardinalityPropertyTest, AgreesWithBruteForce) {
       if (Spec.AtMostKind)
         AddOk = S.addAtMost(Spec.Lits, Spec.K) && AddOk;
       else
-        AddOk = S.addAtLeast(Spec.Lits, Spec.K) && AddOk;
+        AddOk = S.addAtMost(negated(Spec.Lits),
+                            static_cast<int>(Spec.Lits.size()) - Spec.K) &&
+                AddOk;
     }
 
     auto SatisfiedBy = [&](uint32_t Bits) {
@@ -476,7 +487,8 @@ TEST(EnumerationTest, ExactlyOneYieldsNModels) {
   std::vector<Lit> Lits;
   for (Var V : Vars)
     Lits.push_back(mkLit(V));
-  ASSERT_TRUE(S.addExactly(Lits, 1));
+  ASSERT_TRUE(S.addAtMost(Lits, 1));
+  ASSERT_TRUE(S.addAtMost(negated(Lits), 5)); // At least 1 of 6.
   EXPECT_EQ(enumerateModels(S, Vars, 6, [] {}), 6);
 }
 
@@ -496,7 +508,8 @@ TEST(EnumerationTest, CardinalityChooseCount) {
   std::vector<Lit> Lits;
   for (Var V : Vars)
     Lits.push_back(mkLit(V));
-  ASSERT_TRUE(S.addExactly(Lits, 2));
+  ASSERT_TRUE(S.addAtMost(Lits, 2));
+  ASSERT_TRUE(S.addAtMost(negated(Lits), 3)); // At least 2 of 5.
   int Count = enumerateModels(S, Vars, 10, [&] {
     int True = 0;
     for (Var V : Vars)
