@@ -15,7 +15,7 @@
 /// dead-API pass. Both sides share one pre-warmed CompatCache (the graph
 /// build populates it with exactly the encoder's renamed probe keys) and
 /// the same frozen graph; the only difference is SynthOptions::GraphPrune,
-/// i.e. whether a probe is an O(1) bitset test or a memo-table lookup.
+/// i.e. whether a probe is an O(1) edge-table read or a memo-table lookup.
 /// The rebuild-the-world refinement path (incremental refinement off,
 /// interleaved lengths, a no-op database notification per round) forces
 /// every round to rebuild all live encodings and re-ask the whole probe

@@ -12,6 +12,16 @@ using namespace syrust;
 using namespace syrust::api;
 using namespace syrust::types;
 
+RenamedSig syrust::api::renameSignature(TypeArena &Arena, const ApiSig &Sig,
+                                        ApiId Id) {
+  const std::string Suffix = "a" + std::to_string(Id);
+  RenamedSig R;
+  for (const Type *In : Sig.Inputs)
+    R.Inputs.push_back(renameVars(Arena, In, Suffix));
+  R.Output = renameVars(Arena, Sig.Output, Suffix);
+  return R;
+}
+
 DependencyGraph syrust::api::buildDependencyGraph(const ApiDatabase &Db,
                                                   TypeArena &Arena,
                                                   CompatCache &Cache) {
@@ -23,44 +33,35 @@ DependencyGraph syrust::api::buildDependencyGraph(const ApiDatabase &Db,
     G.SlotBase[K + 1] =
         G.SlotBase[K] +
         static_cast<uint32_t>(Db.get(static_cast<ApiId>(K)).Inputs.size());
-  G.WordsPerRow = (Db.size() + 63) / 64;
-  G.Bits.assign(static_cast<size_t>(G.SlotBase[Db.size()]) * G.WordsPerRow,
-                0);
+  G.EdgeAt.assign(static_cast<size_t>(G.SlotBase[Db.size()]) * Db.size(),
+                  -1);
 
-  // Rename with the same "a<ApiId>" suffix Encoding::sync and
-  // CrateAnalysis use, so the probe keys below are the interned pointers
-  // the precomputed matrix already holds.
-  std::vector<std::vector<const Type *>> RenIn(Db.size());
-  std::vector<const Type *> RenOut(Db.size());
-  for (size_t K = 0; K < Db.size(); ++K) {
-    const ApiSig &Sig = Db.get(static_cast<ApiId>(K));
-    std::string Suffix = "a" + std::to_string(static_cast<ApiId>(K));
-    for (const Type *In : Sig.Inputs)
-      RenIn[K].push_back(renameVars(Arena, In, Suffix));
-    RenOut[K] = renameVars(Arena, Sig.Output, Suffix);
-  }
+  // The renames CrateAnalysis and Encoding::sync make too, so the probe
+  // keys below are the interned pointers the precomputed matrix holds.
+  std::vector<RenamedSig> Ren;
+  Ren.reserve(Db.size());
+  for (size_t K = 0; K < Db.size(); ++K)
+    Ren.push_back(renameSignature(Arena, Db.get(static_cast<ApiId>(K)),
+                                  static_cast<ApiId>(K)));
 
   // Producer-major enumeration yields the sorted (Producer, Consumer,
   // Slot) edge order directly - no post-sort, and the dense edge index
   // is its append position.
   for (size_t A = 0; A < Db.size(); ++A) {
     for (size_t B = 0; B < Db.size(); ++B) {
-      for (size_t J = 0; J < RenIn[B].size(); ++J) {
-        const Type *Pattern = RenIn[B][J];
-        if (!Cache.unifiable2(RenOut[A], Pattern))
+      for (size_t J = 0; J < Ren[B].Inputs.size(); ++J) {
+        const Type *Pattern = Ren[B].Inputs[J];
+        if (!Cache.unifiable2(Ren[A].Output, Pattern))
           continue;
         DependencyEdge E;
         E.Producer = static_cast<ApiId>(A);
         E.Consumer = static_cast<ApiId>(B);
         E.Slot = static_cast<int>(J);
         E.ByRef = Pattern->isRef();
-        E.Generic = !RenOut[A]->isConcrete() || !Pattern->isConcrete();
-        G.Index.emplace(
-            DependencyGraph::packKey(E.Producer, E.Consumer, E.Slot),
-            static_cast<int>(G.Edges.size()));
+        E.Generic = !Ren[A].Output->isConcrete() || !Pattern->isConcrete();
+        G.EdgeAt[G.row(E.Consumer, E.Slot) + A] =
+            static_cast<int>(G.Edges.size());
         G.Edges.push_back(E);
-        size_t Row = G.SlotBase[B] + J;
-        G.Bits[Row * G.WordsPerRow + A / 64] |= uint64_t(1) << (A % 64);
       }
     }
   }

@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace syrust::api {
@@ -70,35 +69,25 @@ public:
   const std::vector<DependencyEdge> &edges() const { return Edges; }
 
   /// Dense index of edge (Producer, Consumer, Slot) into edges(), or -1
-  /// when the graph has no such edge.
+  /// when the graph has no such edge. Ids past numNodes() (APIs that
+  /// refinement added after the graph froze) and slots the consumer
+  /// does not have also give -1.
   int edgeIndex(ApiId Producer, ApiId Consumer, int Slot) const {
-    auto It = Index.find(packKey(Producer, Consumer, Slot));
-    return It == Index.end() ? -1 : It->second;
+    if (Producer < 0 || Consumer < 0 ||
+        static_cast<size_t>(Producer) >= NumNodes ||
+        static_cast<size_t>(Consumer) >= NumNodes || Slot < 0 ||
+        static_cast<size_t>(Slot) >=
+            SlotBase[static_cast<size_t>(Consumer) + 1] -
+                SlotBase[static_cast<size_t>(Consumer)])
+      return -1;
+    return EdgeAt[row(Consumer, Slot) + static_cast<size_t>(Producer)];
   }
 
-  /// O(1) membership test over the same edge set as edgeIndex(), backed
-  /// by per-(consumer, slot) bitset rows over producer ids instead of a
-  /// hash probe. This is the encoder's pruning fast path: one bit test
-  /// replaces a CompatCache lookup, and by construction (the edge set is
+  /// The encoder's pruning probe. By construction (the edge set is
   /// exactly the probe-success set) the answer equals
   /// Cache.unifiable2(renamed output of Producer, renamed slot pattern).
   bool hasEdge(ApiId Producer, ApiId Consumer, int Slot) const {
-    size_t Row = static_cast<size_t>(SlotBase[static_cast<size_t>(Consumer)]) +
-                 static_cast<size_t>(Slot);
-    uint64_t Word =
-        Bits[Row * WordsPerRow + static_cast<size_t>(Producer) / 64];
-    return (Word >> (static_cast<size_t>(Producer) % 64)) & 1;
-  }
-
-  /// True when \p Consumer has at least one inbound producer for slot
-  /// \p Slot anywhere in the database (any bit set in the row).
-  bool slotHasProducer(ApiId Consumer, int Slot) const {
-    size_t Row = static_cast<size_t>(SlotBase[static_cast<size_t>(Consumer)]) +
-                 static_cast<size_t>(Slot);
-    for (size_t W = 0; W < WordsPerRow; ++W)
-      if (Bits[Row * WordsPerRow + W])
-        return true;
-    return false;
+    return edgeIndex(Producer, Consumer, Slot) >= 0;
   }
 
   /// Canonical one-line-per-edge rendering (golden tests): endpoint
@@ -110,31 +99,43 @@ private:
                                               types::TypeArena &Arena,
                                               types::CompatCache &Cache);
 
-  static uint64_t packKey(ApiId Producer, ApiId Consumer, int Slot) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(Producer)) << 40) |
-           (static_cast<uint64_t>(static_cast<uint32_t>(Consumer) &
-                                  0xffffff)
-            << 16) |
-           static_cast<uint64_t>(static_cast<uint32_t>(Slot) & 0xffff);
+  /// Start of the (Consumer, Slot) row in EdgeAt.
+  size_t row(ApiId Consumer, int Slot) const {
+    return (static_cast<size_t>(SlotBase[static_cast<size_t>(Consumer)]) +
+            static_cast<size_t>(Slot)) *
+           NumNodes;
   }
 
   size_t NumNodes = 0;
   std::vector<DependencyEdge> Edges;
-  std::unordered_map<uint64_t, int> Index;
 
-  /// Bitset adjacency: row r = SlotBase[Consumer] + Slot holds one bit
-  /// per producer id, WordsPerRow 64-bit words per row. SlotBase is the
-  /// prefix sum of input counts over consumer ids (one trailing total
-  /// entry), so rows for all (consumer, slot) pairs pack densely.
+  /// Adjacency: row r = SlotBase[Consumer] + Slot holds, per producer
+  /// id, that edge's index into Edges or -1. SlotBase is the prefix sum
+  /// of input counts over consumer ids (one trailing total entry), so
+  /// rows for all (consumer, slot) pairs pack densely.
   std::vector<uint32_t> SlotBase;
-  std::vector<uint64_t> Bits;
-  size_t WordsPerRow = 0;
+  std::vector<int> EdgeAt;
 };
 
+/// An API signature with its type variables renamed apart by the suffix
+/// "a<ApiId>".
+struct RenamedSig {
+  std::vector<const types::Type *> Inputs;
+  const types::Type *Output = nullptr;
+};
+
+/// Renames signature \p Id of a database, interning into \p Arena. The
+/// graph builder, core::CrateAnalysis and Encoding::sync all rename
+/// through this one function, so over one arena they agree on every
+/// renamed type pointer: that is what makes a graph edge exactly a
+/// successful encoder probe (DESIGN.md 5g).
+RenamedSig renameSignature(types::TypeArena &Arena, const ApiSig &Sig,
+                           ApiId Id);
+
 /// Builds the graph over every signature of \p Db. Signatures are
-/// renamed with the same "a<ApiId>" suffix Encoding::sync uses (interned
-/// into \p Arena, so inside core::CrateAnalysis the renames resolve to
-/// the already-interned pointers) and each candidate edge is one
+/// renamed with renameSignature (interned into \p Arena, so inside
+/// core::CrateAnalysis the renames resolve to the already-interned
+/// pointers) and each candidate edge is one
 /// \c unifiable2(renamed output, renamed slot pattern) probe through
 /// \p Cache - the exact probes of the precomputed per-slot matrix, so a
 /// build over a populated base cache adds no new entries.

@@ -14,9 +14,9 @@
 /// aggregate is byte-identical to an uninterrupted run's.
 ///
 /// Why cell granularity is sound: each cell is internally deterministic —
-/// its RNG is seeded from the cell's own seed and the blocked-model
-/// signatures are replayable (see sat/) — so an *unfinished* cell can
-/// simply be re-run from scratch and will reproduce the identical result.
+/// its RNG and its solvers are seeded from the cell's own seed and it
+/// runs on the simulated clock — so an *unfinished* cell can simply be
+/// re-run from scratch and will reproduce the identical result.
 /// The frontier therefore needs no mid-cell RNG or solver state: the set
 /// of finished indexes IS the checkpoint. Counter deltas ride along
 /// because the aggregate's `metrics` section sums per-stage counters

@@ -13,7 +13,6 @@
 #include "report/Table.h"
 #include "report/TraceReport.h"
 #include "support/StringUtils.h"
-#include "types/CompatCache.h"
 
 #include <sys/stat.h>
 
@@ -425,31 +424,19 @@ Response executeCoverage(const Session &S, const RequestSpec &Req) {
     return usageError(Req.Coverage.File + ": " + Err);
 
   // The never-covered listings need each crate's database and frozen
-  // dependency graph. Rebuild them from the bundled registry on demand
-  // (a fresh instance + a scratch compat cache per crate - cheap: only
-  // the pairwise probes the graph needs, never the joint matrix) and
-  // keep them alive for the duration of the render.
-  struct CrateModel {
-    std::unique_ptr<crates::CrateInstance> Inst;
-    api::DependencyGraph Graph;
-  };
-  std::map<std::string, CrateModel> Models;
+  // dependency graph: the Session's shared analysis holds both, kept
+  // alive here for the duration of the render.
+  std::map<std::string, std::shared_ptr<const core::CrateAnalysis>>
+      Analyses;
   CrateApiResolver Resolver =
       [&](const std::string &Name) -> CrateApiView {
-    auto It = Models.find(Name);
-    if (It == Models.end()) {
-      CrateModel M;
-      if (const crates::CrateSpec *Spec = S.find(Name)) {
-        M.Inst = Spec->instantiate();
-        types::CompatCache Scratch;
-        M.Graph = api::buildDependencyGraph(M.Inst->Db, M.Inst->Arena,
-                                            Scratch);
-      }
-      It = Models.emplace(Name, std::move(M)).first;
-    }
-    if (!It->second.Inst)
+    const crates::CrateSpec *Spec = S.find(Name);
+    if (!Spec)
       return {};
-    return {&It->second.Inst->Db, &It->second.Graph};
+    std::shared_ptr<const core::CrateAnalysis> &A = Analyses[Name];
+    if (!A)
+      A = S.analysisFor(*Spec);
+    return {&A->base().Db, &A->graph()};
   };
 
   CoverageReportOptions Opts;

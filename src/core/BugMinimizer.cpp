@@ -30,25 +30,10 @@ MinimizedBug syrust::core::minimizeBugProgram(CrateInstance &Inst,
   };
 
   MinimizedBug Result;
-  Result.Program = P;
+  // Statement drops only: Figure 7's minimized lengths are measured
+  // with drops alone, and rewiring arguments could move them.
+  Result.Program = shrink(P, Reproduces, /*Rewire=*/false);
   Result.Kind = Kind;
-
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    // Try dropping statements from the back (later statements are least
-    // likely to feed the bug's data flow).
-    for (size_t I = Result.Program.Stmts.size(); I-- > 0;) {
-      Program Candidate;
-      if (!removeStatement(Result.Program, I, Candidate))
-        continue;
-      if (!Reproduces(Candidate))
-        continue;
-      Result.Program = std::move(Candidate);
-      Progress = true;
-      break; // Restart: indices shifted.
-    }
-  }
   Result.Lines = static_cast<int>(Result.Program.Stmts.size());
   return Result;
 }

@@ -6,9 +6,6 @@
 
 #include "core/CrateAnalysis.h"
 
-#include "support/StringUtils.h"
-#include "types/Subtyping.h"
-
 #include <set>
 
 using namespace syrust;
@@ -33,19 +30,15 @@ CrateAnalysis::CrateAnalysis(const CrateSpec &Spec)
   const ApiDatabase &Db = Base->Db;
 
   // Rename every API's signature exactly as Encoding::sync will
-  // (suffix "a<ApiId>"), interning into the base arena: workers' overlay
-  // arenas resolve the same renames to these pointers, so their probes
-  // hit the matrix computed below. All APIs are covered, not just one
-  // run's 15-API selection - the matrix is selection-independent.
-  std::vector<std::vector<const Type *>> RenIn(Db.size());
-  std::vector<const Type *> RenOut(Db.size());
-  for (size_t K = 0; K < Db.size(); ++K) {
-    const ApiSig &Sig = Db.get(static_cast<ApiId>(K));
-    std::string Suffix = format("a%d", static_cast<ApiId>(K));
-    for (const Type *In : Sig.Inputs)
-      RenIn[K].push_back(renameVars(Arena, In, Suffix));
-    RenOut[K] = renameVars(Arena, Sig.Output, Suffix);
-  }
+  // (api::renameSignature), interning into the base arena: workers'
+  // overlay arenas resolve the same renames to these pointers, so their
+  // probes hit the matrix computed below. All APIs are covered, not just
+  // one run's 15-API selection - the matrix is selection-independent.
+  std::vector<RenamedSig> Ren;
+  Ren.reserve(Db.size());
+  for (size_t K = 0; K < Db.size(); ++K)
+    Ren.push_back(renameSignature(Arena, Db.get(static_cast<ApiId>(K)),
+                                  static_cast<ApiId>(K)));
 
   // The encoder-level cell-type universe: template input types, renamed
   // API outputs, and the builtin-derived types (&T and &mut T of every
@@ -62,7 +55,7 @@ CrateAnalysis::CrateAnalysis(const CrateSpec &Spec)
     AddCell(In.Ty);
   for (size_t K = 0; K < Db.size(); ++K)
     if (Db.get(static_cast<ApiId>(K)).Builtin == BuiltinKind::None)
-      AddCell(RenOut[K]);
+      AddCell(Ren[K].Output);
   for (size_t I = Cells.size(); I-- > 0;) {
     const Type *Ty = Cells[I];
     if (Ty->isRef())
@@ -74,12 +67,12 @@ CrateAnalysis::CrateAnalysis(const CrateSpec &Spec)
   // Per-slot matrix: every (cell type, renamed input pattern) pair the
   // call-site builder can probe.
   for (size_t K = 0; K < Db.size(); ++K)
-    for (const Type *Pattern : RenIn[K])
+    for (const Type *Pattern : Ren[K].Inputs)
       for (const Type *Ty : Cells)
         BaseCache.unifiable2(Ty, Pattern);
 
   // Producer/consumer graph over the same renamed signatures. Every
-  // probe it makes is (RenOut, Pattern) - a subset of the per-slot loop
+  // probe it makes is (renamed output, Pattern) - a subset of the per-slot loop
   // above, so this is pure cache hits: zero extra unification work.
   // Built before the joint loop so its MaxJointEntries early return
   // cannot leave the graph empty.
@@ -89,7 +82,7 @@ CrateAnalysis::CrateAnalysis(const CrateSpec &Spec)
   // least two inputs, every slot pair under every cell-type pair. The
   // builtins all take one input, so they never reach this loop.
   for (size_t K = 0; K < Db.size(); ++K) {
-    const std::vector<const Type *> &In = RenIn[K];
+    const std::vector<const Type *> &In = Ren[K].Inputs;
     for (size_t J1 = 0; J1 < In.size(); ++J1) {
       for (size_t J2 = J1 + 1; J2 < In.size(); ++J2) {
         for (const Type *T1 : Cells) {

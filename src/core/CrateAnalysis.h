@@ -17,9 +17,9 @@
 ///   * the base CrateInstance (arena, trait rules, API database,
 ///     semantics), frozen after construction;
 ///   * the renamed per-API signatures the encoder will request
-///     (renameVars with the same "a<ApiId>" suffix Encoding::sync uses),
-///     interned into the base arena so every worker's renames resolve to
-///     identical pointers;
+///     (api::renameSignature, as Encoding::sync renames), interned into
+///     the base arena so every worker's renames resolve to identical
+///     pointers;
 ///   * a precomputed CompatCache holding the slot-pairwise compatibility
 ///     matrix over the initial signatures - both the per-slot
 ///     "can this value feed this input" probes and the joint two-slot

@@ -43,53 +43,26 @@ struct TestRecord {
   std::string Message;         ///< Diagnostic / UB message.
 };
 
-/// Bounded store of per-test records plus lookup helpers.
+/// Bounded store of per-test records. RunResult counts every verdict;
+/// this keeps only the first records, up to a cap.
 class ResultDatabase {
 public:
-  /// \p Cap bounds retained records (0 disables retention; counters still
-  /// advance).
+  /// \p Cap bounds retained records (0 disables retention).
   explicit ResultDatabase(size_t Cap = 0) : Cap(Cap) {}
 
+  /// True while the cap has room; the driver builds a record only then.
+  bool wantsMore() const { return Records.size() < Cap; }
+
   void record(TestRecord R) {
-    ++Totals[static_cast<size_t>(R.Verdict)];
-    if (Records.size() < Cap)
+    if (wantsMore())
       Records.push_back(std::move(R));
   }
 
   const std::vector<TestRecord> &records() const { return Records; }
 
-  /// True while the cap has room; callers can skip rendering sources for
-  /// records that would be dropped anyway.
-  bool wantsMore() const { return Records.size() < Cap; }
-
-  uint64_t count(TestVerdict V) const {
-    return Totals[static_cast<size_t>(V)];
-  }
-  uint64_t total() const {
-    return Totals[0] + Totals[1] + Totals[2];
-  }
-
-  /// First retained record with the given verdict; nullptr if none.
-  const TestRecord *firstWith(TestVerdict V) const {
-    for (const TestRecord &R : Records)
-      if (R.Verdict == V)
-        return &R;
-    return nullptr;
-  }
-
-  /// True when a retained record has this program hash (deduplication
-  /// check used by tests).
-  bool contains(uint64_t Hash) const {
-    for (const TestRecord &R : Records)
-      if (R.Hash == Hash)
-        return true;
-    return false;
-  }
-
 private:
   size_t Cap;
   std::vector<TestRecord> Records;
-  uint64_t Totals[3] = {0, 0, 0};
 };
 
 } // namespace syrust::core

@@ -9,35 +9,58 @@
 #include "miri/Heap.h"
 #include "support/StringUtils.h"
 
+#include <utility>
+
 using namespace syrust;
 using namespace syrust::core;
 using namespace syrust::json;
 using namespace syrust::rustsim;
+using refine::RefinementStats;
+using synth::SynthStats;
 
 namespace {
 
-/// Every ErrorCategory, in enum order, for name -> value lookup.
-const ErrorCategory AllCategories[] = {
-    ErrorCategory::Type,
-    ErrorCategory::LifetimeOwnership,
-    ErrorCategory::Misc,
+// One table of (document key, field) rows per counter section:
+// resultToJson writes the section from it and resultFromJson reads the
+// section back from it, so each counter is declared once.
+
+/// The "synthesis" section's counters. The two *_wall_seconds fields are
+/// written by hand, under ResultJsonOptions::HostWallTime.
+const std::pair<const char *, uint64_t SynthStats::*> SynthKeys[] = {
+    {"emitted", &SynthStats::Emitted},
+    {"path_filtered", &SynthStats::PathFiltered},
+    {"duplicates_skipped", &SynthStats::DuplicatesSkipped},
+    {"hash_collisions", &SynthStats::HashCollisions},
+    {"rebuilds", &SynthStats::Rebuilds},
+    {"incremental_extends", &SynthStats::IncrementalExtends},
+    {"dead_length_revivals", &SynthStats::DeadLengthRevivals},
+    {"solve_calls", &SynthStats::SolveCalls},
+    {"solver_conflicts", &SynthStats::SolverConflicts},
+    {"solver_propagations", &SynthStats::SolverPropagations},
+    {"compat_cache_hits", &SynthStats::CompatHits},
+    {"compat_cache_base_hits", &SynthStats::CompatBaseHits},
+    {"compat_cache_misses", &SynthStats::CompatMisses},
+    {"portfolio_races", &SynthStats::PortfolioRaces},
+    {"portfolio_unsat_wins", &SynthStats::PortfolioUnsatWins},
+    {"portfolio_cancels", &SynthStats::PortfolioCancels},
+    {"prune_graph_probes", &SynthStats::PruneGraphProbes},
+    {"prune_fallback_probes", &SynthStats::PruneFallbackProbes},
+    {"prune_dead_sites", &SynthStats::PruneDeadSites},
+    {"prune_vars_avoided", &SynthStats::PruneVarsAvoided},
+    {"prune_clauses_avoided", &SynthStats::PruneClausesAvoided},
+    {"bias_picks", &SynthStats::BiasPicks},
+    {"bias_new_edges", &SynthStats::BiasNewEdges},
+    {"bias_decays", &SynthStats::BiasDecays},
 };
 
-/// Every ErrorDetail, in enum order, for name -> value lookup.
-const ErrorDetail AllDetails[] = {
-    ErrorDetail::None,          ErrorDetail::TraitBound,
-    ErrorDetail::Polymorphism,  ErrorDetail::DefaultTypeParam,
-    ErrorDetail::TypeMismatch,  ErrorDetail::Ownership,
-    ErrorDetail::Borrowing,     ErrorDetail::AnonLifetime,
-    ErrorDetail::Arity,         ErrorDetail::MethodNotFound,
-};
-
-/// Every UbKind, in enum order, for name -> value lookup.
-const miri::UbKind AllUbKinds[] = {
-    miri::UbKind::None,          miri::UbKind::MemoryLeak,
-    miri::UbKind::DanglingPointer, miri::UbKind::UseAfterFree,
-    miri::UbKind::OutOfBoundsPointer, miri::UbKind::DoubleFree,
-    miri::UbKind::InvalidBorrow,
+/// The "refinement" section's counters.
+const std::pair<const char *, uint64_t RefinementStats::*> RefineKeys[] = {
+    {"eager_concretizations", &RefinementStats::EagerConcretizations},
+    {"trait_removals", &RefinementStats::TraitRemovals},
+    {"combo_blocks", &RefinementStats::ComboBlocks},
+    {"output_duplications", &RefinementStats::OutputDuplications},
+    {"direct_fixes", &RefinementStats::DirectFixes},
+    {"bans", &RefinementStats::Bans},
 };
 
 } // namespace
@@ -125,63 +148,8 @@ json::Value syrust::core::resultToJson(const RunResult &R,
   Root.set("bug", std::move(Bug));
 
   Value Synth = Value::object();
-  Synth.set("emitted", Value::integer(static_cast<int64_t>(R.Synth.Emitted)));
-  Synth.set("path_filtered",
-            Value::integer(static_cast<int64_t>(R.Synth.PathFiltered)));
-  Synth.set("duplicates_skipped",
-            Value::integer(static_cast<int64_t>(R.Synth.DuplicatesSkipped)));
-  Synth.set("hash_collisions",
-            Value::integer(static_cast<int64_t>(R.Synth.HashCollisions)));
-  Synth.set("rebuilds",
-            Value::integer(static_cast<int64_t>(R.Synth.Rebuilds)));
-  Synth.set("incremental_extends",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.IncrementalExtends)));
-  Synth.set("dead_length_revivals",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.DeadLengthRevivals)));
-  Synth.set("solve_calls",
-            Value::integer(static_cast<int64_t>(R.Synth.SolveCalls)));
-  Synth.set("solver_conflicts",
-            Value::integer(static_cast<int64_t>(R.Synth.SolverConflicts)));
-  Synth.set("solver_propagations",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.SolverPropagations)));
-  Synth.set("compat_cache_hits",
-            Value::integer(static_cast<int64_t>(R.Synth.CompatHits)));
-  Synth.set("compat_cache_base_hits",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.CompatBaseHits)));
-  Synth.set("compat_cache_misses",
-            Value::integer(static_cast<int64_t>(R.Synth.CompatMisses)));
-  Synth.set("portfolio_races",
-            Value::integer(static_cast<int64_t>(R.Synth.PortfolioRaces)));
-  Synth.set("portfolio_unsat_wins",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.PortfolioUnsatWins)));
-  Synth.set("portfolio_cancels",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.PortfolioCancels)));
-  Synth.set("prune_graph_probes",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.PruneGraphProbes)));
-  Synth.set("prune_fallback_probes",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.PruneFallbackProbes)));
-  Synth.set("prune_dead_sites",
-            Value::integer(static_cast<int64_t>(R.Synth.PruneDeadSites)));
-  Synth.set("prune_vars_avoided",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.PruneVarsAvoided)));
-  Synth.set("prune_clauses_avoided",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.PruneClausesAvoided)));
-  Synth.set("bias_picks",
-            Value::integer(static_cast<int64_t>(R.Synth.BiasPicks)));
-  Synth.set("bias_new_edges",
-            Value::integer(static_cast<int64_t>(R.Synth.BiasNewEdges)));
-  Synth.set("bias_decays",
-            Value::integer(static_cast<int64_t>(R.Synth.BiasDecays)));
+  for (const auto &[Key, Field] : SynthKeys)
+    Synth.set(Key, Value::integer(static_cast<int64_t>(R.Synth.*Field)));
   if (Opts.HostWallTime) {
     Synth.set("build_wall_seconds", Value::number(R.Synth.BuildSeconds));
     Synth.set("solve_wall_seconds", Value::number(R.Synth.SolveSeconds));
@@ -189,19 +157,8 @@ json::Value syrust::core::resultToJson(const RunResult &R,
   Root.set("synthesis", std::move(Synth));
 
   Value Refine = Value::object();
-  Refine.set("eager_concretizations",
-             Value::integer(
-                 static_cast<int64_t>(R.Refine.EagerConcretizations)));
-  Refine.set("trait_removals",
-             Value::integer(static_cast<int64_t>(R.Refine.TraitRemovals)));
-  Refine.set("combo_blocks",
-             Value::integer(static_cast<int64_t>(R.Refine.ComboBlocks)));
-  Refine.set("output_duplications",
-             Value::integer(
-                 static_cast<int64_t>(R.Refine.OutputDuplications)));
-  Refine.set("direct_fixes",
-             Value::integer(static_cast<int64_t>(R.Refine.DirectFixes)));
-  Refine.set("bans", Value::integer(static_cast<int64_t>(R.Refine.Bans)));
+  for (const auto &[Key, Field] : RefineKeys)
+    Refine.set(Key, Value::integer(static_cast<int64_t>(R.Refine.*Field)));
   Root.set("refinement", std::move(Refine));
   return Root;
 }
@@ -266,33 +223,6 @@ private:
   const Value &V;
   std::string &Err;
 };
-
-bool categoryFromName(const std::string &Name, ErrorCategory &Out) {
-  for (ErrorCategory C : AllCategories)
-    if (Name == categoryName(C)) {
-      Out = C;
-      return true;
-    }
-  return false;
-}
-
-bool detailFromName(const std::string &Name, ErrorDetail &Out) {
-  for (ErrorDetail D : AllDetails)
-    if (Name == detailName(D)) {
-      Out = D;
-      return true;
-    }
-  return false;
-}
-
-bool ubKindFromName(const std::string &Name, miri::UbKind &Out) {
-  for (miri::UbKind K : AllUbKinds)
-    if (Name == miri::ubKindName(K)) {
-      Out = K;
-      return true;
-    }
-  return false;
-}
 
 } // namespace
 
@@ -382,7 +312,7 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
     Fields B(*Bug, Err);
     Out.BugFound = B.boolean("found");
     if (Out.BugFound) {
-      if (!ubKindFromName(B.str("kind"), Out.FirstBug.Kind)) {
+      if (!miri::ubKindFromName(B.str("kind"), Out.FirstBug.Kind)) {
         if (Err.empty())
           Err = "unknown UB kind '" + Bug->get("kind").asString() + "'";
         return false;
@@ -402,30 +332,8 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
 
   if (const Value *Synth = F.object("synthesis")) {
     Fields S(*Synth, Err);
-    Out.Synth.Emitted = S.u64("emitted");
-    Out.Synth.PathFiltered = S.u64("path_filtered");
-    Out.Synth.DuplicatesSkipped = S.u64("duplicates_skipped");
-    Out.Synth.HashCollisions = S.u64("hash_collisions");
-    Out.Synth.Rebuilds = S.u64("rebuilds");
-    Out.Synth.IncrementalExtends = S.u64("incremental_extends");
-    Out.Synth.DeadLengthRevivals = S.u64("dead_length_revivals");
-    Out.Synth.SolveCalls = S.u64("solve_calls");
-    Out.Synth.SolverConflicts = S.u64("solver_conflicts");
-    Out.Synth.SolverPropagations = S.u64("solver_propagations");
-    Out.Synth.CompatHits = S.u64("compat_cache_hits");
-    Out.Synth.CompatBaseHits = S.u64("compat_cache_base_hits");
-    Out.Synth.CompatMisses = S.u64("compat_cache_misses");
-    Out.Synth.PortfolioRaces = S.u64("portfolio_races");
-    Out.Synth.PortfolioUnsatWins = S.u64("portfolio_unsat_wins");
-    Out.Synth.PortfolioCancels = S.u64("portfolio_cancels");
-    Out.Synth.PruneGraphProbes = S.u64("prune_graph_probes");
-    Out.Synth.PruneFallbackProbes = S.u64("prune_fallback_probes");
-    Out.Synth.PruneDeadSites = S.u64("prune_dead_sites");
-    Out.Synth.PruneVarsAvoided = S.u64("prune_vars_avoided");
-    Out.Synth.PruneClausesAvoided = S.u64("prune_clauses_avoided");
-    Out.Synth.BiasPicks = S.u64("bias_picks");
-    Out.Synth.BiasNewEdges = S.u64("bias_new_edges");
-    Out.Synth.BiasDecays = S.u64("bias_decays");
+    for (const auto &[Key, Field] : SynthKeys)
+      Out.Synth.*Field = S.u64(Key);
     // Wall-time diagnostics are optional (campaign aggregates strip
     // them); absent means zero.
     if (Synth->has("build_wall_seconds"))
@@ -436,12 +344,8 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
 
   if (const Value *Refine = F.object("refinement")) {
     Fields R(*Refine, Err);
-    Out.Refine.EagerConcretizations = R.u64("eager_concretizations");
-    Out.Refine.TraitRemovals = R.u64("trait_removals");
-    Out.Refine.ComboBlocks = R.u64("combo_blocks");
-    Out.Refine.OutputDuplications = R.u64("output_duplications");
-    Out.Refine.DirectFixes = R.u64("direct_fixes");
-    Out.Refine.Bans = R.u64("bans");
+    for (const auto &[Key, Field] : RefineKeys)
+      Out.Refine.*Field = R.u64(Key);
   }
   return F.ok();
 }

@@ -366,6 +366,8 @@ RunResult SyRustDriver::run() {
     bool DbChanged = false;
     auto Record = [&](TestVerdict Verdict, ErrorDetail Detail,
                       miri::UbKind Ub, const std::string &Message) {
+      if (!Result.Db.wantsMore())
+        return;
       TestRecord Rec;
       Rec.Hash = P->hash();
       Rec.Lines = static_cast<int>(P->Stmts.size());
@@ -374,8 +376,7 @@ RunResult SyRustDriver::run() {
       Rec.Detail = Detail;
       Rec.Ub = Ub;
       Rec.Message = Message;
-      if (Result.Db.wantsMore())
-        Rec.Source = P->render(Inst.Db);
+      Rec.Source = P->render(Inst.Db);
       Result.Db.record(std::move(Rec));
     };
     if (!Compiled.Success) {

@@ -61,10 +61,12 @@ struct RunConfig {
   /// bugs"). Off reproduces the paper's fixed-input setup.
   bool MutateInputs = false;
 
-  /// Additive database refinements extend the live SAT encodings in
-  /// place and blocked models persist across rebuilds, so the solver
-  /// never re-walks already-emitted programs. Off = the historical
-  /// rebuild-the-world refinement path (kept for A/B comparison).
+  /// Database refinements extend the live SAT encodings in place, so
+  /// the blocking clause of every emitted program stays in its solver
+  /// and the solver never re-walks it. Off = the historical
+  /// rebuild-the-world refinement path (kept for A/B comparison): each
+  /// rebuilt encoding re-emits earlier programs, which SeenPrograms
+  /// drops.
   bool IncrementalRefinement = true;
 
   /// Polymorphism strategy; PurelyEager = the RQ3 variant.
@@ -115,8 +117,8 @@ struct RunConfig {
   bool MinimizeBugs = false;
 
   /// Graph-guided encoding pruning: the encoder answers candidate
-  /// probes from the frozen dependency graph's bitset rows (an O(1) bit
-  /// test instead of a CompatCache lookup). The graph's edge set is
+  /// probes from the frozen dependency graph's edge table (an O(1) read
+  /// instead of a CompatCache lookup). The graph's edge set is
   /// exactly the probe-success set, so program streams and all result
   /// documents are byte-identical on/off - only throughput and the
   /// prune.* probe-split counters change (--no-graph-prune is the
@@ -208,7 +210,7 @@ struct RunResult {
   double ElapsedSeconds = 0;
 
   /// Algorithm 1's database of programs and results (populated when
-  /// RunConfig::RecordTests > 0; counters always advance).
+  /// RunConfig::RecordTests > 0; the counters above count every verdict).
   ResultDatabase Db;
 
   double rejectedPercent() const {

@@ -148,11 +148,8 @@ ApiPairCoverage::markProgram(const Program &P, const ApiDatabase &Db) {
       if (Arg < NumInputs)
         continue; // Template input, not a producer/consumer edge.
       const Stmt &ProducerStmt = P.Stmts[static_cast<size_t>(Arg - NumInputs)];
-      const ApiId Producer = canonicalApi(Db, ProducerStmt.Api);
-      const int Idx =
-          Producer < 0
-              ? -1
-              : Graph.edgeIndex(Producer, Consumer, static_cast<int>(J));
+      const int Idx = Graph.edgeIndex(canonicalApi(Db, ProducerStmt.Api),
+                                      Consumer, static_cast<int>(J));
       if (Idx < 0) {
         ++Delta.Unmatched;
         continue;

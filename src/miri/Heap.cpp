@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 using namespace syrust;
 using namespace syrust::miri;
@@ -32,6 +33,20 @@ const char *syrust::miri::ubKindName(UbKind K) {
     return "invalid-borrow";
   }
   return "?";
+}
+
+// The kinds run from 0 up to the first value the name switch does not
+// know, so walking the switch finds every name.
+bool syrust::miri::ubKindFromName(const std::string &Name, UbKind &Out) {
+  for (uint8_t I = 0;; ++I) {
+    const char *Candidate = ubKindName(UbKind(I));
+    if (std::strcmp(Candidate, "?") == 0)
+      return false;
+    if (Name == Candidate) {
+      Out = UbKind(I);
+      return true;
+    }
+  }
 }
 
 int AbstractHeap::allocate(size_t Size, std::string Note) {

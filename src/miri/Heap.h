@@ -36,6 +36,8 @@ enum class UbKind : uint8_t {
 };
 
 const char *ubKindName(UbKind K);
+/// The inverse of ubKindName. False when \p Name names no kind.
+bool ubKindFromName(const std::string &Name, UbKind &Out);
 
 /// A flagged undefined behavior.
 struct UbReport {

@@ -67,18 +67,8 @@ AuditRunResult syrust::oracle::runAudit(
 
   // Merge in matrix order - completion order must never leak into the
   // aggregate.
-  for (const AuditJobResult &JR : Result.Jobs) {
-    const AuditResult &R = JR.Result;
-    Result.Totals.ModelsReplayed += R.ModelsReplayed;
-    Result.Totals.AgreePass += R.AgreePass;
-    Result.Totals.AgreeReject += R.AgreeReject;
-    Result.Totals.ExpectedTotal += R.ExpectedTotal;
-    Result.Totals.UnexpectedTotal += R.UnexpectedTotal;
-    Result.Totals.FilteredCompilable += R.FilteredCompilable;
-    Result.Totals.MinimizerSteps += R.MinimizerSteps;
-    for (const auto &[Det, N] : R.Expected)
-      Result.Totals.Expected[Det] += N;
-  }
+  for (const AuditJobResult &JR : Result.Jobs)
+    Result.Totals += JR.Result;
   Result.ApiCoverage = campaign::mergeApiCoverage(Spec.Crates, Result.Jobs,
                                                   Result.MergedCounters);
   campaign::addWorkerCounters(Recorders, Result.MergedCounters);
@@ -87,28 +77,31 @@ AuditRunResult syrust::oracle::runAudit(
 
 namespace {
 
-json::Value auditResultToJson(const AuditResult &R) {
+/// The count keys of each job's result and of the totals.
+const std::pair<const char *, uint64_t AuditCounts::*> CountKeys[] = {
+    {"models_replayed", &AuditCounts::ModelsReplayed},
+    {"agree_pass", &AuditCounts::AgreePass},
+    {"agree_reject", &AuditCounts::AgreeReject},
+    {"expected_total", &AuditCounts::ExpectedTotal},
+    {"unexpected_total", &AuditCounts::UnexpectedTotal},
+    {"filtered_compilable", &AuditCounts::FilteredCompilable},
+    {"minimizer_steps", &AuditCounts::MinimizerSteps},
+};
+
+json::Value countsToJson(const AuditCounts &C) {
   Value Doc = Value::object();
-  Doc.set("supported", Value::boolean(R.Supported));
-  Doc.set("models_replayed",
-          Value::integer(static_cast<int64_t>(R.ModelsReplayed)));
-  Doc.set("agree_pass",
-          Value::integer(static_cast<int64_t>(R.AgreePass)));
-  Doc.set("agree_reject",
-          Value::integer(static_cast<int64_t>(R.AgreeReject)));
-  Doc.set("expected_total",
-          Value::integer(static_cast<int64_t>(R.ExpectedTotal)));
-  Doc.set("unexpected_total",
-          Value::integer(static_cast<int64_t>(R.UnexpectedTotal)));
-  Doc.set("filtered_compilable",
-          Value::integer(static_cast<int64_t>(R.FilteredCompilable)));
-  Doc.set("minimizer_steps",
-          Value::integer(static_cast<int64_t>(R.MinimizerSteps)));
+  for (const auto &[Key, Field] : CountKeys)
+    Doc.set(Key, Value::integer(static_cast<int64_t>(C.*Field)));
   Value Expected = Value::object();
-  for (const auto &[Det, N] : R.Expected)
-    Expected.set(detailName(Det),
-                 Value::integer(static_cast<int64_t>(N)));
+  for (const auto &[Det, N] : C.Expected)
+    Expected.set(detailName(Det), Value::integer(static_cast<int64_t>(N)));
   Doc.set("expected_by_detail", std::move(Expected));
+  return Doc;
+}
+
+json::Value auditResultToJson(const AuditResult &R) {
+  Value Doc = countsToJson(R);
+  Doc.set("supported", Value::boolean(R.Supported));
   Value Unexpected = Value::array();
   for (const Disagreement &D : R.Unexpected) {
     Value Repro = Value::object();
@@ -168,32 +161,7 @@ json::Value syrust::oracle::auditToJson(const AuditSpec &Spec,
   }
   Root.set("jobs", std::move(Jobs));
 
-  Value Totals = Value::object();
-  Totals.set("models_replayed",
-             Value::integer(
-                 static_cast<int64_t>(R.Totals.ModelsReplayed)));
-  Totals.set("agree_pass",
-             Value::integer(static_cast<int64_t>(R.Totals.AgreePass)));
-  Totals.set("agree_reject",
-             Value::integer(static_cast<int64_t>(R.Totals.AgreeReject)));
-  Totals.set("expected_total",
-             Value::integer(
-                 static_cast<int64_t>(R.Totals.ExpectedTotal)));
-  Totals.set("unexpected_total",
-             Value::integer(
-                 static_cast<int64_t>(R.Totals.UnexpectedTotal)));
-  Totals.set("filtered_compilable",
-             Value::integer(
-                 static_cast<int64_t>(R.Totals.FilteredCompilable)));
-  Totals.set("minimizer_steps",
-             Value::integer(
-                 static_cast<int64_t>(R.Totals.MinimizerSteps)));
-  Value Expected = Value::object();
-  for (const auto &[Det, N] : R.Totals.Expected)
-    Expected.set(detailName(Det),
-                 Value::integer(static_cast<int64_t>(N)));
-  Totals.set("expected_by_detail", std::move(Expected));
-  Root.set("totals", std::move(Totals));
+  Root.set("totals", countsToJson(R.Totals));
   campaign::setMergedSections(Root, R.ApiCoverage, R.MergedCounters);
   return Root;
 }

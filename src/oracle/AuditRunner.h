@@ -58,22 +58,11 @@ struct AuditJobResult {
   AuditResult Result;
 };
 
-/// Audit-wide sums, accumulated in matrix order.
-struct AuditTotals {
-  uint64_t ModelsReplayed = 0;
-  uint64_t AgreePass = 0;
-  uint64_t AgreeReject = 0;
-  uint64_t ExpectedTotal = 0;
-  uint64_t UnexpectedTotal = 0;
-  uint64_t FilteredCompilable = 0;
-  uint64_t MinimizerSteps = 0;
-  std::map<rustsim::ErrorDetail, uint64_t> Expected;
-};
-
 /// Everything an audit run produces.
 struct AuditRunResult {
   std::vector<AuditJobResult> Jobs; ///< Matrix order.
-  AuditTotals Totals;
+  /// Audit-wide sums, accumulated in matrix order.
+  AuditCounts Totals;
   /// Final per-worker metric counters summed across the pool. Integer
   /// sums commute, so these totals are identical for any worker count.
   std::map<std::string, uint64_t> MergedCounters;

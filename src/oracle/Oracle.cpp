@@ -44,6 +44,19 @@ std::vector<std::string> OracleConfig::validate() const {
   return Errors;
 }
 
+AuditCounts &AuditCounts::operator+=(const AuditCounts &Other) {
+  ModelsReplayed += Other.ModelsReplayed;
+  AgreePass += Other.AgreePass;
+  AgreeReject += Other.AgreeReject;
+  ExpectedTotal += Other.ExpectedTotal;
+  UnexpectedTotal += Other.UnexpectedTotal;
+  FilteredCompilable += Other.FilteredCompilable;
+  MinimizerSteps += Other.MinimizerSteps;
+  for (const auto &[Det, N] : Other.Expected)
+    Expected[Det] += N;
+  return *this;
+}
+
 bool syrust::oracle::isExpectedDetail(ErrorDetail Detail) {
   switch (Detail) {
   case ErrorDetail::TraitBound:
@@ -67,74 +80,19 @@ bool syrust::oracle::isExpectedDetail(ErrorDetail Detail) {
   return false;
 }
 
-namespace {
-
-/// Declared type of \p V in \p P: the template input type or the
-/// synthesizer-predicted output type of its defining line.
-const types::Type *declaredType(const Program &P, VarId V) {
-  size_t Idx = static_cast<size_t>(V);
-  if (Idx < P.Inputs.size())
-    return P.Inputs[Idx].Ty;
-  return P.Stmts[Idx - P.Inputs.size()].DeclType;
-}
-
-} // namespace
-
 MinimizedDisagreement syrust::oracle::minimizeDisagreement(
     types::TypeArena &Arena, const types::TraitEnv &Traits,
     const ApiDatabase &Db, const Program &P, ErrorDetail Detail) {
   Checker Check(Arena, Traits);
   MinimizedDisagreement Min;
-  Min.Program = P;
-
-  auto StillFails = [&](const Program &Candidate) {
-    ++Min.Steps;
-    CompileResult R = Check.check(Candidate, Db);
-    return !R.Success && R.Diag.Detail == Detail;
-  };
-
-  // Greedy fixpoint. Each accepted move strictly shrinks the program
-  // (fewer lines, or a lexicographically smaller argument vector), so
-  // the restart loop terminates.
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    // Move 1: drop a statement, back to front (later lines are the
-    // likeliest padding; removeStatement refuses when the output is
-    // still used).
-    for (size_t I = Min.Program.Stmts.size(); I-- > 0;) {
-      Program Smaller;
-      if (!removeStatement(Min.Program, I, Smaller))
-        continue;
-      if (StillFails(Smaller)) {
-        Min.Program = std::move(Smaller);
-        Progress = true;
-        break;
-      }
-    }
-    if (Progress)
-      continue;
-    // Move 2: rewire an argument to an earlier variable of the same
-    // declared type. This unpins dependency chains so a later drop pass
-    // can remove the now-unused producer line.
-    for (size_t I = 0; I < Min.Program.Stmts.size() && !Progress; ++I) {
-      Stmt &S = Min.Program.Stmts[I];
-      for (size_t J = 0; J < S.Args.size() && !Progress; ++J) {
-        const types::Type *Want = declaredType(Min.Program, S.Args[J]);
-        for (VarId B = 0; B < S.Args[J]; ++B) {
-          if (declaredType(Min.Program, B) != Want)
-            continue;
-          Program Rewired = Min.Program;
-          Rewired.Stmts[I].Args[J] = B;
-          if (StillFails(Rewired)) {
-            Min.Program = std::move(Rewired);
-            Progress = true;
-            break;
-          }
-        }
-      }
-    }
-  }
+  Min.Program = shrink(
+      P,
+      [&](const Program &Candidate) {
+        ++Min.Steps;
+        CompileResult R = Check.check(Candidate, Db);
+        return !R.Success && R.Diag.Detail == Detail;
+      },
+      /*Rewire=*/true);
   return Min;
 }
 

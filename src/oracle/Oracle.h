@@ -74,8 +74,8 @@ struct OracleConfig {
   refine::RefinementMode Mode = refine::RefinementMode::Hybrid;
   /// Cap on eager instantiations per API (matches RunConfig).
   size_t EagerCap = 48;
-  /// Answer encoder candidate probes from the dependency graph's bitset
-  /// instead of CompatCache lookups (matches RunConfig::GraphPrune; the
+  /// Answer encoder candidate probes from the dependency graph's edge
+  /// table instead of CompatCache lookups (matches RunConfig::GraphPrune; the
   /// audited stream is byte-identical either way).
   bool GraphPrune = true;
   /// Race the solver-strategy portfolio during the audited enumeration
@@ -122,12 +122,9 @@ struct Disagreement {
   uint64_t MinimizerSteps = 0; ///< Candidate checks the shrink cost.
 };
 
-/// Everything one (crate, seed) audit produces. Deliberately free of
-/// host wall time and scheduling artifacts.
-struct AuditResult {
-  std::string Crate;
-  uint64_t Seed = 0;
-  bool Supported = true;
+/// The classification counts of one audit, or of a whole matrix
+/// (AuditRunResult::Totals sums its jobs with +=).
+struct AuditCounts {
   uint64_t ModelsReplayed = 0;
   uint64_t AgreePass = 0;
   uint64_t AgreeReject = 0;
@@ -138,6 +135,16 @@ struct AuditResult {
   /// Expected disagreements by checker detail (the refinement diet's
   /// composition; std::map so serialization order is deterministic).
   std::map<rustsim::ErrorDetail, uint64_t> Expected;
+
+  AuditCounts &operator+=(const AuditCounts &Other);
+};
+
+/// Everything one (crate, seed) audit produces. Deliberately free of
+/// host wall time and scheduling artifacts.
+struct AuditResult : AuditCounts {
+  std::string Crate;
+  uint64_t Seed = 0;
+  bool Supported = true;
   /// Minimized repro per unexpected disagreement, in emission order.
   std::vector<Disagreement> Unexpected;
   /// API-pair coverage of the audited (emitted) stream over the crate's
@@ -153,12 +160,9 @@ struct MinimizedDisagreement {
 };
 
 /// Delta-debugs \p P down to a minimal program that still makes the
-/// checker reject with exactly \p Detail. Two shrink moves iterated to
-/// fixpoint: drop a statement (back to front, via
-/// program::removeStatement), and substitute an argument with an
-/// earlier variable of the same declared type. Every accepted move
-/// strictly shrinks (line count, then argument indices), so the loop
-/// terminates. Precondition: the checker rejects \p P with \p Detail.
+/// checker reject with exactly \p Detail: program::shrink with both of
+/// its moves, statement drops and argument rewiring. Precondition: the
+/// checker rejects \p P with \p Detail.
 MinimizedDisagreement minimizeDisagreement(types::TypeArena &Arena,
                                            const types::TraitEnv &Traits,
                                            const api::ApiDatabase &Db,

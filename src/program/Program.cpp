@@ -93,3 +93,52 @@ bool syrust::program::removeStatement(const Program &P, size_t Drop,
   }
   return true;
 }
+
+const types::Type *syrust::program::declaredType(const Program &P, VarId V) {
+  size_t Idx = static_cast<size_t>(V);
+  if (Idx < P.Inputs.size())
+    return P.Inputs[Idx].Ty;
+  return P.Stmts[Idx - P.Inputs.size()].DeclType;
+}
+
+Program syrust::program::shrink(
+    const Program &P, const std::function<bool(const Program &)> &Keep,
+    bool Rewire) {
+  Program Min = P;
+  bool Progress = true;
+  while (Progress) {
+    Progress = false;
+    // Drop a statement, back to front: later lines are the likeliest
+    // padding. Restart after each kept drop, since indices shifted.
+    for (size_t I = Min.Stmts.size(); I-- > 0;) {
+      Program Smaller;
+      if (!removeStatement(Min, I, Smaller) || !Keep(Smaller))
+        continue;
+      Min = std::move(Smaller);
+      Progress = true;
+      break;
+    }
+    if (Progress || !Rewire)
+      continue;
+    // Rewire an argument to an earlier variable of the same declared
+    // type.
+    for (size_t I = 0; I < Min.Stmts.size() && !Progress; ++I) {
+      for (size_t J = 0; J < Min.Stmts[I].Args.size() && !Progress; ++J) {
+        const VarId Arg = Min.Stmts[I].Args[J];
+        const types::Type *Want = declaredType(Min, Arg);
+        for (VarId B = 0; B < Arg; ++B) {
+          if (declaredType(Min, B) != Want)
+            continue;
+          Program Rewired = Min;
+          Rewired.Stmts[I].Args[J] = B;
+          if (Keep(Rewired)) {
+            Min = std::move(Rewired);
+            Progress = true;
+            break;
+          }
+        }
+      }
+    }
+  }
+  return Min;
+}

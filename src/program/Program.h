@@ -24,6 +24,7 @@
 #include "types/Type.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -64,16 +65,33 @@ struct Program {
   /// Renders the body of the test function as Rust source.
   std::string render(const api::ApiDatabase &Db) const;
 
-  /// Structural hash over APIs and argument wiring (used by the result
-  /// database to deduplicate).
+  /// Structural hash over APIs and argument wiring (synth::SeenPrograms
+  /// buckets by it; result database records carry it).
   uint64_t hash() const;
 };
 
 /// Builds \p P without statement \p Drop into \p Out, renumbering later
 /// output variables. Returns false when a later statement uses the
-/// dropped output (removal impossible). Shared by the delta-debugging
-/// minimizers (core::BugMinimizer, oracle::minimizeDisagreement).
+/// dropped output (removal impossible).
 bool removeStatement(const Program &P, size_t Drop, Program &Out);
+
+/// Declared type of \p V in \p P: the template input type or the
+/// synthesizer-predicted output type of its defining line.
+const types::Type *declaredType(const Program &P, VarId V);
+
+/// The delta-debugging loop of both minimizers (core::minimizeBugProgram,
+/// oracle::minimizeDisagreement): shrinks \p P while \p Keep accepts the
+/// smaller program. Moves, iterated to a fixpoint: drop a statement,
+/// back to front (removeStatement); with \p Rewire, when no drop is
+/// kept, substitute an argument with an earlier variable of the same
+/// declared type, which unpins dependency chains so a later drop can
+/// remove the now-unused producer line. Every kept move strictly
+/// shrinks the program (line count, then argument indices), so the loop
+/// terminates. \p Keep is called once per candidate, in a deterministic
+/// order.
+Program shrink(const Program &P,
+               const std::function<bool(const Program &)> &Keep,
+               bool Rewire);
 
 } // namespace syrust::program
 

@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <cassert>
+#include <cstring>
 #include <set>
 
 using namespace syrust;
@@ -73,6 +74,34 @@ const char *syrust::rustsim::detailName(ErrorDetail D) {
     return "method-not-found";
   }
   return "?";
+}
+
+// The enumerators run from 0 up to the first value the name switch does
+// not know, so walking the switch finds every name.
+bool syrust::rustsim::categoryFromName(const std::string &Name,
+                                       ErrorCategory &Out) {
+  for (uint8_t I = 0;; ++I) {
+    const char *Candidate = categoryName(ErrorCategory(I));
+    if (std::strcmp(Candidate, "?") == 0)
+      return false;
+    if (Name == Candidate) {
+      Out = ErrorCategory(I);
+      return true;
+    }
+  }
+}
+
+bool syrust::rustsim::detailFromName(const std::string &Name,
+                                     ErrorDetail &Out) {
+  for (uint8_t I = 0;; ++I) {
+    const char *Candidate = detailName(ErrorDetail(I));
+    if (std::strcmp(Candidate, "?") == 0)
+      return false;
+    if (Name == Candidate) {
+      Out = ErrorDetail(I);
+      return true;
+    }
+  }
 }
 
 namespace {

@@ -88,6 +88,11 @@ struct CompileResult {
 const char *categoryName(ErrorCategory C);
 const char *detailName(ErrorDetail D);
 
+/// The inverses of categoryName and detailName, for documents and wire
+/// messages that carry the names. False when \p Name names no value.
+bool categoryFromName(const std::string &Name, ErrorCategory &Out);
+bool detailFromName(const std::string &Name, ErrorDetail &Out);
+
 } // namespace syrust::rustsim
 
 #endif // SYRUST_RUSTSIM_DIAGNOSTIC_H

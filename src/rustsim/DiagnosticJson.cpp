@@ -14,27 +14,6 @@ using namespace syrust::json;
 using namespace syrust::rustsim;
 using namespace syrust::types;
 
-namespace {
-
-const char *detailTag(ErrorDetail D) { return detailName(D); }
-
-ErrorDetail detailFromTag(const std::string &Tag, bool &Ok) {
-  Ok = true;
-  static const ErrorDetail All[] = {
-      ErrorDetail::None,          ErrorDetail::TraitBound,
-      ErrorDetail::Polymorphism,  ErrorDetail::DefaultTypeParam,
-      ErrorDetail::TypeMismatch,  ErrorDetail::Ownership,
-      ErrorDetail::Borrowing,     ErrorDetail::AnonLifetime,
-      ErrorDetail::Arity,         ErrorDetail::MethodNotFound};
-  for (ErrorDetail D : All)
-    if (Tag == detailName(D))
-      return D;
-  Ok = false;
-  return ErrorDetail::None;
-}
-
-} // namespace
-
 std::string syrust::rustsim::diagnosticToJson(const Diagnostic &D) {
   // Shaped like a (simplified) cargo compiler-message record.
   Value Msg = Value::object();
@@ -42,7 +21,7 @@ std::string syrust::rustsim::diagnosticToJson(const Diagnostic &D) {
   Msg.set("level", Value::string("error"));
   Msg.set("message", Value::string(D.Message));
   Msg.set("category", Value::string(categoryName(D.Category)));
-  Msg.set("detail", Value::string(detailTag(D.Detail)));
+  Msg.set("detail", Value::string(detailName(D.Detail)));
   Msg.set("line", Value::integer(D.Line));
   Msg.set("api", Value::integer(D.Api));
 
@@ -78,10 +57,8 @@ bool syrust::rustsim::diagnosticFromJson(const std::string &Text,
     Error = "not a compiler-message record";
     return false;
   }
-  bool TagOk = false;
   Out = Diagnostic();
-  Out.Detail = detailFromTag(Msg.get("detail").asString(), TagOk);
-  if (!TagOk) {
+  if (!detailFromName(Msg.get("detail").asString(), Out.Detail)) {
     Error = "unknown detail tag: " + Msg.get("detail").asString();
     return false;
   }

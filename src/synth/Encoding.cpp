@@ -65,8 +65,6 @@
 
 #include "synth/Encoding.h"
 
-#include "support/StringUtils.h"
-
 #include <algorithm>
 #include <cassert>
 #include <set>
@@ -143,8 +141,8 @@ bool Encoding::probeJoint(const Type *T1, const Type *P1, const Type *T2,
 bool Encoding::probeFeeds(ApiId Producer, const Type *Ty, size_t Kk,
                           size_t J) {
   // Third probe arm: the frozen dependency graph holds the precomputed
-  // answer for (base producer, base consumer, slot) triples - one bit
-  // test instead of a cache lookup. Producer-less types (template
+  // answer for (base producer, base consumer, slot) triples - one table
+  // read instead of a cache lookup. Producer-less types (template
   // inputs, builtin-derived) and refinement-added APIs (ids past the
   // graph's node set - the run-local overlay the frozen graph does not
   // cover) fall back to the cache/direct arm. All arms agree by
@@ -231,12 +229,9 @@ void Encoding::sync() {
     IsEncoded[static_cast<size_t>(Id)] = 1;
     Active.push_back(Id);
     Banned.push_back(0);
-    const ApiSig &Sig = Db.get(Id);
-    std::string Suffix = format("a%d", Id);
-    RenIn.emplace_back();
-    for (const Type *In : Sig.Inputs)
-      RenIn.back().push_back(renameVars(Arena, In, Suffix));
-    RenOut.push_back(renameVars(Arena, Sig.Output, Suffix));
+    RenamedSig Ren = renameSignature(Arena, Db.get(Id), Id);
+    RenIn.push_back(std::move(Ren.Inputs));
+    RenOut.push_back(Ren.Output);
   }
 
   buildTypeUniverse();

@@ -119,7 +119,7 @@ struct SynthOptions {
   /// fallback arms return identical answers and enumeration order does
   /// not depend on this setting.
   const api::DependencyGraph *Graph = nullptr;
-  /// Answer candidate probes with Graph's O(1) bitset rows instead of
+  /// Answer candidate probes with Graph's O(1) edge table instead of
   /// CompatCache lookups (--no-graph-prune is the escape hatch). Only
   /// the probe *mechanism* switches: program streams are byte-identical
   /// on/off; only throughput and the prune.* probe-split counters
@@ -157,7 +157,7 @@ struct SynthOptions {
 /// the GraphPrune setting (that is the point of the A/B); the dead-site
 /// numbers do not - elimination runs in both modes.
 struct PruneStats {
-  /// Probes answered by the dependency graph's bitset rows - each one a
+  /// Probes answered by the dependency graph's edge table - each one a
   /// CompatCache lookup avoided.
   uint64_t GraphProbes = 0;
   /// Probes answered by the CompatCache / direct-unification fallback
@@ -290,8 +290,8 @@ private:
   bool probeJoint(const types::Type *T1, const types::Type *P1,
                   const types::Type *T2, const types::Type *P2) const;
   /// ...and the candidate probe "can (X typed Ty, produced by Producer)
-  /// feed slot J of site Kk", answered by the dependency graph's bitset
-  /// when GraphPrune covers the triple and by probeUnifiable2 otherwise.
+  /// feed slot J of site Kk", answered by the dependency graph's edge
+  /// table when GraphPrune covers the triple and by probeUnifiable2 otherwise.
   bool probeFeeds(api::ApiId Producer, const types::Type *Ty, size_t Kk,
                   size_t J);
   /// Adds a closure-sensitive clause under the current generation guard

@@ -141,15 +141,12 @@ TEST_F(GraphFixture, EdgesAreSortedAndDenselyIndexed) {
 }
 
 TEST_F(GraphFixture, BitsetLookupAgreesWithEdgeIndex) {
-  // The encoder's O(1) probe path: hasEdge must answer exactly what the
-  // binary-searched edge list answers, for every triple.
+  // The encoder's O(1) probe path: hasEdge must answer exactly what
+  // edgeIndex answers, for every triple.
   ApiId New = addApi("Vec::new", {}, "Vec<T>");
-  ApiId BorrowMut = addApi("borrow_mut", {"T"}, "&mut T");
+  addApi("borrow_mut", {"T"}, "&mut T");
   ApiId Push = addApi("Vec::push", {"&mut Vec<T>", "T"}, "()");
-  ApiId Lone = addApi("lone", {"u8"}, "String");
-  (void)New;
-  (void)BorrowMut;
-  (void)Lone;
+  addApi("lone", {"u8"}, "String");
   DependencyGraph G = build();
   for (size_t A = 0; A < Db.size(); ++A)
     for (size_t B = 0; B < Db.size(); ++B)
@@ -160,11 +157,12 @@ TEST_F(GraphFixture, BitsetLookupAgreesWithEdgeIndex) {
                   G.edgeIndex(static_cast<ApiId>(A), static_cast<ApiId>(B),
                               static_cast<int>(J)) >= 0)
             << A << " -> " << B << "#" << J;
-  // Dead-API pass support: a slot no output can feed reports no
-  // producer, a fed slot reports at least one.
-  EXPECT_FALSE(G.slotHasProducer(Lone, 0));
-  EXPECT_TRUE(G.slotHasProducer(Push, 0));
-  EXPECT_TRUE(G.slotHasProducer(Push, 1));
+  // Ids outside the graph and slots the consumer lacks are no edge.
+  EXPECT_EQ(G.edgeIndex(ApiIdInvalid, Push, 1), -1);
+  EXPECT_EQ(G.edgeIndex(static_cast<ApiId>(Db.size()), Push, 1), -1);
+  EXPECT_EQ(G.edgeIndex(New, static_cast<ApiId>(Db.size()), 0), -1);
+  EXPECT_EQ(G.edgeIndex(New, Push, 2), -1);
+  EXPECT_EQ(G.edgeIndex(New, Push, -1), -1);
 }
 
 //===----------------------------------------------------------------------===//

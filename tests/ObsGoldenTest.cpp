@@ -86,8 +86,9 @@ TEST(ObsGoldenTest, TraceIsValidChromeTraceJson) {
     EXPECT_TRUE(E.has("ts"));
     EXPECT_TRUE(E.has("pid"));
     EXPECT_TRUE(E.has("tid"));
-    if (E.has("args"))
+    if (E.has("args")) {
       EXPECT_FALSE(E.get("args").has("wall_us"));
+    }
   }
   // The driver's umbrella span is present.
   EXPECT_NE(T.TraceJson.find("\"name\":\"candidate\""),

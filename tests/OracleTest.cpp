@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 using namespace syrust;
 using namespace syrust::api;
 using namespace syrust::core;
@@ -171,6 +173,33 @@ TEST(OracleAudit, AlignedEncoderIsCleanOnRealCrates) {
     EXPECT_EQ(R.UnexpectedTotal, 0u) << Crate;
     EXPECT_TRUE(R.Unexpected.empty()) << Crate;
     EXPECT_GT(R.AgreePass, 0u) << Crate;
+  }
+}
+
+TEST(OracleAudit, ReplaysTheStreamARunEmits) {
+  // Oracle.h's promise: an audit replays the stream a run emits. Capped
+  // at the run's models (emitted plus path-filtered), the audit's
+  // classes count exactly the run's verdicts, detail by detail.
+  Session S;
+  for (const std::string &Crate : S.supportedCrates()) {
+    RunConfig Run;
+    Run.MaxTests = 300;
+    RunResult R = S.runOne(Crate, Run);
+    ASSERT_TRUE(R.Supported) << Crate;
+    OracleConfig Config;
+    Config.Seed = Run.Seed;
+    Config.MaxModels = R.Synthesized + R.Synth.PathFiltered;
+    AuditResult A = auditOne(S, Crate, Config);
+    EXPECT_EQ(A.AgreePass, R.Executed) << Crate;
+    EXPECT_EQ(A.ExpectedTotal + A.UnexpectedTotal, R.Rejected) << Crate;
+    std::map<ErrorDetail, uint64_t> ByDetail = A.Expected;
+    for (const Disagreement &D : A.Unexpected)
+      ++ByDetail[D.Detail];
+    EXPECT_EQ(ByDetail, R.ByDetail) << Crate;
+    EXPECT_EQ(A.AgreeReject + A.FilteredCompilable, R.Synth.PathFiltered)
+        << Crate;
+    EXPECT_EQ(A.ApiCoverage.NodeBits, R.ApiCoverage.NodeBits) << Crate;
+    EXPECT_EQ(A.ApiCoverage.EdgeBits, R.ApiCoverage.EdgeBits) << Crate;
   }
 }
 

@@ -867,9 +867,10 @@ TEST_F(SynthFixture, MutRefConsumingApisAgreeWithChecker) {
   while (auto P = Synth.next()) {
     ++Total;
     CompileResult R = Check.check(*P, Db);
-    if (!R.Success)
+    if (!R.Success) {
       EXPECT_NE(R.Diag.Category, ErrorCategory::LifetimeOwnership)
           << P->render(Db) << R.Diag.Message;
+    }
     for (const Stmt &S : P->Stmts) {
       if (Db.get(S.Api).Name != "take")
         continue;

@@ -11,6 +11,8 @@
 #     --no-incremental, --bias-coverage, --mutate-inputs - at --budget 120
 #     with --trace-out: the trace, and the printed report minus its one
 #     wall-clock line, plus the exit code;
+#   * the same crates in the default mode at --budget 120 with --json:
+#     the result document, each *_wall_seconds value replaced by 0;
 #   * `campaign --crates all --seeds 2021 --budget 60` over seven
 #     variants (aggregate.json);
 #   * `audit --crates all --seeds 2021` (audit.json).
@@ -59,17 +61,26 @@ run_cell() {
 }
 export -f run_cell
 
+# run_json BIN OUTDIR CRATE: the result document minus host wall time.
+run_json() {
+  "$1" run "$3" --budget 120 --json |
+    sed -E 's/("[a-z_]+_wall_seconds":)[-+.0-9eE]+/\10/g' > "$2/$3.json"
+}
+export -f run_json
+
 "$OLD" list > "$WORK/old/list.txt"
 "$NEW" list > "$WORK/new/list.txt"
 CRATES=$(awk 'NR > 2 && $NF == "yes" { print $1 }' "$WORK/old/list.txt")
 
-echo "runs: $(echo "$CRATES" | wc -w) crates x 8 modes, both binaries"
+echo "runs: $(echo "$CRATES" | wc -w) crates x (8 modes + --json), both binaries"
 for Crate in $CRATES; do
   for Mode in $MODES; do
-    echo "$OLD $WORK/old $Crate $Mode"
-    echo "$NEW $WORK/new $Crate $Mode"
+    echo "run_cell $OLD $WORK/old $Crate $Mode"
+    echo "run_cell $NEW $WORK/new $Crate $Mode"
   done
-done | xargs -P "$JOBS" -L 1 bash -c 'run_cell "$@"' _
+  echo "run_json $OLD $WORK/old $Crate"
+  echo "run_json $NEW $WORK/new $Crate"
+done | xargs -P "$JOBS" -L 1 bash -c '"$@"' _
 
 for Side in old new; do
   Bin=$OLD
@@ -96,6 +107,7 @@ for Crate in $CRATES; do
     same "run $Crate $Mode (trace)" "$Crate.$Mode.trace.json"
     same "run $Crate $Mode (report)" "$Crate.$Mode.out"
   done
+  same "run $Crate --json" "$Crate.json"
 done
 same "campaign aggregate.json" campaign/aggregate.json
 same "audit audit.json" audit/audit.json
