@@ -57,6 +57,11 @@ public:
     return It != BlockedCombos.end() && It->second.count(Combo) != 0;
   }
 
+  /// True when some input-type combination of \p Id is blocked.
+  bool hasBlockedCombos(ApiId Id) const {
+    return BlockedCombos.count(Id) != 0;
+  }
+
   /// Ids of APIs the synthesizer may use.
   std::vector<ApiId> activeIds() const {
     std::vector<ApiId> Ids;

@@ -143,13 +143,19 @@ bool syrust::campaign::loadCheckpoint(const std::string &Path,
     }
     PreloadedCell Cell;
     std::string CellErr;
-    if (!core::resultFromJson(P.Val.get("result"), Cell.Result,
-                              CellErr)) {
-      Out.TornTail = Line;
+    if (core::resultFromJson(P.Val.get("result"), Cell.Result, CellErr))
+      for (const auto &[Name, V] : P.Val.get("counters").members()) {
+        if (V.kind() != Value::Kind::Number) {
+          CellErr = "counter '" + Name + "' has the wrong type";
+          break;
+        }
+        Cell.CounterDeltas[Name] = static_cast<uint64_t>(V.asInt());
+      }
+    if (!CellErr.empty()) {
+      Out.Refused = format("checkpoint '%s' line %zu: %s", Path.c_str(),
+                           LineNo, CellErr.c_str());
       break;
     }
-    for (const auto &[Name, V] : P.Val.get("counters").members())
-      Cell.CounterDeltas[Name] = static_cast<uint64_t>(V.asInt());
     Out.Cells[static_cast<size_t>(P.Val.get("index").asInt())] =
         std::move(Cell);
   }

@@ -60,12 +60,18 @@ struct CheckpointData {
   /// Non-empty when the file ended in a torn line (SIGKILL mid-append);
   /// purely informational — the torn cell re-runs.
   std::string TornTail;
+  /// Non-empty when a complete cell line was refused (a result field or
+  /// counter missing or of the wrong JSON kind): the reader's error,
+  /// naming the line and the field. Loading stops there. Such a line was not torn,
+  /// so the file is not what this campaign wrote; resuming refuses it.
+  std::string Refused;
 };
 
 /// Loads \p Path. Returns false with \p Err set when the file cannot be
 /// read or its header is malformed; a torn *cell* line is not an error
-/// (loading stops there and TornTail records it). A missing file is an
-/// error — callers distinguish "fresh start" by checking existence.
+/// (loading stops there and TornTail records it), nor is a refused one
+/// (Refused). A missing file is an error — callers distinguish "fresh
+/// start" by checking existence.
 bool loadCheckpoint(const std::string &Path, CheckpointData &Out,
                     std::string &Err);
 

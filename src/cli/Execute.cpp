@@ -222,6 +222,8 @@ Response executeCampaign(const Session &S, const RequestSpec &Req,
             "checkpoint '" + CkptPath + "' belongs to a different "
             "campaign (fingerprint " + Data.Fingerprint + ", this spec " +
             Want + "); point --checkpoint elsewhere");
+      if (!Data.Refused.empty())
+        return usageError(Data.Refused);
       if (Progress)
         Progress(format("resuming: %zu finished cell(s) preloaded from "
                         "checkpoint",

@@ -251,24 +251,30 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
   // rejected_percent is derived from synthesized/rejected; recomputed on
   // re-serialization, so it is deliberately not parsed.
 
-  if (const Value *ByCat = F.object("by_category"))
-    for (const auto &[Name, N] : ByCat->members()) {
+  if (const Value *ByCat = F.object("by_category")) {
+    Fields Counts(*ByCat, Err);
+    for (const auto &Member : ByCat->members()) {
+      const std::string &Name = Member.first;
       ErrorCategory C;
       if (!categoryFromName(Name, C)) {
         Err = "unknown error category '" + Name + "'";
         return false;
       }
-      Out.ByCategory[C] = static_cast<uint64_t>(N.asInt());
+      Out.ByCategory[C] = Counts.u64(Name.c_str());
     }
-  if (const Value *ByDet = F.object("by_detail"))
-    for (const auto &[Name, N] : ByDet->members()) {
+  }
+  if (const Value *ByDet = F.object("by_detail")) {
+    Fields Counts(*ByDet, Err);
+    for (const auto &Member : ByDet->members()) {
+      const std::string &Name = Member.first;
       ErrorDetail D;
       if (!detailFromName(Name, D)) {
         Err = "unknown error detail '" + Name + "'";
         return false;
       }
-      Out.ByDetail[D] = static_cast<uint64_t>(N.asInt());
+      Out.ByDetail[D] = Counts.u64(Name.c_str());
     }
+  }
 
   if (const Value *Curve = F.array("curve"))
     for (size_t I = 0; I < Curve->size() && F.ok(); ++I) {
@@ -322,9 +328,8 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
       Out.BugLines = static_cast<int>(B.i64("lines"));
       Out.BugProgram = B.str("program");
       if (Bug->has("minimized_lines")) {
-        Out.MinimizedLines =
-            static_cast<int>(Bug->get("minimized_lines").asInt());
-        Out.MinimizedProgram = Bug->get("minimized_program").asString();
+        Out.MinimizedLines = static_cast<int>(B.i64("minimized_lines"));
+        Out.MinimizedProgram = B.str("minimized_program");
       }
       Out.UbCount = B.u64("ub_count");
     }
@@ -337,9 +342,9 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
     // Wall-time diagnostics are optional (campaign aggregates strip
     // them); absent means zero.
     if (Synth->has("build_wall_seconds"))
-      Out.Synth.BuildSeconds = Synth->get("build_wall_seconds").asDouble();
+      Out.Synth.BuildSeconds = S.num("build_wall_seconds");
     if (Synth->has("solve_wall_seconds"))
-      Out.Synth.SolveSeconds = Synth->get("solve_wall_seconds").asDouble();
+      Out.Synth.SolveSeconds = S.num("solve_wall_seconds");
   }
 
   if (const Value *Refine = F.object("refinement")) {

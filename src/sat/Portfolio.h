@@ -79,10 +79,17 @@ public:
   Var newVar() { return Base.newVar(); }
   int numVars() const { return Base.numVars(); }
   bool addClause(std::vector<Lit> Lits);
-  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
+  /// Short clauses skip the vector unless the op log records them.
+  bool addClause(Lit A) {
+    return RecordOps ? addClause(std::vector<Lit>{A}) : Base.addClause(A);
+  }
+  bool addClause(Lit A, Lit B) {
+    return RecordOps ? addClause(std::vector<Lit>{A, B})
+                     : Base.addClause(A, B);
+  }
   bool addClause(Lit A, Lit B, Lit C) {
-    return addClause(std::vector<Lit>{A, B, C});
+    return RecordOps ? addClause(std::vector<Lit>{A, B, C})
+                     : Base.addClause(A, B, C);
   }
   bool addAtMost(std::vector<Lit> Lits, int K);
   /// Blocks the model of the last Sat answer (Solver::addBlockingClause).

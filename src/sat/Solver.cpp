@@ -108,6 +108,10 @@ bool Solver::addClausePreprocessed(std::vector<Lit> &Lits) {
 }
 
 bool Solver::addClause(std::vector<Lit> Lits) {
+  return addClauseInPlace(Lits);
+}
+
+bool Solver::addClauseInPlace(std::vector<Lit> &Lits) {
   if (!Ok)
     return false;
   if (decisionLevel() != 0)
@@ -178,12 +182,17 @@ bool Solver::addBlockingClause(std::vector<Lit> Lits) {
   return true;
 }
 
-bool Solver::addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
+bool Solver::addClause(Lit A) {
+  ShortBuf.assign({A});
+  return addClauseInPlace(ShortBuf);
+}
 bool Solver::addClause(Lit A, Lit B) {
-  return addClause(std::vector<Lit>{A, B});
+  ShortBuf.assign({A, B});
+  return addClauseInPlace(ShortBuf);
 }
 bool Solver::addClause(Lit A, Lit B, Lit C) {
-  return addClause(std::vector<Lit>{A, B, C});
+  ShortBuf.assign({A, B, C});
+  return addClauseInPlace(ShortBuf);
 }
 
 bool Solver::addAtMost(std::vector<Lit> Lits, int K) {

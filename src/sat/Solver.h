@@ -87,7 +87,7 @@ public:
   /// model is left.
   bool addBlockingClause(std::vector<Lit> Lits);
 
-  /// Convenience overloads.
+  /// Convenience overloads; they build no vector.
   bool addClause(Lit A);
   bool addClause(Lit A, Lit B);
   bool addClause(Lit A, Lit B, Lit C);
@@ -257,6 +257,8 @@ private:
   void reduceDB();
   void attachClause(ClauseRef Ref);
   bool addClausePreprocessed(std::vector<Lit> &Lits);
+  /// addClause() on \p Lits, which it may reorder and shrink.
+  bool addClauseInPlace(std::vector<Lit> &Lits);
   static uint64_t luby(uint64_t I);
 
   // --- data -------------------------------------------------------------------
@@ -283,6 +285,7 @@ private:
   std::vector<Lit> LearnedBuf; ///< learnAndBackjump's learned clause.
   std::vector<Lit> ReasonBuf;  ///< The reason being read.
   std::vector<Lit> ClearBuf;   ///< analyze's Seen marks to undo.
+  std::vector<Lit> ShortBuf;   ///< The short addClause overloads' clause.
 
   std::vector<Lit> Assumptions;
   std::vector<Value> Model;

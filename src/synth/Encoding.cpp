@@ -67,7 +67,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 
 using namespace syrust;
 using namespace syrust::api;
@@ -90,18 +89,37 @@ Encoding::Encoding(TypeArena &Arena, const TraitEnv &Traits,
   sync();
 }
 
-bool Encoding::isOwnedNonCopy(const Type *Ty) const {
-  return !Ty->isRef() && !Traits.isCopy(Ty);
+uint32_t Encoding::typeId(const Type *Ty) {
+  auto [It, Inserted] =
+      TypeIds.try_emplace(Ty, static_cast<uint32_t>(Types.size()));
+  if (Inserted) {
+    TypeFacts F;
+    F.Ty = Ty;
+    F.RowOf.assign(Inputs.size() + static_cast<size_t>(NumLines), NoIndex);
+    Types.push_back(std::move(F));
+  }
+  return It->second;
 }
 
-sat::Var Encoding::getV(VarId X, const Type *Ty, int Line) {
-  auto Key = std::make_tuple(X, Ty, Line);
-  auto It = VMap.find(Key);
-  if (It != VMap.end())
-    return It->second;
-  sat::Var V = Solver.newVar();
-  VMap.emplace(Key, V);
+uint32_t Encoding::rowOf(VarId X, const Type *Ty) {
+  uint32_t Row = Types[typeId(Ty)].RowOf[static_cast<size_t>(X)];
+  assert(Row != NoIndex && "pair outside the type universe");
+  return Row;
+}
+
+sat::Var Encoding::getV(uint32_t Row, int Line) {
+  sat::Var &V = VTable[static_cast<size_t>(Row) *
+                           (static_cast<size_t>(NumLines) + 1) +
+                       static_cast<size_t>(Line)];
+  if (V == sat::VarUndef)
+    V = Solver.newVar();
   return V;
+}
+
+bool Encoding::isCopy(uint32_t Id) {
+  if (Types[Id].Copy < 0)
+    Types[Id].Copy = Traits.isCopy(Types[Id].Ty) ? 1 : 0;
+  return Types[Id].Copy != 0;
 }
 
 bool Encoding::isEncoded(ApiId Id) const {
@@ -121,6 +139,22 @@ const Type *Encoding::builtinOutput(BuiltinKind B, const Type *Arg) const {
     break;
   }
   return nullptr;
+}
+
+uint32_t Encoding::builtinOutput(BuiltinKind B, uint32_t ArgId) {
+  assert(B != BuiltinKind::None && "library APIs derive no output");
+  if (B == BuiltinKind::LetMut)
+    return ArgId;
+  auto Memo = [&]() -> uint32_t & {
+    return B == BuiltinKind::BorrowMut ? Types[ArgId].MutRef
+                                       : Types[ArgId].SharedRef;
+  };
+  if (Memo() == NoIndex) {
+    // typeId can grow Types, so the memo is looked up again after it.
+    uint32_t Out = typeId(builtinOutput(B, Types[ArgId].Ty));
+    Memo() = Out;
+  }
+  return Memo();
 }
 
 bool Encoding::probeUnifiable2(const Type *Ty, const Type *Pattern) const {
@@ -238,13 +272,14 @@ void Encoding::sync() {
   buildCallSites();
   buildContextConstraints();
   if (Opts.SemanticAware) {
+    const UseIndex Index = indexUses();
     // The ownership/borrow clauses are the CEGAR strategy's lazy tier: it
     // solves without them and materializes only the ones a candidate
     // model violates, with the model acting as the counterexample.
     Solver.beginLazy();
-    buildSemanticConstraints();
+    buildSemanticConstraints(Index);
     Solver.endLazy();
-    buildRedundancyConstraints();
+    buildRedundancyConstraints(Index);
   }
   buildBlockedCombos();
   if (Opts.Obs)
@@ -264,50 +299,63 @@ void Encoding::buildTypeUniverse() {
   // pointer order - so encodings (and therefore enumeration order and
   // every experiment table) are reproducible across processes. The
   // recompute is total; newly producible types may interleave among old
-  // ones, which is why each pair's birth sync comes from TypeBorn.
+  // ones, which is why each pair's birth sync lives in its row.
   int K = static_cast<int>(Inputs.size());
-  VarTypes.assign(static_cast<size_t>(K + NumLines), {});
-  auto AddType = [&](VarId X, const Type *Ty, ApiId Producer) {
-    unsigned Born = TypeBorn.try_emplace({X, Ty}, Sync).first->second;
-    VarTypes[static_cast<size_t>(X)].push_back(VarType{Ty, Producer, Born});
+  VarTypes.resize(static_cast<size_t>(K + NumLines));
+  for (std::vector<VarType> &Listed : VarTypes)
+    Listed.clear();
+  // Lists (X, Types[TyId]) once per sync, opening its row on first
+  // sight. The row's Listed stamp is the dedup: the first producer
+  // listed is kept, which is enough - equal interned outputs give equal
+  // probe answers whichever producer keys the graph row.
+  auto AddType = [&](VarId X, uint32_t TyId, ApiId Producer) {
+    uint32_t &Row = Types[TyId].RowOf[static_cast<size_t>(X)];
+    if (Row == NoIndex) {
+      Row = static_cast<uint32_t>(Rows.size());
+      Rows.push_back(TypeRow{TyId, Sync});
+      VTable.resize(VTable.size() + static_cast<size_t>(NumLines) + 1,
+                    sat::VarUndef);
+    }
+    TypeRow &R = Rows[Row];
+    if (R.Listed == Sync)
+      return;
+    std::vector<VarType> &Listed = VarTypes[static_cast<size_t>(X)];
+    R.Listed = Sync;
+    R.Pos = static_cast<uint32_t>(Listed.size());
+    Listed.push_back(VarType{Types[TyId].Ty, Producer, Row});
   };
   for (int X = 0; X < K; ++X)
-    AddType(X, Inputs[static_cast<size_t>(X)].Ty, ApiIdInvalid);
+    AddType(X, typeId(Inputs[static_cast<size_t>(X)].Ty), ApiIdInvalid);
 
-  // Types available strictly before each line, grown monotonically.
-  std::vector<const Type *> Avail;
-  std::set<const Type *> AvailSeen;
-  auto AddAvail = [&](const Type *Ty) {
-    if (AvailSeen.insert(Ty).second)
-      Avail.push_back(Ty);
+  // Types available strictly before each line, grown monotonically and
+  // deduplicated by this pass's mark.
+  std::vector<uint32_t> Avail;
+  const unsigned Epoch = ++MarkEpoch;
+  auto AddAvail = [&](uint32_t TyId) {
+    if (Types[TyId].Mark == Epoch)
+      return;
+    Types[TyId].Mark = Epoch;
+    Avail.push_back(TyId);
   };
   for (int X = 0; X < K; ++X)
-    AddAvail(Inputs[static_cast<size_t>(X)].Ty);
+    AddAvail(typeId(Inputs[static_cast<size_t>(X)].Ty));
 
   for (int I = 0; I < NumLines; ++I) {
-    std::set<const Type *> OutSeen;
-    // Producer recorded per type at zero probe cost; the dedup keeps
-    // the first producer, which is enough - equal interned outputs give
-    // equal probe answers whichever producer keys the graph row.
-    auto AddOut = [&](const Type *Ty, ApiId Producer) {
-      if (OutSeen.insert(Ty).second)
-        AddType(K + I, Ty, Producer);
-    };
     for (size_t Kk = 0; Kk < Active.size(); ++Kk) {
       const ApiSig &Sig = Db.get(Active[Kk]);
       if (Sig.Builtin == BuiltinKind::None) {
-        AddOut(RenOut[Kk], Active[Kk]);
+        AddType(K + I, typeId(RenOut[Kk]), Active[Kk]);
         continue;
       }
       // Builtins derive their output from the chosen argument type;
       // those types have no frozen-graph producer and take the
       // fallback probe arm.
-      for (const Type *Ty : Avail)
-        if (!Ty->isRef()) // Encoder restriction: builtins act on non-refs.
-          AddOut(builtinOutput(Sig.Builtin, Ty), ApiIdInvalid);
+      for (uint32_t TyId : Avail)
+        if (!Types[TyId].Ty->isRef()) // Builtins act on non-refs.
+          AddType(K + I, builtinOutput(Sig.Builtin, TyId), ApiIdInvalid);
     }
     for (const VarType &VT : VarTypes[static_cast<size_t>(K + I)])
-      AddAvail(VT.Ty);
+      AddAvail(Rows[VT.Row].TyId);
   }
 }
 
@@ -315,7 +363,17 @@ void Encoding::buildCallSites() {
   int K = static_cast<int>(Inputs.size());
   if (Sites.empty())
     Sites.assign(static_cast<size_t>(NumLines), {});
+  // The (variable, type) pairs this sync added, in (variable, position)
+  // order: the only ones a live site probes.
+  std::vector<std::pair<VarId, const VarType *>> NewPairs;
+  for (int X = 0; X < K + NumLines; ++X)
+    for (const VarType &VT : VarTypes[static_cast<size_t>(X)])
+      if (isNew(VT))
+        NewPairs.emplace_back(X, &VT);
+  size_t NewBefore = 0; // NewPairs of variables declared before line I.
   for (int I = 0; I < NumLines; ++I) {
+    while (NewBefore < NewPairs.size() && NewPairs[NewBefore].first < K + I)
+      ++NewBefore;
     std::vector<CallSite> &LineSites = Sites[static_cast<size_t>(I)];
     LineSites.resize(Active.size());
     for (size_t Kk = 0; Kk < Active.size(); ++Kk) {
@@ -324,40 +382,41 @@ void Encoding::buildCallSites() {
       const ApiSig &Sig = Db.get(Active[Kk]);
       CallSite &Site = LineSites[Kk];
 
-      // Candidates of slot J not yet encoded, in the canonical (X, Ty)
-      // order, with U unallocated. NewOnly restricts to (var, type)
-      // pairs new this sync - the live-site incremental append.
-      auto Probe = [&](size_t J, bool NewOnly,
+      // Appends the candidate (X, VT) of slot J, U unallocated, if it
+      // can feed the slot.
+      auto Probe = [&](VarId X, const VarType &VT, size_t J,
                        std::vector<Candidate> &Out) {
-        for (int X = 0; X < K + I; ++X) {
-          for (const VarType &VT : VarTypes[static_cast<size_t>(X)]) {
-            if (NewOnly && !isNew(VT))
-              continue; // Candidate already encoded.
-            if (Sig.Builtin != BuiltinKind::None && VT.Ty->isRef())
-              continue; // Builtins act on non-reference values.
-            if (Opts.SemanticAware &&
-                Sig.Builtin == BuiltinKind::BorrowMut && X < K)
-              continue; // Template bindings are immutable (no `mut`).
-            if (!probeFeeds(VT.Producer, VT.Ty, Kk, J))
-              continue;
-            Candidate C;
-            C.Var = X;
-            C.Ty = VT.Ty;
-            C.Out = builtinOutput(Sig.Builtin, VT.Ty);
-            C.Born = Sync;
-            Out.push_back(C);
-          }
+        if (Sig.Builtin != BuiltinKind::None && VT.Ty->isRef())
+          return; // Builtins act on non-reference values.
+        if (Opts.SemanticAware && Sig.Builtin == BuiltinKind::BorrowMut &&
+            X < K)
+          return; // Template bindings are immutable (no `mut`).
+        if (!probeFeeds(VT.Producer, VT.Ty, Kk, J))
+          return;
+        Candidate C;
+        C.Var = X;
+        C.Row = VT.Row;
+        C.Ty = VT.Ty;
+        if (Sig.Builtin != BuiltinKind::None) {
+          const TypeFacts &Out =
+              Types[builtinOutput(Sig.Builtin, Rows[VT.Row].TyId)];
+          C.Out = Out.Ty;
+          C.OutRow = Out.RowOf[static_cast<size_t>(K + I)];
         }
+        C.Born = Sync;
+        Out.push_back(C);
       };
 
       if (Site.A != sat::VarUndef) {
-        // Live site: append the candidates this sync introduced.
+        // Live site: append the candidates of the pairs this sync
+        // introduced, in the canonical (X, Ty) order.
         for (size_t J = 0; J < Sig.Inputs.size(); ++J) {
-          std::vector<Candidate> Added;
-          Probe(J, /*NewOnly=*/true, Added);
-          for (Candidate &C : Added) {
-            C.U = Solver.newVar();
-            Site.Slots[J].push_back(C);
+          std::vector<Candidate> &Slot = Site.Slots[J];
+          size_t Old = Slot.size();
+          for (size_t P = 0; P < NewBefore; ++P)
+            Probe(NewPairs[P].first, *NewPairs[P].second, J, Slot);
+          for (size_t C = Old; C < Slot.size(); ++C) {
+            Slot[C].U = Solver.newVar();
             ++TotalCandidates;
           }
         }
@@ -375,7 +434,9 @@ void Encoding::buildCallSites() {
       bool Alive = true;
       size_t ProbedSlots = 0;
       for (size_t J = 0; J < Sig.Inputs.size() && Alive; ++J) {
-        Probe(J, /*NewOnly=*/false, Tmp[J]);
+        for (int X = 0; X < K + I; ++X)
+          for (const VarType &VT : VarTypes[static_cast<size_t>(X)])
+            Probe(X, VT, J, Tmp[J]);
         ++ProbedSlots;
         if (Tmp[J].empty())
           Alive = false;
@@ -393,16 +454,57 @@ void Encoding::buildCallSites() {
       // major U sequence.
       Site.A = Solver.newVar();
       Site.Born = Sync;
-      Site.Slots.assign(Sig.Inputs.size(), {});
-      for (size_t J = 0; J < Sig.Inputs.size(); ++J) {
-        for (Candidate &C : Tmp[J]) {
+      Site.Slots = std::move(Tmp);
+      for (std::vector<Candidate> &Slot : Site.Slots) {
+        for (Candidate &C : Slot) {
           C.U = Solver.newVar();
-          Site.Slots[J].push_back(C);
           ++TotalCandidates;
         }
       }
     }
   }
+}
+
+Encoding::UseIndex Encoding::indexUses() const {
+  UseIndex Index;
+  Index.NumVars = Inputs.size() + static_cast<size_t>(NumLines);
+  auto ForEachUse = [&](auto &&Visit) {
+    for (int I = 0; I < NumLines; ++I) {
+      const std::vector<CallSite> &LineSites = Sites[static_cast<size_t>(I)];
+      for (size_t Kk = 0; Kk < LineSites.size(); ++Kk) {
+        const CallSite &Site = LineSites[Kk];
+        for (size_t J = 0; J < Site.Slots.size(); ++J)
+          for (const Candidate &C : Site.Slots[J])
+            Visit(Use{I, static_cast<uint32_t>(Kk), static_cast<uint32_t>(J),
+                      &C});
+      }
+    }
+  };
+  auto VarKey = [&](const Use &Us) {
+    return static_cast<size_t>(Us.Line) * Index.NumVars +
+           static_cast<size_t>(Us.C->Var);
+  };
+  // Count each group, lay the groups out in key order, then fill them in
+  // walk order.
+  Index.ByVar.Start.assign(static_cast<size_t>(NumLines) * Index.NumVars + 1,
+                           0);
+  Index.ByRow.Start.assign(Rows.size() + 1, 0);
+  ForEachUse([&](const Use &Us) {
+    ++Index.ByVar.Start[VarKey(Us) + 1];
+    ++Index.ByRow.Start[Us.C->Row + 1];
+  });
+  for (UseGroups *G : {&Index.ByVar, &Index.ByRow}) {
+    for (size_t K = 1; K < G->Start.size(); ++K)
+      G->Start[K] += G->Start[K - 1];
+    G->All.resize(G->Start.back());
+  }
+  std::vector<uint32_t> VarNext(Index.ByVar.Start);
+  std::vector<uint32_t> RowNext(Index.ByRow.Start);
+  ForEachUse([&](const Use &Us) {
+    Index.ByVar.All[VarNext[VarKey(Us)]++] = Us;
+    Index.ByRow.All[RowNext[Us.C->Row]++] = Us;
+  });
+  return Index;
 }
 
 void Encoding::buildContextConstraints() {
@@ -414,21 +516,24 @@ void Encoding::buildContextConstraints() {
     const VarType &VT = VarTypes[static_cast<size_t>(X)].front();
     if (!isNew(VT))
       continue;
-    Solver.addClause(mkLit(getV(X, VT.Ty, 0)));
+    Solver.addClause(mkLit(getV(VT.Row, 0)));
     for (int I = 1; I <= NumLines; ++I)
-      Solver.addClause(mkLit(getV(X, VT.Ty, I), true),
-                       mkLit(getV(X, VT.Ty, I - 1)));
+      Solver.addClause(mkLit(getV(VT.Row, I), true),
+                       mkLit(getV(VT.Row, I - 1)));
   }
   for (int J = 0; J < NumLines; ++J) {
     for (const VarType &VT : VarTypes[static_cast<size_t>(K + J)]) {
       if (!isNew(VT))
         continue;
       for (int I = J + 2; I <= NumLines; ++I)
-        Solver.addClause(mkLit(getV(K + J, VT.Ty, I), true),
-                         mkLit(getV(K + J, VT.Ty, I - 1)));
+        Solver.addClause(mkLit(getV(VT.Row, I), true),
+                         mkLit(getV(VT.Row, I - 1)));
     }
   }
 
+  // Output-creation triggers of each type of the line's output, by the
+  // type's position in VarTypes, with whether this sync added them.
+  std::vector<std::vector<std::pair<Lit, bool>>> Triggers;
   for (int I = 0; I < NumLines; ++I) {
     std::vector<CallSite> &LineSites = Sites[static_cast<size_t>(I)];
 
@@ -450,7 +555,7 @@ void Encoding::buildContextConstraints() {
     }
     if (LiveGrew)
       Solver.addAtMost(ALits, 1);
-    addGuarded(ALits);
+    addGuarded(std::move(ALits));
 
     // Use-variable wiring. Materialization guarantees every slot of a
     // live site has at least one candidate (the historical empty-slot
@@ -459,31 +564,40 @@ void Encoding::buildContextConstraints() {
       CallSite &Site = LineSites[Kk];
       if (Site.A == sat::VarUndef)
         continue; // Dead-eliminated: no variables, no clauses.
-      for (const std::vector<Candidate> &Slot : Site.Slots) {
+      // Per slot, the first candidate this sync added: they are the
+      // slot's suffix.
+      std::vector<size_t> FirstNew(Site.Slots.size());
+      for (size_t J = 0; J < Site.Slots.size(); ++J) {
+        const std::vector<Candidate> &Slot = Site.Slots[J];
         std::vector<Lit> AtLeast{mkLit(Site.A, true)};
         std::vector<Lit> ULits;
-        bool SlotGrew = false;
-        for (const Candidate &C : Slot) {
+        FirstNew[J] = Slot.size();
+        for (size_t Ci = 0; Ci < Slot.size(); ++Ci) {
+          const Candidate &C = Slot[Ci];
           if (isNew(C)) {
             Solver.addClause(mkLit(C.U, true), mkLit(Site.A)); // U => A
             Solver.addClause(mkLit(C.U, true),
-                             mkLit(getV(C.Var, C.Ty, I))); // U => V
-            SlotGrew = true;
+                             mkLit(getV(C.Row, I))); // U => V
+            FirstNew[J] = std::min(FirstNew[J], Ci);
           }
           AtLeast.push_back(mkLit(C.U));
           ULits.push_back(mkLit(C.U));
         }
-        addGuarded(AtLeast);            // A => some candidate used.
-        if (SlotGrew)
-          Solver.addAtMost(ULits, 1);   // At most one per slot.
+        addGuarded(std::move(AtLeast)); // A => some candidate used.
+        if (FirstNew[J] < Slot.size())
+          Solver.addAtMost(std::move(ULits), 1); // At most one per slot.
       }
 
       // Pairwise compatibility across slots (Definition 2(3) + Rule 4).
-      // Additive: only pairs involving a candidate new this sync.
+      // Additive: only pairs involving a candidate new this sync - all
+      // of J2 for a new C1, J2's new suffix for an old one.
       for (size_t J1 = 0; J1 < Site.Slots.size(); ++J1) {
         for (size_t J2 = J1 + 1; J2 < Site.Slots.size(); ++J2) {
+          const std::vector<Candidate> &S2 = Site.Slots[J2];
           for (const Candidate &C1 : Site.Slots[J1]) {
-            for (const Candidate &C2 : Site.Slots[J2]) {
+            for (size_t C2i = isNew(C1) ? 0 : FirstNew[J2]; C2i < S2.size();
+                 ++C2i) {
+              const Candidate &C2 = S2[C2i];
               if (!isNew(C1) && !isNew(C2))
                 continue;
               bool Compatible = true;
@@ -504,97 +618,93 @@ void Encoding::buildContextConstraints() {
 
     // Output creation: V(o_i, tau, i+1) <=> OR(triggers). The forward
     // trigger=>V implications are additive; the V=>triggers closure is
-    // guarded (a later sync can add triggers for this type).
+    // guarded (a later sync can add triggers for this type). One pass
+    // over the line's sites files each trigger under its type, in
+    // (site, candidate) order.
     VarId Out = K + I;
-    for (const VarType &VT : VarTypes[static_cast<size_t>(Out)]) {
-      const Type *Ty = VT.Ty;
-      std::vector<Lit> Triggers;
-      std::vector<Lit> NewTriggers;
-      for (size_t Kk = 0; Kk < LineSites.size(); ++Kk) {
-        const CallSite &Site = LineSites[Kk];
-        if (Site.A == sat::VarUndef)
-          continue; // Dead site: no candidates, no triggers.
-        if (Db.get(Active[Kk]).Builtin == BuiltinKind::None) {
-          if (RenOut[Kk] == Ty) {
-            Triggers.push_back(mkLit(Site.A));
-            if (isNew(Site))
-              NewTriggers.push_back(mkLit(Site.A));
-          }
-          continue;
-        }
-        for (const Candidate &C : Site.Slots[0]) {
-          if (C.Out != Ty)
-            continue;
-          Triggers.push_back(mkLit(C.U));
-          if (isNew(C))
-            NewTriggers.push_back(mkLit(C.U));
-        }
+    const std::vector<VarType> &OutTypes = VarTypes[static_cast<size_t>(Out)];
+    Triggers.resize(std::max(Triggers.size(), OutTypes.size()));
+    for (size_t P = 0; P < OutTypes.size(); ++P)
+      Triggers[P].clear();
+    for (size_t Kk = 0; Kk < LineSites.size(); ++Kk) {
+      const CallSite &Site = LineSites[Kk];
+      if (Site.A == sat::VarUndef)
+        continue; // Dead site: no candidates, no triggers.
+      if (Db.get(Active[Kk]).Builtin == BuiltinKind::None) {
+        Triggers[Rows[rowOf(Out, RenOut[Kk])].Pos].emplace_back(
+            mkLit(Site.A), isNew(Site));
+        continue;
       }
-      sat::Var V = getV(Out, Ty, I + 1);
-      if (Triggers.empty()) {
+      for (const Candidate &C : Site.Slots[0]) {
+        assert(Rows[C.OutRow].Listed == Sync && "output type left the line");
+        Triggers[Rows[C.OutRow].Pos].emplace_back(mkLit(C.U), isNew(C));
+      }
+    }
+    for (size_t P = 0; P < OutTypes.size(); ++P) {
+      sat::Var V = getV(OutTypes[P].Row, I + 1);
+      if (Triggers[P].empty()) {
         addGuarded({mkLit(V, true)});
         continue;
       }
-      for (Lit T : NewTriggers)
-        Solver.addClause(~T, mkLit(V)); // trigger => V
       std::vector<Lit> VImplies{mkLit(V, true)};
-      for (Lit T : Triggers)
+      for (auto [T, New] : Triggers[P]) {
+        if (New)
+          Solver.addClause(~T, mkLit(V)); // trigger => V
         VImplies.push_back(T);
-      addGuarded(VImplies); // V => some trigger.
+      }
+      addGuarded(std::move(VImplies)); // V => some trigger.
     }
   }
 }
 
-void Encoding::buildSemanticConstraints() {
+void Encoding::buildSemanticConstraints(const UseIndex &Index) {
   int K = static_cast<int>(Inputs.size());
   int NumVars = K + NumLines;
 
   // Per-line consuming uses of every mutable-reference (var, type) pair,
-  // shared with the Rule 6 ties below: a &mut moved into a by-value
-  // parameter stops persisting, exactly as the checker kills the binding.
-  std::map<std::pair<VarId, const Type *>,
-           std::vector<std::vector<Lit>>>
-      MutConsuming;
+  // by row, shared with the Rule 6 ties below: a &mut moved into a
+  // by-value parameter stops persisting, exactly as the checker kills
+  // the binding.
+  std::vector<std::vector<std::vector<Lit>>> MutConsuming(Rows.size());
 
   // Classify each (var, type) pair and collect its use variables per line.
+  std::vector<Lit> Consuming;
   for (int X = 0; X < NumVars; ++X) {
     int FirstLine = X < K ? 0 : X - K + 1;
     for (const VarType &VT : VarTypes[static_cast<size_t>(X)]) {
       const Type *Ty = VT.Ty;
       bool PairNew = isNew(VT);
-      bool OwnedNonCopy = isOwnedNonCopy(Ty);
+      bool Copy = isCopy(Rows[VT.Row].TyId);
+      bool OwnedNonCopy = !Ty->isRef() && !Copy;
       // `&mut T` is not Copy: like owned non-Copy values it moves when
       // passed by value (a non-ref parameter pattern, e.g. a bare type
       // variable). Uses feeding ref-typed parameters reborrow instead.
       bool Consumable = OwnedNonCopy || Ty->isMutRef();
       bool TieHandled = Ty->isRef() && X >= K; // Output refs get ties.
+      // The pair's uses in line order; X is read only after the line
+      // that declares it, so they start at FirstLine.
+      const std::span<const Use> OfRow = Index.ofRow(VT.Row);
+      auto Next = OfRow.begin();
       for (int I = FirstLine; I < NumLines; ++I) {
         // Consuming uses of (X, Ty) on line I, noting whether this sync
         // added one.
-        std::vector<Lit> Consuming;
+        Consuming.clear();
         bool ConsumingGrew = false;
         if (Consumable) {
-          for (size_t Kk = 0; Kk < Active.size(); ++Kk) {
-            const ApiSig &Sig = Db.get(Active[Kk]);
-            if (Sig.Builtin == BuiltinKind::Borrow ||
-                Sig.Builtin == BuiltinKind::BorrowMut)
+          for (; Next != OfRow.end() && Next->Line == I; ++Next) {
+            const Use &Us = *Next;
+            BuiltinKind B = Db.get(Active[Us.Kk]).Builtin;
+            if (B == BuiltinKind::Borrow || B == BuiltinKind::BorrowMut)
               continue;
-            CallSite &Site = Sites[static_cast<size_t>(I)][Kk];
-            for (size_t J = 0; J < Site.Slots.size(); ++J) {
-              if (!movesOnUse(Ty, RenIn[Kk][J], Traits))
-                continue; // Ref-typed parameter: reborrow, not a move.
-              for (const Candidate &C : Site.Slots[J]) {
-                if (C.Var == X && C.Ty == Ty) {
-                  Consuming.push_back(mkLit(C.U));
-                  ConsumingGrew |= isNew(C);
-                }
-              }
-            }
+            if (!movesOnUse(Ty, Copy, RenIn[Us.Kk][Us.J]))
+              continue; // Ref-typed parameter: reborrow, not a move.
+            Consuming.push_back(mkLit(Us.C->U));
+            ConsumingGrew |= isNew(*Us.C);
           }
         }
         if (Consumable) {
-          sat::Var VNow = getV(X, Ty, I);
-          sat::Var VNext = getV(X, Ty, I + 1);
+          sat::Var VNow = getV(VT.Row, I);
+          sat::Var VNext = getV(VT.Row, I + 1);
           // Consumption kills (Rule 5): uses + persistence <= 1.
           // Monotone: re-emit when the consuming set grew.
           // WeakenConsumptionKills is the oracle's injected-bug canary
@@ -605,30 +715,35 @@ void Encoding::buildSemanticConstraints() {
               (PairNew || ConsumingGrew)) {
             std::vector<Lit> Card = Consuming;
             Card.push_back(mkLit(VNext));
-            Solver.addAtMost(Card, 1);
+            Solver.addAtMost(std::move(Card), 1);
           }
           if (!TieHandled) {
             // Nothing else kills: V_i => V_{i+1} OR consumed. The
             // consumed-by list is closure-sensitive, so guarded. Output
             // refs get the equivalent persistence from their Rule 6 tie.
             std::vector<Lit> Persist{mkLit(VNow, true), mkLit(VNext)};
-            for (Lit C : Consuming)
-              Persist.push_back(C);
-            addGuarded(Persist);
+            Persist.insert(Persist.end(), Consuming.begin(), Consuming.end());
+            addGuarded(std::move(Persist));
           }
           if (Ty->isMutRef()) {
-            auto &PerLine = MutConsuming[{X, Ty}];
+            std::vector<std::vector<Lit>> &PerLine = MutConsuming[VT.Row];
             PerLine.resize(static_cast<size_t>(NumLines));
             PerLine[static_cast<size_t>(I)] = Consuming;
           }
         } else if (!TieHandled && PairNew) {
           // Copy values (including shared refs) persist.
-          Solver.addClause(mkLit(getV(X, Ty, I), true),
-                           mkLit(getV(X, Ty, I + 1)));
+          Solver.addClause(mkLit(getV(VT.Row, I), true),
+                           mkLit(getV(VT.Row, I + 1)));
         }
       }
     }
   }
+
+  // Positions of the let_mut builtin in Active (one, in practice).
+  std::vector<size_t> LetMuts;
+  for (size_t Kk = 0; Kk < Active.size(); ++Kk)
+    if (Db.get(Active[Kk]).Builtin == BuiltinKind::LetMut)
+      LetMuts.push_back(Kk);
 
   for (int I = 0; I < NumLines; ++I) {
     std::vector<CallSite> &LineSites = Sites[static_cast<size_t>(I)];
@@ -653,9 +768,7 @@ void Encoding::buildSemanticConstraints() {
             continue; // Filtered at candidate creation.
           int DefLine = C.Var - K;
           // Find the let_mut site of the defining line.
-          for (size_t K2 = 0; K2 < Active.size(); ++K2) {
-            if (Db.get(Active[K2]).Builtin != BuiltinKind::LetMut)
-              continue;
+          for (size_t K2 : LetMuts) {
             const CallSite &Def = Sites[static_cast<size_t>(DefLine)][K2];
             if (Def.A == sat::VarUndef)
               addGuarded({mkLit(C.U, true)});
@@ -671,19 +784,14 @@ void Encoding::buildSemanticConstraints() {
       // direction only holds until a consuming use moves the &mut out
       // (it is not Copy); the consuming-use list is closure-sensitive,
       // so those clauses are guarded and re-emitted over all candidates
-      // each sync.
-      auto AddTie = [&](const Candidate &C, const Type *RefTy) {
+      // each sync. RefRow is the row of (Out, the reference's type).
+      auto AddTie = [&](const Candidate &C, uint32_t RefRow) {
         bool NewCand = isNew(C);
-        bool MutRef = RefTy->isMutRef();
-        const std::vector<std::vector<Lit>> *ConsumedBy = nullptr;
-        if (MutRef) {
-          auto It = MutConsuming.find({Out, RefTy});
-          if (It != MutConsuming.end())
-            ConsumedBy = &It->second;
-        }
+        bool MutRef = Types[Rows[RefRow].TyId].Ty->isMutRef();
+        const std::vector<std::vector<Lit>> &ConsumedBy = MutConsuming[RefRow];
         for (int M = I + 2; M <= NumLines; ++M) {
-          sat::Var VRef = getV(Out, RefTy, M);
-          sat::Var VSrc = getV(C.Var, C.Ty, M);
+          sat::Var VRef = getV(RefRow, M);
+          sat::Var VSrc = getV(C.Row, M);
           // U and ref alive => source alive.
           if (NewCand)
             Solver.addClause(mkLit(C.U, true), mkLit(VRef, true),
@@ -698,11 +806,11 @@ void Encoding::buildSemanticConstraints() {
           // U and source alive => ref alive OR consumed earlier.
           std::vector<Lit> Persist{mkLit(C.U, true), mkLit(VSrc, true),
                                    mkLit(VRef)};
-          if (ConsumedBy)
+          if (!ConsumedBy.empty())
             for (int L = I + 1; L < M; ++L)
-              for (Lit CL : (*ConsumedBy)[static_cast<size_t>(L)])
+              for (Lit CL : ConsumedBy[static_cast<size_t>(L)])
                 Persist.push_back(CL);
-          addGuarded(Persist);
+          addGuarded(std::move(Persist));
         }
       };
       if (Sig.Builtin == BuiltinKind::Borrow ||
@@ -710,15 +818,16 @@ void Encoding::buildSemanticConstraints() {
         bool Mut = Sig.Builtin == BuiltinKind::BorrowMut;
         for (const Candidate &C : Site.Slots[0])
           if (Mut || isNew(C))
-            AddTie(C, C.Out);
+            AddTie(C, C.OutRow);
       } else if (!Sig.PropagatesFrom.empty() && RenOut[Kk]->isRef()) {
         bool MutOut = RenOut[Kk]->isMutRef();
+        uint32_t OutRow = rowOf(Out, RenOut[Kk]);
         for (int J : Sig.PropagatesFrom) {
           if (J < 0 || static_cast<size_t>(J) >= Site.Slots.size())
             continue;
           for (const Candidate &C : Site.Slots[static_cast<size_t>(J)])
             if ((MutOut || isNew(C)) && C.Ty->isRef())
-              AddTie(C, RenOut[Kk]);
+              AddTie(C, OutRow);
         }
       }
     }
@@ -727,32 +836,23 @@ void Encoding::buildSemanticConstraints() {
   // Rules 8/9: borrow exclusivity. For each (owner, type): a live &mut
   // forbids later borrows; a live & forbids later &mut. Additive per
   // (first, second) borrow pair: emit when either end is new.
-  int NumVarsAll = K + NumLines;
-  for (int X = 0; X < NumVarsAll; ++X) {
+  struct BorrowUse {
+    int Line;
+    const Candidate *C;
+    bool Mut;
+  };
+  std::vector<BorrowUse> Borrows;
+  for (int X = 0; X < NumVars; ++X) {
     for (const VarType &VT : VarTypes[static_cast<size_t>(X)]) {
       if (VT.Ty->isRef())
         continue;
       // Collect per-line borrow uses of (X, Ty).
-      struct BorrowUse {
-        int Line;
-        const Candidate *C;
-        bool Mut;
-      };
-      std::vector<BorrowUse> Borrows;
-      for (int I = 0; I < NumLines; ++I) {
-        for (size_t Kk = 0; Kk < Active.size(); ++Kk) {
-          const ApiSig &Sig = Db.get(Active[Kk]);
-          if (Sig.Builtin != BuiltinKind::Borrow &&
-              Sig.Builtin != BuiltinKind::BorrowMut)
-            continue;
-          if (Sites[static_cast<size_t>(I)][Kk].A == sat::VarUndef)
-            continue; // Dead-eliminated on this line.
-          bool Mut = Sig.Builtin == BuiltinKind::BorrowMut;
-          for (const Candidate &C :
-               Sites[static_cast<size_t>(I)][Kk].Slots[0])
-            if (C.Var == X && C.Ty == VT.Ty)
-              Borrows.push_back(BorrowUse{I, &C, Mut});
-        }
+      Borrows.clear();
+      for (const Use &Us : Index.ofRow(VT.Row)) {
+        BuiltinKind B = Db.get(Active[Us.Kk]).Builtin;
+        if (B == BuiltinKind::Borrow || B == BuiltinKind::BorrowMut)
+          Borrows.push_back(
+              BorrowUse{Us.Line, Us.C, B == BuiltinKind::BorrowMut});
       }
       for (const BorrowUse &First : Borrows) {
         for (const BorrowUse &Second : Borrows) {
@@ -763,18 +863,16 @@ void Encoding::buildSemanticConstraints() {
             continue; // Shared borrows coexist.
           if (!isNew(*First.C) && !isNew(*Second.C))
             continue; // Pair already constrained.
-          sat::Var RefAlive =
-              getV(K + First.Line, First.C->Out, Second.Line + 1);
-          Solver.addClause(std::vector<Lit>{
-              mkLit(First.C->U, true), mkLit(RefAlive, true),
-              mkLit(Second.C->U, true)});
+          sat::Var RefAlive = getV(First.C->OutRow, Second.Line + 1);
+          Solver.addClause(mkLit(First.C->U, true), mkLit(RefAlive, true),
+                           mkLit(Second.C->U, true));
         }
       }
     }
   }
 }
 
-void Encoding::buildRedundancyConstraints() {
+void Encoding::buildRedundancyConstraints(const UseIndex &Index) {
   int K = static_cast<int>(Inputs.size());
 
   // Indices of builtin APIs in Active.
@@ -820,22 +918,14 @@ void Encoding::buildRedundancyConstraints() {
     for (const VarType &VT : VarTypes[static_cast<size_t>(X)]) {
       std::vector<Lit> MutBorrows;
       bool Grew = false;
-      for (int I = 0; I < NumLines; ++I) {
-        for (size_t Kk : BorrowIdxs) {
-          if (Db.get(Active[Kk]).Builtin != BuiltinKind::BorrowMut)
-            continue;
-          if (Sites[static_cast<size_t>(I)][Kk].A == sat::VarUndef)
-            continue; // Dead-eliminated on this line.
-          for (const Candidate &C :
-               Sites[static_cast<size_t>(I)][Kk].Slots[0])
-            if (C.Var == X && C.Ty == VT.Ty) {
-              MutBorrows.push_back(mkLit(C.U));
-              Grew |= isNew(C);
-            }
+      for (const Use &Us : Index.ofRow(VT.Row)) {
+        if (Db.get(Active[Us.Kk]).Builtin == BuiltinKind::BorrowMut) {
+          MutBorrows.push_back(mkLit(Us.C->U));
+          Grew |= isNew(*Us.C);
         }
       }
       if (MutBorrows.size() > 1 && Grew)
-        Solver.addAtMost(MutBorrows, 1);
+        Solver.addAtMost(std::move(MutBorrows), 1);
     }
   }
 
@@ -848,37 +938,41 @@ void Encoding::buildRedundancyConstraints() {
       std::vector<Lit> Clause{
           mkLit(Sites[static_cast<size_t>(I)][Kk].A, true)};
       VarId Out = K + I;
-      for (int M = I + 1; M < NumLines; ++M) {
-        for (size_t K2 = 0; K2 < Active.size(); ++K2) {
-          for (auto &Slot : Sites[static_cast<size_t>(M)][K2].Slots)
-            for (Candidate &C : Slot)
-              if (C.Var == Out)
-                Clause.push_back(mkLit(C.U));
-        }
-      }
-      addGuarded(Clause);
+      for (int M = I + 1; M < NumLines; ++M)
+        for (const Use &Us : Index.ofVar(M, Out))
+          Clause.push_back(mkLit(Us.C->U));
+      addGuarded(std::move(Clause));
     }
   }
 }
 
 void Encoding::buildBlockedCombos() {
+  // Only APIs with a blocked combination can need a clause. (ApiDatabase
+  // exposes membership tests only, so each site's candidate type tuples
+  // are tested one by one below, bounded by the slots' distinct-type
+  // counts.)
+  std::vector<size_t> Blocking;
+  for (size_t Kk = 0; Kk < Active.size(); ++Kk)
+    if (!Banned[Kk] && Db.hasBlockedCombos(Active[Kk]))
+      Blocking.push_back(Kk);
+  std::vector<std::vector<const Type *>> SlotTypes;
+  std::vector<const Type *> Combo;
   for (int I = 0; I < NumLines; ++I) {
-    for (size_t Kk = 0; Kk < Active.size(); ++Kk) {
+    for (size_t Kk : Blocking) {
       CallSite &Site = Sites[static_cast<size_t>(I)][Kk];
-      // Collect the combos blocked for this API.
-      // (Iterate via probe: ApiDatabase exposes membership tests only, so
-      // the synthesizer's combos come through isComboBlocked on candidate
-      // type tuples. To keep the encoding closed-form we instead intersect
-      // per-slot candidate types and test each cross-product lazily below,
-      // bounded by slots' distinct-type counts.)
-      if (Site.Slots.empty() || Banned[Kk])
+      if (Site.Slots.empty())
         continue;
-      std::vector<std::vector<const Type *>> SlotTypes(Site.Slots.size());
+      // Each slot's distinct candidate types, in insertion order.
+      SlotTypes.assign(Site.Slots.size(), {});
       for (size_t J = 0; J < Site.Slots.size(); ++J) {
-        std::set<const Type *> Seen;
-        for (Candidate &C : Site.Slots[J])
-          if (Seen.insert(C.Ty).second)
-            SlotTypes[J].push_back(C.Ty); // Insertion order.
+        const unsigned Epoch = ++MarkEpoch;
+        for (const Candidate &C : Site.Slots[J]) {
+          TypeFacts &F = Types[Rows[C.Row].TyId];
+          if (F.Mark == Epoch)
+            continue;
+          F.Mark = Epoch;
+          SlotTypes[J].push_back(C.Ty);
+        }
       }
       // Enumerate type tuples (bounded: used only for small slot counts).
       size_t Total = 1;
@@ -889,7 +983,7 @@ void Encoding::buildBlockedCombos() {
       if (Total > 4096)
         continue;
       for (size_t N = 0; N < Total; ++N) {
-        std::vector<const Type *> Combo;
+        Combo.clear();
         size_t Rem = N;
         bool Valid = true;
         for (size_t J = 0; J < SlotTypes.size(); ++J) {
@@ -926,7 +1020,7 @@ void Encoding::buildBlockedCombos() {
           Clause.push_back(mkLit(S, true));
           Aux.push_back(S);
         }
-        Solver.addClause(Clause);
+        Solver.addClause(std::move(Clause));
         ComboAux.emplace(std::move(Key), std::move(Aux));
       }
     }

@@ -47,6 +47,17 @@
 /// which is how a sync tells the facts it adds from the ones already
 /// encoded.
 ///
+/// A sync costs about what it emits. The (variable, type) pairs form one
+/// dense table whose rows hold the pair's birth sync and its V variable
+/// per line; every VarType and Candidate names its row. Each
+/// semantic-aware sync indexes its candidate uses by variable and by
+/// row, so the Rule 5, Rule 8/9 and redundancy clauses read the uses of
+/// a pair instead of scanning every site. A slot's new candidates are
+/// its suffix, each interned type's Copy answer and borrow outputs are
+/// computed once, and the combo pass visits only APIs with a blocked
+/// combination. What stays proportional to the whole encoding is the
+/// re-emitted guarded layer and the probes of dead sites.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYRUST_SYNTH_ENCODING_H
@@ -62,9 +73,12 @@
 #include "types/Subtyping.h"
 #include "types/TraitEnv.h"
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 namespace syrust::synth {
@@ -226,13 +240,20 @@ public:
   const PruneStats &pruneStats() const { return Prune; }
 
 private:
+  /// Index sentinel: no row or type index (yet).
+  static constexpr uint32_t NoIndex = UINT32_MAX;
+
   /// One (variable, encoder-type) candidate for an input slot.
   struct Candidate {
     program::VarId Var;
+    /// The row of (Var, Ty) in the (variable, type) table.
+    uint32_t Row;
     const types::Type *Ty;
     /// At a builtin site, the output type this argument yields
-    /// (builtinOutput); null at a library API's site.
+    /// (builtinOutput) and the row of (line output, Out); null and NoIndex
+    /// at a library API's site.
     const types::Type *Out = nullptr;
+    uint32_t OutRow = NoIndex;
     sat::Var U = sat::VarUndef;
     /// The sync that added the candidate.
     unsigned Born = 0;
@@ -247,11 +268,13 @@ private:
     sat::Var A = sat::VarUndef;
     /// The sync that materialized the site (meaningless while dead).
     unsigned Born = 0;
-    /// Candidates per input slot.
+    /// Candidates per input slot. A sync appends the candidates it adds,
+    /// so the new ones of a slot are its suffix.
     std::vector<std::vector<Candidate>> Slots;
   };
 
-  /// One possible encoder-level type of a variable.
+  /// One possible encoder-level type of a variable, as listed by the
+  /// current sync's type universe.
   struct VarType {
     const types::Type *Ty;
     /// The non-builtin API whose renamed output the type is (the first
@@ -260,27 +283,107 @@ private:
     /// inputs and builtin-derived types, which take the fallback probe
     /// arm.
     api::ApiId Producer;
-    /// The sync that first made the type possible for the variable.
+    /// The pair's row in the (variable, type) table.
+    uint32_t Row;
+  };
+
+  /// Facts about one interned encoder-level type, computed once per
+  /// encoding. Reached through TypeIds, which is never iterated.
+  struct TypeFacts {
+    const types::Type *Ty;
+    /// Traits.isCopy(Ty) once known (-1 before): the move semantics of
+    /// every use of the type.
+    int8_t Copy = -1;
+    /// The indices of &Ty and &mut Ty (the borrow builtins' outputs), or
+    /// NoIndex before first use.
+    uint32_t SharedRef = NoIndex;
+    uint32_t MutRef = NoIndex;
+    /// The last dedup pass (MarkEpoch) that listed the type.
+    unsigned Mark = 0;
+    /// Per variable, the row of (variable, Ty), or NoIndex.
+    std::vector<uint32_t> RowOf;
+  };
+
+  /// One (variable, type) pair the type universe has ever listed. Rows
+  /// only append: a pair never leaves the universe.
+  struct TypeRow {
+    /// Index into Types.
+    uint32_t TyId;
+    /// The sync that first made the pair possible.
     unsigned Born;
+    /// The last sync whose type universe listed the pair, and where in
+    /// VarTypes[variable] it put it.
+    unsigned Listed = 0;
+    uint32_t Pos = 0;
+  };
+
+  /// One use of a variable: candidate C of slot J at the site of
+  /// Active[Kk] on line Line.
+  struct Use {
+    int Line;
+    uint32_t Kk;
+    uint32_t J;
+    const Candidate *C;
+  };
+
+  /// Uses grouped by a dense key, each group in the order the call sites
+  /// are walked: (line, site, slot, candidate).
+  struct UseGroups {
+    std::vector<Use> All;
+    /// Group K is All[Start[K] .. Start[K + 1]).
+    std::vector<uint32_t> Start;
+    std::span<const Use> operator[](size_t K) const {
+      return {All.data() + Start[K], All.data() + Start[K + 1]};
+    }
+  };
+
+  /// The index of one sync's candidate uses, built once its call sites
+  /// are final and dropped when it ends. The build functions read the
+  /// uses of a variable or of a (variable, type) here instead of scanning
+  /// every site.
+  struct UseIndex {
+    size_t NumVars = 0;
+    /// Key Line * NumVars + Var.
+    UseGroups ByVar;
+    /// Key: the (variable, type) row.
+    UseGroups ByRow;
+    /// Line \p I's uses of variable \p X, in (site, slot, candidate)
+    /// order.
+    std::span<const Use> ofVar(int I, program::VarId X) const {
+      return ByVar[static_cast<size_t>(I) * NumVars + static_cast<size_t>(X)];
+    }
+    /// Row \p R's uses, in (line, site, slot, candidate) order.
+    std::span<const Use> ofRow(uint32_t R) const { return ByRow[R]; }
   };
 
   /// The index of the site the current model chooses on a line: the one
   /// whose A is true (exactly one is).
   size_t chosenSite(const std::vector<CallSite> &LineSites) const;
-  sat::Var getV(program::VarId X, const types::Type *Ty, int Line);
-  bool isOwnedNonCopy(const types::Type *Ty) const;
+  /// The V variable of \p Row on \p Line, allocated on first request.
+  sat::Var getV(uint32_t Row, int Line);
+  /// The index of \p Ty in Types, registered on first request.
+  uint32_t typeId(const types::Type *Ty);
+  /// The row of (\p X, \p Ty), which the type universe listed.
+  uint32_t rowOf(program::VarId X, const types::Type *Ty);
   bool isEncoded(api::ApiId Id) const;
 
-  /// True when the candidate, call site or variable type was added by
-  /// the current sync.
+  /// True when the candidate, call site or (variable, type) row was added
+  /// by the current sync.
   template <typename Fact> bool isNew(const Fact &F) const {
     return F.Born == Sync;
   }
+  bool isNew(const VarType &VT) const { return isNew(Rows[VT.Row]); }
   /// The output type a builtin derives from its argument type (null for
   /// library APIs): the type universe, candidate creation and decode
   /// all derive it here.
   const types::Type *builtinOutput(api::BuiltinKind B,
                                    const types::Type *Arg) const;
+  /// builtinOutput on type indices (B is a builtin), memoized in the
+  /// argument's facts: the arena renders and hashes each borrow output
+  /// once per encoding, not once per line and sync.
+  uint32_t builtinOutput(api::BuiltinKind B, uint32_t ArgId);
+  /// Traits.isCopy of Types[Id], asked once per encoding.
+  bool isCopy(uint32_t Id);
   /// The three probe arms behind one face (identical answers each):
   /// pair compatibility via cache or direct unification...
   bool probeUnifiable2(const types::Type *Ty,
@@ -307,9 +410,11 @@ private:
   void buildBans();
   void buildTypeUniverse();
   void buildCallSites();
+  /// Indexes the candidate uses of the current call sites.
+  UseIndex indexUses() const;
   void buildContextConstraints();
-  void buildSemanticConstraints();
-  void buildRedundancyConstraints();
+  void buildSemanticConstraints(const UseIndex &Index);
+  void buildRedundancyConstraints(const UseIndex &Index);
   void buildBlockedCombos();
 
   types::TypeArena &Arena;
@@ -331,23 +436,26 @@ private:
   std::vector<std::vector<const types::Type *>> RenIn;
   std::vector<const types::Type *> RenOut;
 
-  /// Possible encoder-level types of each variable, recomputed by every
+  /// Every encoder-level type seen so far, and its index in Types.
+  std::vector<TypeFacts> Types;
+  std::unordered_map<const types::Type *, uint32_t> TypeIds;
+  /// Advanced by each dedup pass over types (TypeFacts::Mark).
+  unsigned MarkEpoch = 0;
+
+  /// The (variable, type) table: one row per pair, and per row the V
+  /// variable of each line 0..NumLines at VTable[Row * (NumLines + 1) +
+  /// Line], VarUndef until first requested.
+  std::vector<TypeRow> Rows;
+  std::vector<sat::Var> VTable;
+
+  /// Possible encoder-level types of each variable, listed again by every
   /// sync. Template variables have exactly one; line outputs one per
-  /// producible type.
+  /// producible type. A new type can land among old ones, so a pair's
+  /// birth is read off its row, never off its position.
   std::vector<std::vector<VarType>> VarTypes;
-  /// The sync that first made each (variable, type) pair possible. A
-  /// recompute can interleave new types among old ones, so a pair's
-  /// birth is looked up here, never read off its position; the map is
-  /// never iterated (pointer order).
-  std::map<std::pair<program::VarId, const types::Type *>, unsigned>
-      TypeBorn;
 
   /// CallSites[i][k] for line i, Active[k].
   std::vector<std::vector<CallSite>> Sites;
-
-  /// V variables keyed by (var, type, line).
-  std::map<std::tuple<program::VarId, const types::Type *, int>, sat::Var>
-      VMap;
 
   /// Number of the current sync. Each sync() and each ban- or
   /// combo-only extend advances it, so nothing older counts as new.

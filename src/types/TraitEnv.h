@@ -92,13 +92,20 @@ private:
 ///   * everything else — owned non-Copy values, and `&mut T` passed to a
 ///     by-value parameter such as a bare type variable — moves, killing
 ///     the binding (`&mut T` is not Copy).
-inline bool movesOnUse(const Type *ArgTy, const Type *Pattern,
-                       const TraitEnv &Traits) {
-  if (Traits.isCopy(ArgTy))
+///
+/// \p ArgIsCopy is Traits.isCopy(ArgTy), for callers that memoize it.
+inline bool movesOnUse(const Type *ArgTy, bool ArgIsCopy,
+                       const Type *Pattern) {
+  if (ArgIsCopy)
     return false;
   if (ArgTy->isRef() && Pattern && Pattern->isRef())
     return false; // Implicit reborrow.
   return true;
+}
+
+inline bool movesOnUse(const Type *ArgTy, const Type *Pattern,
+                       const TraitEnv &Traits) {
+  return movesOnUse(ArgTy, Traits.isCopy(ArgTy), Pattern);
 }
 
 } // namespace syrust::types

@@ -112,6 +112,84 @@ TEST(CheckpointTest, ResultJsonRoundTripsByteIdentically) {
   EXPECT_EQ(Once, core::resultToJson(FromOld, NoWall).dump());
 }
 
+TEST(CheckpointTest, MistypedValuesAreRefusedByName) {
+  // A checkpoint cell whose count, minimized bug or wall time has the
+  // wrong JSON kind must fail with the key's name (resume exits 2), not
+  // load as zero and shrink the resumed aggregate.
+  core::RunResult R;
+  R.Crate = "slab";
+  R.ByCategory[rustsim::ErrorCategory::Type] = 47;
+  R.ByDetail[rustsim::ErrorDetail::TraitBound] = 47;
+  R.BugFound = true;
+  R.FirstBug.Kind = miri::UbKind::MemoryLeak;
+  R.BugLines = 3;
+  R.MinimizedLines = 2;
+  R.MinimizedProgram = "let v1 = f(x);";
+  const json::Value Good = core::resultToJson(R);
+  core::RunResult Back;
+  std::string Err;
+  ASSERT_TRUE(core::resultFromJson(Good, Back, Err)) << Err;
+  EXPECT_EQ(2, Back.MinimizedLines);
+
+  // Replaces Section.Key (or the top-level Key) with Bad and expects the
+  // reader to refuse the document, naming Key.
+  auto ExpectRefused = [&](const char *Section, const char *Key,
+                           json::Value Bad) {
+    json::Value Doc = Good;
+    json::Value Sec = Doc.get(Section);
+    ASSERT_TRUE(Sec.has(Key)) << Section << "." << Key;
+    Sec.set(Key, std::move(Bad));
+    Doc.set(Section, std::move(Sec));
+    core::RunResult Out;
+    std::string Why;
+    EXPECT_FALSE(core::resultFromJson(Doc, Out, Why))
+        << Section << "." << Key << " was accepted";
+    EXPECT_NE(std::string::npos, Why.find(std::string("'") + Key + "'"))
+        << Why;
+  };
+  ExpectRefused("by_category", "Type", json::Value::string("47"));
+  ExpectRefused("by_detail", "trait", json::Value::string("47"));
+  ExpectRefused("bug", "minimized_lines", json::Value::string("2"));
+  ExpectRefused("bug", "minimized_program", json::Value::integer(2));
+  ExpectRefused("synthesis", "build_wall_seconds",
+                json::Value::string("0.5"));
+  ExpectRefused("synthesis", "solve_wall_seconds", json::Value::boolean(true));
+
+  // In a checkpoint file the refused cell is complete, so it is not a
+  // torn append: loading stops there and reports it, and a resume
+  // refuses the file instead of re-running or misreading the cell. The
+  // same holds for a mistyped counter delta.
+  const std::string Path = tempPath("ckpt_mistyped.jsonl");
+  auto LoadCell = [&](json::Value Result, json::Value Counters) {
+    json::Value Line = json::Value::object();
+    Line.set("index", json::Value::integer(0));
+    Line.set("result", std::move(Result));
+    Line.set("counters", std::move(Counters));
+    {
+      std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+      Out << "{\"fingerprint\":\"0\",\"kind\":\"campaign_checkpoint\","
+             "\"schema_version\":5}\n"
+          << Line.dump() << "\n";
+    }
+    CheckpointData Data;
+    EXPECT_TRUE(loadCheckpoint(Path, Data, Err)) << Err;
+    EXPECT_TRUE(Data.Cells.empty());
+    EXPECT_TRUE(Data.TornTail.empty());
+    return Data.Refused;
+  };
+  json::Value Bad = Good;
+  json::Value Cat = Bad.get("by_category");
+  Cat.set("Type", json::Value::string("47"));
+  Bad.set("by_category", std::move(Cat));
+  std::string Why = LoadCell(std::move(Bad), json::Value::object());
+  EXPECT_NE(std::string::npos, Why.find("line 2")) << Why;
+  EXPECT_NE(std::string::npos, Why.find("'Type'")) << Why;
+  json::Value Counters = json::Value::object();
+  Counters.set("compile.checks", json::Value::string("421"));
+  Why = LoadCell(Good, std::move(Counters));
+  EXPECT_NE(std::string::npos, Why.find("'compile.checks'")) << Why;
+}
+
 TEST(CheckpointTest, WriterLoaderRoundTrip) {
   core::Session S;
   CampaignSpec Spec = smallSpec();

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 using namespace syrust;
@@ -178,6 +179,39 @@ TEST_F(EncodingFixture, BanAndComboBlockExtendWithoutANewGeneration) {
     EXPECT_TRUE(Hashes.insert(Q.hash()).second);
   }
   EXPECT_EQ(Hashes.size(), 2u);
+}
+
+TEST_F(EncodingFixture, MutRefReborrowedIntoRefParameterStaysUsable) {
+  // A `&mut` binding passed to a parameter declared as a reference is
+  // reborrowed, not moved (types::movesOnUse), so a later line may pass
+  // it again. The Rule 5 consumption lists must leave such uses out:
+  // counted as moves, they would kill the binding after its first use
+  // and drop this compilable program.
+  Traits.addDefaultPrimImpls();
+  addApi("touch", {"&mut Counter"}, "usize");
+  auto Two = enumerate(2, {{"r", ty("&mut Counter")}});
+  ASSERT_EQ(Two.size(), 1u);
+  for (const Stmt &S : Two[0].Stmts)
+    EXPECT_EQ(S.Args, std::vector<VarId>{0}) << Two[0].render(Db);
+  rustsim::Checker Check(Arena, Traits);
+  auto R = Check.check(Two[0], Db);
+  EXPECT_TRUE(R.Success) << Two[0].render(Db) << R.Diag.Message;
+
+  // The same through the builtins: `let mut`, then one `&mut` binding
+  // passed to touch on two later lines.
+  addBuiltinApis(Db, Arena);
+  addApi("mk", {"usize"}, "Counter");
+  int Twice = 0;
+  for (const Program &P : enumerate(5, {{"x", ty("usize")}})) {
+    std::map<VarId, int> Touches;
+    for (const Stmt &S : P.Stmts)
+      if (Db.get(S.Api).Name == "touch" && ++Touches[S.Args[0]] == 2) {
+        ++Twice;
+        auto Verdict = Check.check(P, Db);
+        EXPECT_TRUE(Verdict.Success) << P.render(Db) << Verdict.Diag.Message;
+      }
+  }
+  EXPECT_GT(Twice, 0) << "no program passes one &mut binding twice";
 }
 
 TEST_F(EncodingFixture, SatVarCountGrowsWithLength) {

@@ -7,10 +7,11 @@
 # compares what they write byte for byte:
 #
 #   * every synthesizable crate (`syrust list`, last column "yes") in
-#     eight modes - default, --interleave, --lazy, --eager, --no-semantic,
-#     --no-incremental, --bias-coverage, --mutate-inputs - at --budget 120
-#     with --trace-out: the trace, and the printed report minus its one
-#     wall-clock line, plus the exit code;
+#     ten modes - default, --interleave, --lazy, --eager, --no-semantic,
+#     --no-incremental, --bias-coverage, --mutate-inputs, --portfolio and
+#     --strategy cegar (the two modes that record the solver's op log) -
+#     at --budget 120 with --trace-out: the trace, and the printed report
+#     minus its one wall-clock line, plus the exit code;
 #   * the same crates in the default mode at --budget 120 with --json:
 #     the result document, each *_wall_seconds value replaced by 0;
 #   * `campaign --crates all --seeds 2021 --budget 60` over seven
@@ -36,7 +37,8 @@ fi
 OLD=$(realpath "$1")
 NEW=$(realpath "$2")
 JOBS=${JOBS:-4}
-MODES="none interleave lazy eager no-semantic no-incremental bias-coverage mutate-inputs"
+# A mode is a flag name; NAME=VALUE passes --NAME VALUE.
+MODES="none interleave lazy eager no-semantic no-incremental bias-coverage mutate-inputs portfolio strategy=cegar"
 VARIANTS=base,interleave,lazy,eager,no-semantic,no-incremental,coverage-bias
 
 if [ -n "${KEEP:-}" ]; then
@@ -51,7 +53,11 @@ mkdir -p "$WORK/old" "$WORK/new"
 # run_cell BIN OUTDIR CRATE MODE
 run_cell() {
   local Flag=()
-  [ "$4" != none ] && Flag=("--$4")
+  case "$4" in
+    none) ;;
+    *=*) Flag=("--${4%%=*}" "${4#*=}") ;;
+    *) Flag=("--$4") ;;
+  esac
   local Base="$2/$3.$4"
   "$1" run "$3" --budget 120 "${Flag[@]}" --trace-out "$Base.trace.json" \
     > "$Base.out" 2>&1
@@ -72,7 +78,7 @@ export -f run_json
 "$NEW" list > "$WORK/new/list.txt"
 CRATES=$(awk 'NR > 2 && $NF == "yes" { print $1 }' "$WORK/old/list.txt")
 
-echo "runs: $(echo "$CRATES" | wc -w) crates x (8 modes + --json), both binaries"
+echo "runs: $(echo "$CRATES" | wc -w) crates x ($(echo $MODES | wc -w) modes + --json), both binaries"
 for Crate in $CRATES; do
   for Mode in $MODES; do
     echo "run_cell $OLD $WORK/old $Crate $Mode"
