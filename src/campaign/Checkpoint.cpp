@@ -111,6 +111,13 @@ bool syrust::campaign::loadCheckpoint(const std::string &Path,
       continue;
 
     ParseResult P = parse(Line);
+    // No line this tool writes, torn or whole, nests anywhere near the
+    // parser's limit: the file is not a checkpoint of ours.
+    if (P.TooDeep) {
+      Out.Refused = format("checkpoint '%s' line %zu: %s", Path.c_str(),
+                           LineNo, P.Error.c_str());
+      break;
+    }
     if (!SawHeader) {
       // The header must parse — a file whose first line is garbage is
       // not a checkpoint, and preloading from it would be a lie.
@@ -159,7 +166,7 @@ bool syrust::campaign::loadCheckpoint(const std::string &Path,
     Out.Cells[static_cast<size_t>(P.Val.get("index").asInt())] =
         std::move(Cell);
   }
-  if (!SawHeader) {
+  if (!SawHeader && Out.Refused.empty()) {
     Err = "checkpoint '" + Path + "' is empty";
     return false;
   }

@@ -60,10 +60,12 @@ struct CheckpointData {
   /// Non-empty when the file ended in a torn line (SIGKILL mid-append);
   /// purely informational — the torn cell re-runs.
   std::string TornTail;
-  /// Non-empty when a complete cell line was refused (a result field or
-  /// counter missing or of the wrong JSON kind): the reader's error,
-  /// naming the line and the field. Loading stops there. Such a line was not torn,
-  /// so the file is not what this campaign wrote; resuming refuses it.
+  /// Non-empty when a line was refused: a complete cell line with a
+  /// result field or counter missing or of the wrong JSON kind, or any
+  /// line nested deeper than json::MaxDepth. The reader's error, naming
+  /// the line and the field or offset. Loading stops there. Such a line
+  /// was not torn, so the file is not what this campaign wrote; resuming
+  /// refuses it.
   std::string Refused;
 };
 

@@ -216,14 +216,14 @@ Response executeCampaign(const Session &S, const RequestSpec &Req,
       std::string Err;
       if (!campaign::loadCheckpoint(CkptPath, Data, Err))
         return runtimeError(Err);
+      if (!Data.Refused.empty())
+        return usageError(Data.Refused);
       const std::string Want = campaign::specFingerprint(Spec);
       if (Data.Fingerprint != Want)
         return usageError(
             "checkpoint '" + CkptPath + "' belongs to a different "
             "campaign (fingerprint " + Data.Fingerprint + ", this spec " +
             Want + "); point --checkpoint elsewhere");
-      if (!Data.Refused.empty())
-        return usageError(Data.Refused);
       if (Progress)
         Progress(format("resuming: %zu finished cell(s) preloaded from "
                         "checkpoint",

@@ -31,7 +31,7 @@ std::string numToken(double V) {
 
 void appendString(std::string &Out, std::string_view V) {
   Out += '"';
-  Out += json::escape(V);
+  json::appendEscaped(Out, V);
   Out += '"';
 }
 
@@ -93,7 +93,7 @@ void ArgList::render(std::string &Out) const {
     if (I)
       Out += ',';
     Out += '"';
-    Out += json::escape(A.Key);
+    json::appendEscaped(Out, A.Key);
     Out += "\":";
     switch (A.Kind) {
     case Arg::Borrowed:
@@ -141,9 +141,9 @@ void Tracer::push(const char *Name, const char *Cat, char Phase,
   std::string E;
   E.reserve(96);
   E += "{\"name\":\"";
-  E += json::escape(Name);
+  json::appendEscaped(E, Name);
   E += "\",\"cat\":\"";
-  E += json::escape(Cat);
+  json::appendEscaped(E, Cat);
   E += "\",\"ph\":\"";
   E += Phase;
   E += "\",\"ts\":";

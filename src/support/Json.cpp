@@ -8,8 +8,13 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <numeric>
 
 using namespace syrust;
 using namespace syrust::json;
@@ -19,6 +24,22 @@ namespace {
 /// casting it.
 bool fitsInt64(double D) {
   return D >= -9223372036854775808.0 && D < 9223372036854775808.0;
+}
+
+/// Appends \p Num as `%lld` prints it when it is integral (or stored as an
+/// integer) and fits int64, else as `%.17g` prints it.
+void appendNumber(std::string &Out, double Num, bool IsInt) {
+  char Buf[32];
+  std::to_chars_result R =
+      (IsInt || Num == std::floor(Num)) && fitsInt64(Num)
+          ? std::to_chars(Buf, Buf + sizeof(Buf), static_cast<int64_t>(Num))
+          : std::to_chars(Buf, Buf + sizeof(Buf), Num,
+                          std::chars_format::general, 17);
+  Out.append(Buf, R.ptr);
+}
+
+bool keyLess(const Value::Member &M, std::string_view Key) {
+  return std::string_view(M.first) < Key;
 }
 } // namespace
 
@@ -71,21 +92,43 @@ Value Value::object() {
   return V;
 }
 
-void Value::set(const std::string &Key, Value V) {
-  Members[Key] = std::move(V);
+void Value::set(std::string Key, Value V) {
+  // Builders mostly set keys in ascending order: append without a search.
+  if (Members.empty() || Members.back().first < Key) {
+    Members.emplace_back(std::move(Key), std::move(V));
+    return;
+  }
+  // The last key is not below Key, so the search stays inside.
+  auto It = std::lower_bound(Members.begin(), Members.end(),
+                             std::string_view(Key), keyLess);
+  if (It->first == Key)
+    It->second = std::move(V);
+  else
+    Members.emplace(It, std::move(Key), std::move(V));
 }
 
-const Value &Value::get(const std::string &Key) const {
+const Value *Value::find(std::string_view Key) const {
+  auto It = std::lower_bound(Members.begin(), Members.end(), Key, keyLess);
+  return It != Members.end() && It->first == Key ? &It->second : nullptr;
+}
+
+const Value &Value::get(std::string_view Key) const {
   static const Value Null;
-  auto It = Members.find(Key);
-  return It == Members.end() ? Null : It->second;
+  const Value *V = find(Key);
+  return V ? *V : Null;
 }
 
-std::string syrust::json::escape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
+void syrust::json::appendEscaped(std::string &Out, std::string_view S) {
+  static constexpr char Hex[] = "0123456789abcdef";
+  size_t Run = 0; // Start of the pending run of bytes that print as-is.
+  for (size_t I = 0; I < S.size(); ++I) {
+    // The unsigned read matters: a plain char sign-extends bytes >= 0x80.
+    const unsigned char U = static_cast<unsigned char>(S[I]);
+    if (U >= 0x20 && U < 0x7f && U != '"' && U != '\\')
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
+    switch (U) {
     case '"':
       Out += "\\\"";
       break;
@@ -102,59 +145,65 @@ std::string syrust::json::escape(std::string_view S) {
       Out += "\\r";
       break;
     default: {
-      // Escape remaining control characters AND every non-ASCII byte as
+      // Remaining control bytes, DEL and every non-ASCII byte become
       // per-byte \u00XX (the parser's \u path is byte-exact), so hostile
-      // type names and messages round-trip losslessly and the emitted
-      // document is pure ASCII. The unsigned cast matters: a plain char
-      // sign-extends bytes >= 0x80 into garbage escapes.
-      unsigned char U = static_cast<unsigned char>(C);
-      if (U < 0x20 || U >= 0x7f)
-        Out += format("\\u%04x", U);
-      else
-        Out += C;
+      // type names and messages round-trip losslessly and the document
+      // is pure ASCII.
+      const char Esc[] = {'\\', 'u', '0', '0', Hex[U >> 4], Hex[U & 15]};
+      Out.append(Esc, sizeof(Esc));
     }
     }
   }
-  return Out;
+  Out.append(S.data() + Run, S.size() - Run);
 }
 
 std::string Value::dump() const {
-  switch (K) {
-  case Kind::Null:
-    return "null";
-  case Kind::Bool:
-    return Bool ? "true" : "false";
-  case Kind::Number:
-    if ((IsInt || Num == std::floor(Num)) && fitsInt64(Num))
-      return format("%lld", static_cast<long long>(Num));
-    return format("%.17g", Num);
-  case Kind::String:
-    return "\"" + escape(Str) + "\"";
-  case Kind::Array: {
-    std::string Out = "[";
-    for (size_t I = 0; I < Elems.size(); ++I) {
-      if (I)
-        Out += ",";
-      Out += Elems[I].dump();
-    }
-    return Out + "]";
-  }
-  case Kind::Object: {
-    std::string Out = "{";
-    bool First = true;
-    for (const auto &[Key, Val] : Members) {
-      if (!First)
-        Out += ",";
-      First = false;
-      Out += "\"" + escape(Key) + "\":" + Val.dump();
-    }
-    return Out + "}";
-  }
-  }
-  return "null";
+  std::string Out;
+  dumpTo(Out);
+  return Out;
 }
 
-namespace {
+void Value::dumpTo(std::string &Out) const {
+  switch (K) {
+  case Kind::Null:
+    Out += "null";
+    return;
+  case Kind::Bool:
+    Out += Bool ? "true" : "false";
+    return;
+  case Kind::Number:
+    appendNumber(Out, Num, IsInt);
+    return;
+  case Kind::String:
+    Out += '"';
+    appendEscaped(Out, Str);
+    Out += '"';
+    return;
+  case Kind::Array:
+    Out += '[';
+    for (size_t I = 0; I < Elems.size(); ++I) {
+      if (I)
+        Out += ',';
+      Elems[I].dumpTo(Out);
+    }
+    Out += ']';
+    return;
+  case Kind::Object:
+    Out += '{';
+    for (size_t I = 0; I < Members.size(); ++I) {
+      if (I)
+        Out += ',';
+      Out += '"';
+      appendEscaped(Out, Members[I].first);
+      Out += "\":";
+      Members[I].second.dumpTo(Out);
+    }
+    Out += '}';
+    return;
+  }
+}
+
+namespace syrust::json {
 
 class Parser {
 public:
@@ -166,6 +215,7 @@ public:
     skipSpace();
     if (Failed) {
       R.Error = Error;
+      R.TooDeep = TooDeep;
       return R;
     }
     if (Pos != Text.size()) {
@@ -214,10 +264,18 @@ private:
       return Value();
     }
     char C = Text[Pos];
-    if (C == '{')
-      return parseObject();
-    if (C == '[')
-      return parseArray();
+    if (C == '{' || C == '[') {
+      if (Depth == MaxDepth) {
+        TooDeep = true;
+        fail(format("nesting deeper than %d levels at offset %zu", MaxDepth,
+                    Pos));
+        return Value();
+      }
+      ++Depth;
+      Value V = C == '{' ? parseObject() : parseArray();
+      --Depth;
+      return V;
+    }
     if (C == '"')
       return Value::string(parseString());
     if (literal("true"))
@@ -226,6 +284,14 @@ private:
       return Value::boolean(false);
     if (literal("null"))
       return Value::null();
+    // The writer's spellings of the non-finite numbers.
+    const bool Minus = C == '-';
+    if (literal(Minus ? "-inf" : "inf"))
+      return Value::number((Minus ? -1 : 1) *
+                           std::numeric_limits<double>::infinity());
+    if (literal(Minus ? "-nan" : "nan"))
+      return Value::number(std::copysign(
+          std::numeric_limits<double>::quiet_NaN(), Minus ? -1 : 1));
     return parseNumber();
   }
 
@@ -246,13 +312,44 @@ private:
         fail(format("expected ':' at offset %zu", Pos));
         return Obj;
       }
-      Obj.set(Key, parseValue());
+      Value V = parseValue();
       if (Failed)
         return Obj;
+      Obj.Members.emplace_back(std::move(Key), std::move(V));
     } while (consume(','));
     if (!consume('}'))
       fail(format("expected '}' at offset %zu", Pos));
+    sortMembers(Obj.Members);
     return Obj;
+  }
+
+  /// Sorts an object's members by key, stably, and keeps the last of each
+  /// run of equal keys: what set() leaves for the same members in the
+  /// same order, in O(n log n) rather than a shift per member.
+  static void sortMembers(std::vector<Value::Member> &Members) {
+    auto NotAscending = [](const Value::Member &A, const Value::Member &B) {
+      return !(A.first < B.first);
+    };
+    // Every document this tool writes is already in order.
+    if (std::adjacent_find(Members.begin(), Members.end(), NotAscending) ==
+        Members.end())
+      return;
+    // Sort positions, then move each member once: a member is far larger
+    // to move than its position.
+    std::vector<size_t> Order(Members.size());
+    std::iota(Order.begin(), Order.end(), size_t(0));
+    std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+      return Members[A].first < Members[B].first;
+    });
+    std::vector<Value::Member> Sorted;
+    Sorted.reserve(Members.size());
+    for (size_t I : Order) {
+      if (!Sorted.empty() && Sorted.back().first == Members[I].first)
+        Sorted.back().second = std::move(Members[I].second);
+      else
+        Sorted.push_back(std::move(Members[I]));
+    }
+    Members = std::move(Sorted);
   }
 
   Value parseArray() {
@@ -275,12 +372,13 @@ private:
     std::string Out;
     ++Pos; // Opening quote.
     while (Pos < Text.size() && Text[Pos] != '"') {
-      char C = Text[Pos++];
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
-      if (Pos >= Text.size())
+      const size_t Run = Pos;
+      while (Pos < Text.size() && Text[Pos] != '"' && Text[Pos] != '\\')
+        ++Pos;
+      Out.append(Text.data() + Run, Pos - Run);
+      if (Pos >= Text.size() || Text[Pos] == '"')
+        break;
+      if (++Pos >= Text.size()) // The backslash.
         break;
       char E = Text[Pos++];
       switch (E) {
@@ -299,7 +397,7 @@ private:
         Out += E;
         break;
       case 'u': {
-        // Only the \u00XX range produced by escape() is supported.
+        // Only the \u00XX range produced by appendEscaped() is supported.
         if (Pos + 4 <= Text.size()) {
           unsigned Code = 0;
           std::sscanf(std::string(Text.substr(Pos, 4)).c_str(), "%4x",
@@ -346,11 +444,13 @@ private:
 
   std::string_view Text;
   size_t Pos = 0;
+  int Depth = 0;
   bool Failed = false;
+  bool TooDeep = false;
   std::string Error;
 };
 
-} // namespace
+} // namespace syrust::json
 
 ParseResult syrust::json::parse(std::string_view Text) {
   return Parser(Text).run();

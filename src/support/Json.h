@@ -18,24 +18,36 @@
 /// integer literal outside int64's range parses as a plain double, and
 /// only numbers inside that range print in integer form.
 ///
+/// The writer's contract, which every byte-identity check rests on:
+/// object members print in byte order of their keys; an integral number
+/// inside int64's range prints as `%lld` would, every other number as
+/// `%.17g` would (`inf`, `-inf`, `nan` and `-nan` included, which the
+/// parser reads back); strings are pure ASCII, with every control byte,
+/// DEL and byte >= 0x80 escaped as `\u00xx`. A document is written in one
+/// pass into one buffer.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYRUST_SUPPORT_JSON_H
 #define SYRUST_SUPPORT_JSON_H
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace syrust::json {
+
+class Parser;
 
 /// A JSON value (tree-owning).
 class Value {
 public:
   enum class Kind : uint8_t { Null, Bool, Number, String, Array, Object };
+  /// One object member. An object keeps its members sorted by key, each
+  /// key once.
+  using Member = std::pair<std::string, Value>;
 
   Value() = default;
   static Value null() { return Value(); }
@@ -61,37 +73,53 @@ public:
   size_t size() const { return Elems.size(); }
   const Value &at(size_t I) const { return Elems[I]; }
 
-  /// Object access. get() returns a shared null for missing keys.
-  void set(const std::string &Key, Value V);
-  const Value &get(const std::string &Key) const;
-  bool has(const std::string &Key) const { return Members.count(Key); }
-  const std::map<std::string, Value> &members() const { return Members; }
+  /// Object access. set() replaces an existing member of the same key;
+  /// get() returns a shared null for missing keys. Lookups are binary
+  /// searches, and a key past the last one appends.
+  void set(std::string Key, Value V);
+  const Value &get(std::string_view Key) const;
+  bool has(std::string_view Key) const { return find(Key) != nullptr; }
+  const std::vector<Member> &members() const { return Members; }
 
   /// Compact rendering (no whitespace).
   std::string dump() const;
 
 private:
+  friend class Parser;
+  const Value *find(std::string_view Key) const;
+  /// Appends the compact rendering to \p Out.
+  void dumpTo(std::string &Out) const;
+
   Kind K = Kind::Null;
   bool Bool = false;
-  double Num = 0;
   bool IsInt = false;
+  double Num = 0;
   std::string Str;
   std::vector<Value> Elems;
-  std::map<std::string, Value> Members;
+  std::vector<Member> Members;
 };
+
+/// The deepest nesting of arrays and objects parse() accepts. The tool's
+/// own documents reach 7 levels; the limit keeps the recursive descent
+/// well inside any thread's stack.
+constexpr int MaxDepth = 512;
 
 /// Parse outcome.
 struct ParseResult {
   bool Ok = false;
   Value Val;
   std::string Error;
+  /// True when the input was refused for nesting deeper than MaxDepth,
+  /// which no truncated write of a shallower document can produce.
+  bool TooDeep = false;
 };
 
-/// Parses one JSON document; trailing garbage is an error.
+/// Parses one JSON document; trailing garbage is an error. Costs
+/// O(n log n) in the input: each object's members are sorted once.
 ParseResult parse(std::string_view Text);
 
-/// Escapes a string for embedding in JSON output.
-std::string escape(std::string_view S);
+/// Appends \p S to \p Out with the writer's string escapes (no quotes).
+void appendEscaped(std::string &Out, std::string_view S);
 
 } // namespace syrust::json
 

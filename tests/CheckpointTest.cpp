@@ -241,6 +241,26 @@ TEST(CheckpointTest, MissingFileAndBadHeaderAreErrors) {
   EXPECT_NE(std::string::npos, Err.find("header"));
 }
 
+TEST(CheckpointTest, TooDeepLinesAreRefusedNotTakenForTorn) {
+  // No line of ours nests near the parser's limit, torn or whole, so a
+  // deep line (header or cell) refuses the file, naming line and offset.
+  const std::string Deep(100000, '[');
+  const std::string Path = tempPath("ckpt_deep.jsonl");
+  for (const std::string &Text : {Deep + "\n", Deep}) {
+    {
+      std::ofstream Out(Path, std::ios::binary);
+      Out << Text;
+    }
+    CheckpointData Data;
+    std::string Err;
+    ASSERT_TRUE(loadCheckpoint(Path, Data, Err)) << Err;
+    EXPECT_EQ(Data.Refused,
+              "checkpoint '" + Path +
+                  "' line 1: nesting deeper than 512 levels at offset 512");
+    EXPECT_TRUE(Data.TornTail.empty());
+  }
+}
+
 TEST(CheckpointTest, TornTailIsToleratedNotFatal) {
   core::Session S;
   CampaignSpec Spec = smallSpec();

@@ -151,6 +151,24 @@ TEST_F(ServeTest, GarbageJsonGetsAnErrorButKeepsTheConnection) {
   EXPECT_TRUE(R.get("ok").asBool());
 }
 
+TEST_F(ServeTest, DeeplyNestedFrameGetsAnErrorButKeepsTheConnection) {
+  // 200,000 nested arrays fit one frame; the parser refuses them at its
+  // nesting limit instead of recursing off the end of the IO thread's
+  // stack.
+  Client C = connected();
+  std::string Raw, Err;
+  ASSERT_TRUE(C.callRaw(std::string(200000, '['), Raw, Err)) << Err;
+  json::ParseResult P = json::parse(Raw);
+  ASSERT_TRUE(P.Ok);
+  EXPECT_FALSE(P.Val.get("ok").asBool());
+  EXPECT_NE(std::string::npos,
+            P.Val.get("error").asString().find(
+                "nesting deeper than 512 levels at offset 512"));
+
+  json::Value R = call(C, "{\"verb\":\"ping\"}");
+  EXPECT_TRUE(R.get("ok").asBool());
+}
+
 TEST_F(ServeTest, InvalidRequestsNameTheBadField) {
   Client C = connected();
   json::Value R =

@@ -12,10 +12,16 @@
 #     --strategy cegar (the two modes that record the solver's op log) -
 #     at --budget 120 with --trace-out: the trace, and the printed report
 #     minus its one wall-clock line, plus the exit code;
-#   * the same crates in the default mode at --budget 120 with --json:
-#     the result document, each *_wall_seconds value replaced by 0;
+#   * the same crates in the default mode at --budget 120 with --json
+#     and --metrics-out: the result document, each *_wall_seconds value
+#     replaced by 0, and the metrics JSONL;
 #   * `campaign --crates all --seeds 2021 --budget 60` over seven
-#     variants (aggregate.json);
+#     variants: aggregate.json, every per-job document (wall fields
+#     zeroed) and the --coverage-out document;
+#   * `campaign --crates all --seeds 2021 --budget 60 --jobs 1` with
+#     --checkpoint: the checkpoint file, wall fields zeroed (one worker,
+#     since a cell's zero-valued counter deltas depend on which worker
+#     ran it);
 #   * `audit --crates all --seeds 2021` (audit.json).
 #
 # Prints one line per differing cell or document, then a summary. Exits
@@ -67,10 +73,18 @@ run_cell() {
 }
 export -f run_cell
 
-# run_json BIN OUTDIR CRATE: the result document minus host wall time.
+# zero_wall FILE...: replaces each *_wall_seconds value by 0 in place.
+zero_wall() {
+  sed -i -E 's/("[a-z_]+_wall_seconds":)[-+.0-9eE]+/\10/g' "$@"
+}
+export -f zero_wall
+
+# run_json BIN OUTDIR CRATE: the result document minus host wall time,
+# and the run's metrics JSONL.
 run_json() {
-  "$1" run "$3" --budget 120 --json |
-    sed -E 's/("[a-z_]+_wall_seconds":)[-+.0-9eE]+/\10/g' > "$2/$3.json"
+  "$1" run "$3" --budget 120 --json --metrics-out "$2/$3.metrics.jsonl" \
+    > "$2/$3.json"
+  zero_wall "$2/$3.json"
 }
 export -f run_json
 
@@ -94,7 +108,15 @@ for Side in old new; do
   echo "campaign and audit: $Side"
   "$Bin" campaign --crates all --seeds 2021 --budget 60 \
     --variants "$VARIANTS" --jobs "$JOBS" --out "$WORK/$Side/campaign" \
+    --coverage-out "$WORK/$Side/coverage.json" \
     > "$WORK/$Side/campaign.log" 2>&1
+  zero_wall "$WORK/$Side"/campaign/job-*.json
+  (cd "$WORK/$Side/campaign" && ls job-*.json) > "$WORK/$Side/jobs.txt"
+  rm -f "$WORK/$Side/checkpoint.jsonl" # A kept one would be resumed.
+  "$Bin" campaign --crates all --seeds 2021 --budget 60 --jobs 1 \
+    --checkpoint "$WORK/$Side/checkpoint.jsonl" \
+    > "$WORK/$Side/checkpoint.log" 2>&1
+  zero_wall "$WORK/$Side/checkpoint.jsonl"
   "$Bin" audit --crates all --seeds 2021 --jobs "$JOBS" \
     --out "$WORK/$Side/audit" > "$WORK/$Side/audit.log" 2>&1
 done
@@ -114,8 +136,15 @@ for Crate in $CRATES; do
     same "run $Crate $Mode (report)" "$Crate.$Mode.out"
   done
   same "run $Crate --json" "$Crate.json"
+  same "run $Crate --metrics-out" "$Crate.metrics.jsonl"
 done
 same "campaign aggregate.json" campaign/aggregate.json
+same "campaign per-job file names" jobs.txt
+for Job in $(cat "$WORK/old/jobs.txt"); do
+  same "campaign $Job" "campaign/$Job"
+done
+same "campaign --coverage-out" coverage.json
+same "campaign --checkpoint" checkpoint.jsonl
 same "audit audit.json" audit/audit.json
 
 if [ "$Differ" -ne 0 ]; then
