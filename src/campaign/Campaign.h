@@ -100,8 +100,12 @@ struct CampaignJob {
 struct CampaignJobResult {
   CampaignJob Job;
   core::RunResult Result;
-  /// Which pool worker ran it. Diagnostic only — never serialized into
-  /// the aggregate document, which must not depend on scheduling.
+  /// The metric counters this job registered, by name: its share of the
+  /// aggregate's `metrics` section and what its checkpoint line records.
+  std::map<std::string, uint64_t> Counters;
+  /// Which pool worker ran it (-1 for a cell preloaded from a
+  /// checkpoint). Diagnostic only — never serialized into the aggregate
+  /// document, which must not depend on scheduling.
   int Worker = -1;
 };
 
@@ -125,9 +129,9 @@ struct CampaignTotals {
 struct CampaignResult {
   std::vector<CampaignJobResult> Jobs; ///< Matrix order.
   CampaignTotals Totals;
-  /// Final per-worker metric counters summed across the pool. Integer
-  /// sums commute, so these per-stage totals are identical for any
-  /// worker count.
+  /// Every job's metric counters summed in matrix order (addJobCounters),
+  /// so these per-stage totals are identical for any worker count and
+  /// wherever a resume split the matrix.
   std::map<std::string, uint64_t> MergedCounters;
   /// Multi-lane Chrome trace (one `tid` per worker, lanes named
   /// "worker-N"); empty unless CampaignSpec::Trace.
@@ -188,6 +192,17 @@ CrateCoverage mergeApiCoverage(const std::vector<std::string> &Crates,
   if (Conflicts)
     Counters["coverage.api.merge_conflicts"] += Conflicts;
   return Merged;
+}
+
+/// Adds the counters of every finished matrix job (anything with a
+/// `Counters` map) into \p Into, walking \p Jobs in matrix order. A key
+/// appears when some job registered it, even at zero.
+template <typename JobResult>
+void addJobCounters(const std::vector<JobResult> &Jobs,
+                    std::map<std::string, uint64_t> &Into) {
+  for (const JobResult &JR : Jobs)
+    for (const auto &[Name, N] : JR.Counters)
+      Into[Name] += N;
 }
 
 /// Sets the two sections every aggregate document ends with: the

@@ -71,7 +71,8 @@ std::vector<obs::Recorder> syrust::campaign::runJobPool(
 
   // One recorder per worker, wired into each of that worker's jobs in
   // turn. Lane = worker id, so a merged trace shows one named track per
-  // worker.
+  // worker. Its trace spans the worker's jobs; its metrics are reset per
+  // job.
   std::vector<obs::Recorder> Recorders;
   Recorders.reserve(Workers);
   for (int W = 0; W < Workers; ++W) {
@@ -89,6 +90,7 @@ std::vector<obs::Recorder> syrust::campaign::runJobPool(
         JobIdx = Queues[(Me + Off) % Workers].stealFront();
       if (!JobIdx)
         return; // Every deque empty: no work will ever appear again.
+      Recorders[Me].metrics() = obs::MetricsRegistry();
       Work(*JobIdx, Me, Recorders[Me]);
     }
   };
@@ -106,14 +108,6 @@ std::vector<obs::Recorder> syrust::campaign::runJobPool(
   return Recorders;
 }
 
-void syrust::campaign::addWorkerCounters(
-    std::vector<obs::Recorder> &Recorders,
-    std::map<std::string, uint64_t> &Into) {
-  for (obs::Recorder &Rec : Recorders)
-    for (const auto &[Name, C] : Rec.metrics().counters())
-      Into[Name] += C->value();
-}
-
 CampaignRunner::CampaignRunner(const Session &S, CampaignSpec Spec)
     : S(S), Spec(std::move(Spec)) {
   assert(this->Spec.validate(S).empty() &&
@@ -125,12 +119,8 @@ void CampaignRunner::onJobDone(
   JobDone = std::move(Fn);
 }
 
-void CampaignRunner::preload(std::map<size_t, PreloadedCell> Cells) {
+void CampaignRunner::preload(std::map<size_t, CampaignJobResult> Cells) {
   Preloaded = std::move(Cells);
-}
-
-void CampaignRunner::onJobCheckpoint(CheckpointSink Fn) {
-  Checkpoint = std::move(Fn);
 }
 
 CampaignResult CampaignRunner::run() {
@@ -140,7 +130,7 @@ CampaignResult CampaignRunner::run() {
   Result.Jobs.resize(Jobs.size());
 
   // Resume: finished cells slot straight into their matrix positions and
-  // never reach the pool. Worker -1 marks them as not run here.
+  // never reach the pool.
   std::vector<size_t> Live;
   for (size_t I = 0; I < Jobs.size(); ++I) {
     auto It = Preloaded.find(I);
@@ -148,9 +138,9 @@ CampaignResult CampaignRunner::run() {
       Live.push_back(I);
       continue;
     }
+    Result.Jobs[I] = It->second;
     Result.Jobs[I].Job = Jobs[I];
     Result.Jobs[I].Worker = -1;
-    Result.Jobs[I].Result = It->second.Result;
   }
 
   std::mutex JobDoneMu;
@@ -160,31 +150,11 @@ CampaignResult CampaignRunner::run() {
         CampaignJobResult &Slot = Result.Jobs[Index];
         Slot.Job = Jobs[Index];
         Slot.Worker = Me;
-        // With a checkpoint sink armed, bracket the job with counter
-        // snapshots: jobs run serially per worker, so after-minus-before
-        // is exactly this job's contribution to the per-stage totals.
-        std::map<std::string, uint64_t> Before;
-        if (Checkpoint)
-          for (const auto &[Name, C] : Rec.metrics().counters())
-            Before[Name] = C->value();
         Slot.Result = S.runOne(Slot.Job.Crate, Slot.Job.Config, &Rec);
-        std::map<std::string, uint64_t> Deltas;
-        if (Checkpoint)
-          // Zero deltas are kept deliberately: the aggregate's merged
-          // section lists registered-but-zero counters too, and on a
-          // resume with no live cells the stored deltas are the only
-          // source of that key set.
-          for (const auto &[Name, C] : Rec.metrics().counters()) {
-            auto It = Before.find(Name);
-            Deltas[Name] =
-                C->value() - (It == Before.end() ? 0 : It->second);
-          }
-        if (JobDone || Checkpoint) {
+        Slot.Counters = Rec.metrics().counterValues();
+        if (JobDone) {
           std::lock_guard<std::mutex> Lock(JobDoneMu);
-          if (JobDone)
-            JobDone(Slot);
-          if (Checkpoint)
-            Checkpoint(Slot, Deltas);
+          JobDone(Slot);
         }
       });
   Result.Workers = static_cast<int>(Recorders.size());
@@ -202,17 +172,9 @@ CampaignResult CampaignRunner::run() {
     for (const auto &[Cat, N] : R.ByCategory)
       Result.Totals.ByCategory[Cat] += N;
   }
+  addJobCounters(Result.Jobs, Result.MergedCounters);
   Result.ApiCoverage =
       mergeApiCoverage(Spec.Crates, Result.Jobs, Result.MergedCounters);
-
-  // Per-stage totals: preloaded cells' recorded deltas plus each live
-  // worker's final counters, so they cannot depend on where a resume
-  // split the matrix either.
-  for (const auto &[I, Cell] : Preloaded)
-    if (I < Jobs.size())
-      for (const auto &[Name, N] : Cell.CounterDeltas)
-        Result.MergedCounters[Name] += N;
-  addWorkerCounters(Recorders, Result.MergedCounters);
 
   if (Spec.Trace) {
     std::vector<const obs::Tracer *> Lanes;

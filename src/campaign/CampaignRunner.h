@@ -16,11 +16,12 @@
 /// so a worker that finds every deque empty can retire.
 ///
 /// Determinism: scheduling affects only *when* a job runs, never what it
-/// computes — each job owns its CrateInstance, Rng, and SimClock, and
-/// workers share nothing mutable. Results land in a pre-sized slot per
-/// job index and every merge (totals, counters, aggregate JSON) walks
-/// them in matrix order, so output is byte-identical for any pool width,
-/// including Jobs = 1 (which runs the same worker loop inline).
+/// computes — each job owns its CrateInstance, Rng, SimClock and metric
+/// counters, and workers share nothing mutable. Results land in a
+/// pre-sized slot per job index and every merge (totals, counters,
+/// aggregate JSON) walks them in matrix order, so output is
+/// byte-identical for any pool width, including Jobs = 1 (which runs the
+/// same worker loop inline).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,22 +41,12 @@ namespace syrust::campaign {
 /// back and steals from the front of the others; a single worker runs
 /// inline on the calling thread. Each worker owns one recorder (metrics
 /// on, tracing only when \p Trace, lane = worker id), passed as Rec to
-/// each of its jobs and returned in worker order for merging.
+/// each of its jobs with its metrics reset first, so a job finds only
+/// its own counters there. The recorders are returned in worker order
+/// for merging their traces.
 std::vector<obs::Recorder> runJobPool(
     const std::vector<size_t> &Live, int Jobs, bool Trace,
     const std::function<void(size_t, int, obs::Recorder &)> &Work);
-
-/// Adds every worker's final counters into \p Into. Integer sums
-/// commute, so the totals cannot depend on which worker ran what.
-void addWorkerCounters(std::vector<obs::Recorder> &Recorders,
-                       std::map<std::string, uint64_t> &Into);
-
-/// One finished cell recovered from a checkpoint (Checkpoint.h): the
-/// cell's result plus the per-stage counter increments it contributed.
-struct PreloadedCell {
-  core::RunResult Result;
-  std::map<std::string, uint64_t> CounterDeltas;
-};
 
 /// Runs one campaign. See file comment for the scheduling and
 /// determinism contract.
@@ -65,27 +56,19 @@ public:
   /// empty (the CLI and benches check before constructing).
   CampaignRunner(const core::Session &S, CampaignSpec Spec);
 
-  /// Optional progress callback, fired from worker threads after each
-  /// finished job (guarded by an internal mutex, so the callback itself
-  /// need not be thread-safe). For CLI progress lines; keep it cheap.
+  /// Optional callback, fired from worker threads after each live job
+  /// (never for a preloaded cell) with the job's result and counters,
+  /// under an internal mutex, so the callback itself need not be
+  /// thread-safe. For progress lines and the checkpoint append
+  /// (CheckpointWriter::append); keep it cheap.
   void onJobDone(std::function<void(const CampaignJobResult &)> Fn);
 
-  /// Marks matrix cells as already finished (resume): their results slot
-  /// straight into the aggregate, their counter deltas seed the merged
-  /// counters, and only the remaining cells are dealt to the pool.
-  /// Indexes beyond the matrix are ignored. The merge still walks matrix
-  /// order, so a resumed aggregate is byte-identical to an uninterrupted
-  /// one.
-  void preload(std::map<size_t, PreloadedCell> Cells);
-
-  /// Optional checkpoint sink, fired (under the same mutex as onJobDone)
-  /// after each *live* job with that job's per-stage counter deltas —
-  /// what CheckpointWriter::append persists. Never fired for preloaded
-  /// cells. Setting a sink makes workers snapshot their counters around
-  /// every job; jobs run serially per worker, so the deltas are exact.
-  using CheckpointSink = std::function<void(
-      const CampaignJobResult &, const std::map<std::string, uint64_t> &)>;
-  void onJobCheckpoint(CheckpointSink Fn);
+  /// Marks matrix cells as already finished (resume): each cell's result
+  /// and counters slot straight into its matrix position, and only the
+  /// remaining cells are dealt to the pool. Indexes beyond the matrix are
+  /// ignored. The merge still walks matrix order, so a resumed aggregate
+  /// is byte-identical to an uninterrupted one.
+  void preload(std::map<size_t, CampaignJobResult> Cells);
 
   /// Expands the matrix, runs every job, merges in matrix order.
   CampaignResult run();
@@ -94,8 +77,7 @@ private:
   const core::Session &S;
   CampaignSpec Spec;
   std::function<void(const CampaignJobResult &)> JobDone;
-  CheckpointSink Checkpoint;
-  std::map<size_t, PreloadedCell> Preloaded;
+  std::map<size_t, CampaignJobResult> Preloaded;
 };
 
 } // namespace syrust::campaign

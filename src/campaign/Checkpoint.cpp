@@ -9,6 +9,9 @@
 #include "core/ResultJson.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
+#include <filesystem>
+#include <string_view>
 #include <utility>
 
 using namespace syrust;
@@ -17,13 +20,16 @@ using namespace syrust::json;
 
 namespace {
 
-/// Names the enumerator that produces each cell's program stream. Bump it
-/// whenever the stream a RunConfig yields changes (the solver's search,
-/// blocking or seeding), so a checkpoint written by the previous
-/// enumerator is refused rather than mixed into a new aggregate.
+/// Names what a cell's result records for a RunConfig: its program stream
+/// and the meaning of its counters. Bump it whenever either changes (the
+/// solver's search, blocking or seeding; what a counter counts), so a
+/// checkpoint written by the previous code is refused rather than mixed
+/// into a new aggregate.
 /// 2: models are blocked at their own decision level, not from the root.
 /// 3: bans extend the live encoding instead of rebuilding it.
-constexpr int64_t kEnumerationEpoch = 3;
+/// 4: the compat counters count pair probes only, the matrix gauge the
+///    per-slot matrix, and a cell line carries only its own counters.
+constexpr int64_t kEnumerationEpoch = 4;
 
 /// The canonical spec document the fingerprint hashes: everything that
 /// determines results, nothing that doesn't (Jobs, Trace).
@@ -46,8 +52,7 @@ Value specToCanonicalJson(const CampaignSpec &Spec) {
 
 /// One finished cell as a JSONL line body. Object keys render in sorted
 /// map order, so the line is canonical for the cell.
-Value cellToJson(const CampaignJobResult &JR,
-                 const std::map<std::string, uint64_t> &Deltas) {
+Value cellToJson(const CampaignJobResult &JR) {
   Value V = Value::object();
   V.set("index", Value::integer(static_cast<int64_t>(JR.Job.Index)));
   V.set("crate", Value::string(JR.Job.Crate));
@@ -59,10 +64,27 @@ Value cellToJson(const CampaignJobResult &JR,
   // contract.
   V.set("result", core::resultToJson(JR.Result));
   Value Counters = Value::object();
-  for (const auto &[Name, N] : Deltas)
+  for (const auto &[Name, N] : JR.Counters)
     Counters.set(Name, Value::integer(static_cast<int64_t>(N)));
   V.set("counters", std::move(Counters));
   return V;
+}
+
+/// The length of \p F up to and including its last newline: the bytes a
+/// load trusts. Whatever follows is a torn append.
+long durableLength(std::FILE *F) {
+  long End = std::fseek(F, 0, SEEK_END) == 0 ? std::ftell(F) : 0;
+  char Buf[4096];
+  while (End > 0) {
+    const long From = std::max(End - static_cast<long>(sizeof(Buf)), 0L);
+    std::fseek(F, From, SEEK_SET);
+    const size_t N = std::fread(Buf, 1, static_cast<size_t>(End - From), F);
+    const size_t Nl = std::string_view(Buf, N).rfind('\n');
+    if (Nl != std::string_view::npos)
+      return From + static_cast<long>(Nl) + 1;
+    End = From;
+  }
+  return 0;
 }
 
 } // namespace
@@ -148,23 +170,23 @@ bool syrust::campaign::loadCheckpoint(const std::string &Path,
       Out.TornTail = Line;
       break;
     }
-    PreloadedCell Cell;
+    CampaignJobResult Cell;
     std::string CellErr;
-    if (core::resultFromJson(P.Val.get("result"), Cell.Result, CellErr))
-      for (const auto &[Name, V] : P.Val.get("counters").members()) {
-        if (V.kind() != Value::Kind::Number) {
-          CellErr = "counter '" + Name + "' has the wrong type";
-          break;
-        }
-        Cell.CounterDeltas[Name] = static_cast<uint64_t>(V.asInt());
-      }
+    Fields F(P.Val, CellErr);
+    const uint64_t Index = F.u64("index");
+    const Value *Result = F.object("result");
+    const Value *Counters = F.object("counters");
+    if (F.ok() && core::resultFromJson(*Result, Cell.Result, CellErr)) {
+      Fields C(*Counters, CellErr);
+      for (const auto &Member : Counters->members())
+        Cell.Counters[Member.first] = C.u64(Member.first);
+    }
     if (!CellErr.empty()) {
       Out.Refused = format("checkpoint '%s' line %zu: %s", Path.c_str(),
                            LineNo, CellErr.c_str());
       break;
     }
-    Out.Cells[static_cast<size_t>(P.Val.get("index").asInt())] =
-        std::move(Cell);
+    Out.Cells[static_cast<size_t>(Index)] = std::move(Cell);
   }
   if (!SawHeader && Out.Refused.empty()) {
     Err = "checkpoint '" + Path + "' is empty";
@@ -176,15 +198,26 @@ bool syrust::campaign::loadCheckpoint(const std::string &Path,
 bool CheckpointWriter::open(const std::string &Path,
                             const CampaignSpec &Spec, std::string &Err) {
   close();
-  F = std::fopen(Path.c_str(), "ab");
+  F = std::fopen(Path.c_str(), "a+b");
   if (!F) {
     Err = "cannot open checkpoint file '" + Path + "' for append";
     return false;
   }
-  long End = 0;
-  if (std::fseek(F, 0, SEEK_END) == 0)
-    End = std::ftell(F);
-  if (End == 0) {
+  // Cut a torn tail (a kill mid-append) back to the last newline: the
+  // loader has dropped those bytes already, and appending after them
+  // would glue the next cell onto them into one malformed line that
+  // stops every later load. Append mode writes at the new end.
+  const long Keep = durableLength(F);
+  std::error_code Ec;
+  if (std::fseek(F, 0, SEEK_END) == 0 && Keep < std::ftell(F))
+    std::filesystem::resize_file(Path, static_cast<uintmax_t>(Keep), Ec);
+  if (Ec) {
+    Err = "cannot cut the torn tail of checkpoint file '" + Path +
+          "': " + Ec.message();
+    close();
+    return false;
+  }
+  if (Keep == 0) {
     Value Header = Value::object();
     Header.set("kind", Value::string("campaign_checkpoint"));
     Header.set("schema_version", Value::integer(5));
@@ -198,12 +231,10 @@ bool CheckpointWriter::open(const std::string &Path,
   return true;
 }
 
-void CheckpointWriter::append(
-    const CampaignJobResult &JR,
-    const std::map<std::string, uint64_t> &CounterDeltas) {
+void CheckpointWriter::append(const CampaignJobResult &JR) {
   if (!F)
     return;
-  std::string Line = cellToJson(JR, CounterDeltas).dump();
+  std::string Line = cellToJson(JR).dump();
   Line += '\n';
   std::fwrite(Line.data(), 1, Line.size(), F);
   std::fflush(F); // One durable line per finished cell.

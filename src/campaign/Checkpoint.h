@@ -8,7 +8,7 @@
 /// Cell-granular campaign checkpointing: a JSONL file whose header names
 /// the spec (by canonical fingerprint) and whose every further line is
 /// one finished `(crate, seed, variant)` cell — its full result document
-/// plus the per-stage metric counter deltas that cell contributed. A
+/// plus the metric counters that cell registered. A
 /// killed campaign (SIGKILL included) resumes by preloading the finished
 /// cells into CampaignRunner and running only the remainder; the resumed
 /// aggregate is byte-identical to an uninterrupted run's.
@@ -18,16 +18,16 @@
 /// runs on the simulated clock — so an *unfinished* cell can simply be
 /// re-run from scratch and will reproduce the identical result.
 /// The frontier therefore needs no mid-cell RNG or solver state: the set
-/// of finished indexes IS the checkpoint. Counter deltas ride along
-/// because the aggregate's `metrics` section sums per-stage counters
-/// across the whole matrix, and integer sums commute, so
-/// `sum(preloaded deltas) + sum(live worker counters)` equals the
-/// uninterrupted total exactly.
+/// of finished indexes IS the checkpoint. Each cell's own counters ride
+/// along because the aggregate's `metrics` section sums every job's
+/// counters in matrix order, preloaded and live alike, so a resumed
+/// total equals the uninterrupted one exactly.
 ///
 /// Crash safety: cells are appended and flushed one line at a time, so a
 /// SIGKILL can tear at most the final line. The loader stops at the
 /// first malformed line and reports how many cells survived; the torn
-/// cell is simply re-run.
+/// cell is simply re-run, and the writer cuts the torn bytes off before
+/// its first append.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +55,9 @@ struct CheckpointData {
   /// The header's fingerprint; compare against specFingerprint() of the
   /// resuming spec before preloading.
   std::string Fingerprint;
-  /// Finished cells by matrix index, ready for CampaignRunner::preload.
-  std::map<size_t, PreloadedCell> Cells;
+  /// Finished cells by matrix index (result and counters), ready for
+  /// CampaignRunner::preload.
+  std::map<size_t, CampaignJobResult> Cells;
   /// Non-empty when the file ended in a torn line (SIGKILL mid-append);
   /// purely informational — the torn cell re-runs.
   std::string TornTail;
@@ -78,8 +79,8 @@ bool loadCheckpoint(const std::string &Path, CheckpointData &Out,
                     std::string &Err);
 
 /// Appends finished cells to a checkpoint file, one flushed JSONL line
-/// per cell, writing the header first when the file starts empty. Wire
-/// append() as the CampaignRunner checkpoint sink.
+/// per cell, writing the header first when the file starts empty. Call
+/// append() from the CampaignRunner's onJobDone callback.
 class CheckpointWriter {
 public:
   CheckpointWriter() = default;
@@ -87,16 +88,15 @@ public:
   CheckpointWriter(const CheckpointWriter &) = delete;
   CheckpointWriter &operator=(const CheckpointWriter &) = delete;
 
-  /// Opens \p Path for append (creating it if needed) and writes the
-  /// header line if the file is empty. Returns false with \p Err set on
-  /// I/O failure.
+  /// Opens \p Path for append (creating it if needed), cuts a torn tail
+  /// back to the last newline, and writes the header line if nothing is
+  /// left. Returns false with \p Err set on I/O failure.
   bool open(const std::string &Path, const CampaignSpec &Spec,
             std::string &Err);
 
-  /// Appends one finished cell and flushes, so the line survives a kill
-  /// that lands right after the job.
-  void append(const CampaignJobResult &JR,
-              const std::map<std::string, uint64_t> &CounterDeltas);
+  /// Appends one finished cell (its result and counters) and flushes,
+  /// so the line survives a kill that lands right after the job.
+  void append(const CampaignJobResult &JR);
 
   void close();
 

@@ -233,25 +233,21 @@ Response executeCampaign(const Session &S, const RequestSpec &Req,
     std::string Err;
     if (!CkptWriter.open(CkptPath, Spec, Err))
       return runtimeError(Err);
-    Runner.onJobCheckpoint(
-        [&](const campaign::CampaignJobResult &JR,
-            const std::map<std::string, uint64_t> &Deltas) {
-          CkptWriter.append(JR, Deltas);
-        });
   }
 
   size_t Total = campaign::expandMatrix(Spec).size();
   size_t Done = 0;
-  if (Progress)
-    Runner.onJobDone([&](const campaign::CampaignJobResult &JR) {
-      ++Done;
-      Progress(format("[%zu/%zu] %s seed=%llu %s: %llu synthesized",
-                      Done, Total, JR.Job.Crate.c_str(),
-                      static_cast<unsigned long long>(JR.Job.Seed),
-                      JR.Job.Variant.c_str(),
-                      static_cast<unsigned long long>(
-                          JR.Result.Synthesized)));
-    });
+  Runner.onJobDone([&](const campaign::CampaignJobResult &JR) {
+    CkptWriter.append(JR); // No-op without --checkpoint.
+    if (!Progress)
+      return;
+    ++Done;
+    Progress(format("[%zu/%zu] %s seed=%llu %s: %llu synthesized", Done,
+                    Total, JR.Job.Crate.c_str(),
+                    static_cast<unsigned long long>(JR.Job.Seed),
+                    JR.Job.Variant.c_str(),
+                    static_cast<unsigned long long>(JR.Result.Synthesized)));
+  });
 
   campaign::CampaignResult R = Runner.run();
   CkptWriter.close();

@@ -14,16 +14,6 @@ using namespace syrust::core;
 using namespace syrust::crates;
 using namespace syrust::types;
 
-namespace {
-
-/// Precompute guard: a pathological model (huge API count x huge type
-/// universe) should not stall Session construction. Beyond this many
-/// joint entries the remaining pairs are left to the workers' lazy
-/// per-run caches; correctness is unaffected.
-constexpr size_t MaxJointEntries = 2'000'000;
-
-} // namespace
-
 CrateAnalysis::CrateAnalysis(const CrateSpec &Spec)
     : Base(Spec.instantiate()) {
   TypeArena &Arena = Base->Arena;
@@ -72,29 +62,9 @@ CrateAnalysis::CrateAnalysis(const CrateSpec &Spec)
         BaseCache.unifiable2(Ty, Pattern);
 
   // Producer/consumer graph over the same renamed signatures. Every
-  // probe it makes is (renamed output, Pattern) - a subset of the per-slot loop
+  // probe it makes is (renamed output, Pattern) - a subset of the loop
   // above, so this is pure cache hits: zero extra unification work.
-  // Built before the joint loop so its MaxJointEntries early return
-  // cannot leave the graph empty.
   Graph = api::buildDependencyGraph(Db, Arena, BaseCache);
-
-  // Joint slot-pairwise matrix (Definition 2(3)): for every API with at
-  // least two inputs, every slot pair under every cell-type pair. The
-  // builtins all take one input, so they never reach this loop.
-  for (size_t K = 0; K < Db.size(); ++K) {
-    const std::vector<const Type *> &In = Ren[K].Inputs;
-    for (size_t J1 = 0; J1 < In.size(); ++J1) {
-      for (size_t J2 = J1 + 1; J2 < In.size(); ++J2) {
-        for (const Type *T1 : Cells) {
-          for (const Type *T2 : Cells) {
-            if (BaseCache.size() >= MaxJointEntries)
-              return;
-            BaseCache.unifiableJoint(T1, In[J1], T2, In[J2]);
-          }
-        }
-      }
-    }
-  }
 }
 
 std::unique_ptr<CrateInstance> CrateAnalysis::makeWorkerInstance() const {

@@ -8,10 +8,9 @@
 /// One immutable instantiation of a library model, computed once per
 /// crate and shared read-only across every run and campaign worker that
 /// targets it. A campaign matrix typically multiplies one crate by many
-/// (seed, variant) jobs, and before this existed each job re-ran
-/// CrateSpec::instantiate() and re-answered the encoder's entire
-/// pairwise-compatibility workload from scratch - the dominant redundant
-/// work at campaign scale.
+/// (seed, variant) jobs, and without it each job would re-run
+/// CrateSpec::instantiate() and re-answer the encoder's per-slot
+/// compatibility probes from scratch.
 ///
 /// The analysis owns:
 ///   * the base CrateInstance (arena, trait rules, API database,
@@ -20,10 +19,15 @@
 ///     (api::renameSignature, as Encoding::sync renames), interned into
 ///     the base arena so every worker's renames resolve to identical
 ///     pointers;
-///   * a precomputed CompatCache holding the slot-pairwise compatibility
-///     matrix over the initial signatures - both the per-slot
-///     "can this value feed this input" probes and the joint two-slot
-///     probes of Definition 2(3).
+///   * a precomputed CompatCache holding the per-slot matrix over the
+///     initial signatures: "can a value of this cell type feed this
+///     input", for every cell type and input slot;
+///   * the dependency graph, read off that matrix.
+///
+/// The joint two-slot probes of Definition 2(3) are not precomputed:
+/// the encoder asks only about the candidate pairs each sync adds, a
+/// small fraction of every (slot pair, cell-type pair) a crate has, so
+/// it computes them directly (types::unifiableJoint).
 ///
 /// Workers call makeWorkerInstance() for a private copy-on-write overlay
 /// (chained arena, copied database/traits/semantics) and chain a private
@@ -50,7 +54,7 @@ namespace syrust::core {
 /// Immutable shared analysis for one crate. See file comment.
 class CrateAnalysis {
 public:
-  /// Instantiates \p Spec once and precomputes the compatibility matrix.
+  /// Instantiates \p Spec once and precomputes the per-slot matrix.
   /// The spec must outlive the analysis (it holds no reference, but the
   /// semantics lambdas may).
   explicit CrateAnalysis(const crates::CrateSpec &Spec);
@@ -63,8 +67,8 @@ public:
   /// makeWorkerInstance().
   const crates::CrateInstance &base() const { return *Base; }
 
-  /// The precomputed compatibility matrix. Chain a per-run CompatCache
-  /// onto this; never write to it.
+  /// The precomputed per-slot matrix. Chain a per-run CompatCache onto
+  /// this; never write to it.
   const types::CompatCache &baseCache() const { return BaseCache; }
 
   /// A private copy-on-write overlay instance for one run: chained
@@ -72,7 +76,7 @@ public:
   /// instantiate() - no model rebuild, no re-interning.
   std::unique_ptr<crates::CrateInstance> makeWorkerInstance() const;
 
-  /// Entries in the precomputed matrix (observability and tests).
+  /// Entries in the per-slot matrix (observability and tests).
   size_t matrixEntries() const { return BaseCache.size(); }
 
   /// The frozen producer/consumer graph over the base database, derived

@@ -163,69 +163,6 @@ json::Value syrust::core::resultToJson(const RunResult &R,
   return Root;
 }
 
-namespace {
-
-/// Field-cursor over one JSON object: typed getters that record the
-/// first missing/mistyped key instead of silently defaulting, so a
-/// checkpoint written by a different schema fails loudly with the field
-/// name rather than resuming with zeroed counters.
-class Fields {
-public:
-  Fields(const Value &V, std::string &Err) : V(V), Err(Err) {}
-
-  bool ok() const { return Err.empty(); }
-
-  uint64_t u64(const char *Key) {
-    const Value *F = want(Key, Value::Kind::Number);
-    return F ? static_cast<uint64_t>(F->asInt()) : 0;
-  }
-  int64_t i64(const char *Key) {
-    const Value *F = want(Key, Value::Kind::Number);
-    return F ? F->asInt() : 0;
-  }
-  double num(const char *Key) {
-    const Value *F = want(Key, Value::Kind::Number);
-    return F ? F->asDouble() : 0;
-  }
-  bool boolean(const char *Key) {
-    const Value *F = want(Key, Value::Kind::Bool);
-    return F && F->asBool();
-  }
-  std::string str(const char *Key) {
-    const Value *F = want(Key, Value::Kind::String);
-    return F ? F->asString() : std::string();
-  }
-  const Value *object(const char *Key) {
-    return want(Key, Value::Kind::Object);
-  }
-  const Value *array(const char *Key) {
-    return want(Key, Value::Kind::Array);
-  }
-
-private:
-  const Value *want(const char *Key, Value::Kind K) {
-    if (!V.has(Key)) {
-      fail(format("missing field '%s'", Key));
-      return nullptr;
-    }
-    const Value &F = V.get(Key);
-    if (F.kind() != K) {
-      fail(format("field '%s' has the wrong type", Key));
-      return nullptr;
-    }
-    return &F;
-  }
-  void fail(const std::string &Msg) {
-    if (Err.empty())
-      Err = Msg;
-  }
-
-  const Value &V;
-  std::string &Err;
-};
-
-} // namespace
-
 bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
                                   std::string &Err) {
   Err.clear();
@@ -260,7 +197,7 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
         Err = "unknown error category '" + Name + "'";
         return false;
       }
-      Out.ByCategory[C] = Counts.u64(Name.c_str());
+      Out.ByCategory[C] = Counts.u64(Name);
     }
   }
   if (const Value *ByDet = F.object("by_detail")) {
@@ -272,7 +209,7 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
         Err = "unknown error detail '" + Name + "'";
         return false;
       }
-      Out.ByDetail[D] = Counts.u64(Name.c_str());
+      Out.ByDetail[D] = Counts.u64(Name);
     }
   }
 

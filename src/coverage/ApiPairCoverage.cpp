@@ -221,40 +221,41 @@ Value syrust::coverage::apiCoverageToJson(const ApiCoverageData &D) {
 bool syrust::coverage::apiCoverageFromJson(const Value &V,
                                            ApiCoverageData &Out,
                                            std::string &Err) {
+  Err.clear();
+  Out = ApiCoverageData();
   if (V.kind() != Value::Kind::Object) {
     Err = "api_coverage is not an object";
     return false;
   }
-  for (const char *Key : {"nodes_total", "edges_total", "node_bits",
-                          "edge_bits", "unmatched_edges"})
-    if (!V.has(Key)) {
-      Err = std::string("api_coverage missing '") + Key + "'";
-      return false;
-    }
-  Out = ApiCoverageData();
-  Out.NodesTotal = static_cast<uint64_t>(V.get("nodes_total").asInt());
-  Out.EdgesTotal = static_cast<uint64_t>(V.get("edges_total").asInt());
-  Out.UnmatchedEdges = static_cast<uint64_t>(V.get("unmatched_edges").asInt());
+  Fields F(V, Err);
+  Out.NodesTotal = F.u64("nodes_total");
+  Out.EdgesTotal = F.u64("edges_total");
+  const std::string NodeBits = F.str("node_bits");
+  const std::string EdgeBits = F.str("edge_bits");
+  Out.UnmatchedEdges = F.u64("unmatched_edges");
   if (V.has("saturation_seconds"))
-    Out.SaturationSeconds = V.get("saturation_seconds").asDouble();
-  if (!hexToBits(V.get("node_bits").asString(), (Out.NodesTotal + 7) / 8,
-                 Out.NodeBits)) {
+    Out.SaturationSeconds = F.num("saturation_seconds");
+  if (V.has("snapshots"))
+    if (const Value *Snaps = F.array("snapshots"))
+      for (size_t I = 0; I < Snaps->size() && F.ok(); ++I) {
+        Fields E(Snaps->at(I), Err);
+        ApiCoverageSnapshot S;
+        S.AtSeconds = E.num("t");
+        S.NodesCovered = E.u64("nodes");
+        S.EdgesCovered = E.u64("edges");
+        Out.Snaps.push_back(S);
+      }
+  if (!F.ok()) {
+    Err = "api_coverage " + Err;
+    return false;
+  }
+  if (!hexToBits(NodeBits, (Out.NodesTotal + 7) / 8, Out.NodeBits)) {
     Err = "api_coverage node_bits does not match nodes_total";
     return false;
   }
-  if (!hexToBits(V.get("edge_bits").asString(), (Out.EdgesTotal + 7) / 8,
-                 Out.EdgeBits)) {
+  if (!hexToBits(EdgeBits, (Out.EdgesTotal + 7) / 8, Out.EdgeBits)) {
     Err = "api_coverage edge_bits does not match edges_total";
     return false;
-  }
-  const Value &Snaps = V.get("snapshots");
-  for (size_t I = 0; I < Snaps.size(); ++I) {
-    const Value &E = Snaps.at(I);
-    ApiCoverageSnapshot S;
-    S.AtSeconds = E.get("t").asDouble();
-    S.NodesCovered = static_cast<uint64_t>(E.get("nodes").asInt());
-    S.EdgesCovered = static_cast<uint64_t>(E.get("edges").asInt());
-    Out.Snaps.push_back(S);
   }
   return true;
 }

@@ -255,53 +255,82 @@ Histogram &MetricsRegistry::histogram(std::string_view Name,
   return *It->second;
 }
 
-json::Value MetricsRegistry::snapshotValue(double AtSeconds) const {
+std::map<std::string, uint64_t> MetricsRegistry::counterValues() const {
+  std::map<std::string, uint64_t> Values;
+  for (const auto &[Name, Ctr] : Counters)
+    Values.emplace_hint(Values.end(), Name, Ctr->value());
+  return Values;
+}
+
+MetricsRegistry::Snapshot MetricsRegistry::capture(double AtSeconds) const {
+  Snapshot S;
+  S.AtSeconds = AtSeconds;
+  S.Counters.reserve(Counters.size());
+  for (const auto &[Name, Ctr] : Counters)
+    S.Counters.emplace_back(&Name, Ctr->value());
+  S.Gauges.reserve(Gauges.size());
+  for (const auto &[Name, Gg] : Gauges)
+    S.Gauges.emplace_back(&Name, Gg->value());
+  S.Histograms.reserve(Histograms.size());
+  for (const auto &[Name, Hist] : Histograms) {
+    HistogramValues H{&Name, Hist.get(), Hist->count(), Hist->sum(), {}};
+    H.Buckets.reserve(Hist->numEdges() + 1);
+    for (size_t I = 0; I <= Hist->numEdges(); ++I)
+      H.Buckets.push_back(Hist->bucketCount(I));
+    S.Histograms.push_back(std::move(H));
+  }
+  return S;
+}
+
+json::Value MetricsRegistry::render(const Snapshot &S) {
   json::Value Line = json::Value::object();
-  Line.set("t", json::Value::number(AtSeconds));
-  if (!Counters.empty()) {
+  Line.set("t", json::Value::number(S.AtSeconds));
+  if (!S.Counters.empty()) {
     json::Value C = json::Value::object();
-    for (const auto &[Name, Ctr] : Counters)
-      C.set(Name,
-            json::Value::integer(static_cast<int64_t>(Ctr->value())));
+    for (const auto &[Name, N] : S.Counters)
+      C.set(*Name, json::Value::integer(static_cast<int64_t>(N)));
     Line.set("counters", std::move(C));
   }
-  if (!Gauges.empty()) {
+  if (!S.Gauges.empty()) {
     json::Value G = json::Value::object();
-    for (const auto &[Name, Gg] : Gauges)
-      G.set(Name, json::Value::number(Gg->value()));
+    for (const auto &[Name, V] : S.Gauges)
+      G.set(*Name, json::Value::number(V));
     Line.set("gauges", std::move(G));
   }
-  if (!Histograms.empty()) {
+  if (!S.Histograms.empty()) {
     json::Value H = json::Value::object();
-    for (const auto &[Name, Hist] : Histograms) {
+    for (const HistogramValues &Hist : S.Histograms) {
       json::Value One = json::Value::object();
       One.set("count",
-              json::Value::integer(static_cast<int64_t>(Hist->count())));
-      One.set("sum", json::Value::number(Hist->sum()));
+              json::Value::integer(static_cast<int64_t>(Hist.Count)));
+      One.set("sum", json::Value::number(Hist.Sum));
       json::Value Edges = json::Value::array();
-      for (size_t I = 0; I < Hist->numEdges(); ++I)
-        Edges.push(json::Value::number(Hist->upperEdge(I)));
+      for (size_t I = 0; I < Hist.Shape->numEdges(); ++I)
+        Edges.push(json::Value::number(Hist.Shape->upperEdge(I)));
       One.set("edges", std::move(Edges));
       json::Value Buckets = json::Value::array();
-      for (size_t I = 0; I <= Hist->numEdges(); ++I)
-        Buckets.push(json::Value::integer(
-            static_cast<int64_t>(Hist->bucketCount(I))));
+      for (uint64_t N : Hist.Buckets)
+        Buckets.push(json::Value::integer(static_cast<int64_t>(N)));
       One.set("buckets", std::move(Buckets));
-      H.set(Name, std::move(One));
+      H.set(*Hist.Name, std::move(One));
     }
     Line.set("histograms", std::move(H));
   }
   return Line;
 }
 
+json::Value MetricsRegistry::snapshotValue(double AtSeconds) const {
+  return render(capture(AtSeconds));
+}
+
 void MetricsRegistry::snapshot(double AtSeconds) {
-  Lines.push_back(snapshotValue(AtSeconds).dump());
+  Snapshots.push_back(capture(AtSeconds));
 }
 
 std::string MetricsRegistry::jsonl() const {
   std::string Out;
-  for (const std::string &L : Lines) {
-    Out += L;
+  for (const Snapshot &S : Snapshots) {
+    Out += render(S).dump();
     Out += '\n';
   }
   return Out;

@@ -9,7 +9,7 @@
 /// complete spans, and instant events stamped with the deterministic
 /// SimClock, exported as Chrome trace-event / Perfetto-compatible JSON;
 /// and a MetricsRegistry of named counters, gauges, and fixed-log-bucket
-/// histograms with periodic JSONL snapshots.
+/// histograms with periodic snapshots, rendered as JSONL on request.
 ///
 /// Because every timestamp comes from the simulated clock, a trace is
 /// byte-identical across machines for a fixed seed, which makes the whole
@@ -219,30 +219,48 @@ public:
   Histogram &histogram(std::string_view Name, double FirstEdge = 1.0,
                        double Factor = 2.0, size_t NumEdges = 24);
 
-  /// Appends one snapshot line capturing every metric at simulated time
-  /// \p AtSeconds.
+  /// Records every metric's value at simulated time \p AtSeconds. Only
+  /// the values are kept; jsonl() renders them, so a registry nobody
+  /// reads lines from (a campaign or audit worker's) renders none.
   void snapshot(double AtSeconds);
-  size_t numSnapshots() const { return Lines.size(); }
+  size_t numSnapshots() const { return Snapshots.size(); }
 
-  /// One snapshot as a JSON value (what each JSONL line contains).
+  /// The current values as one snapshot's JSON value (what each JSONL
+  /// line contains).
   json::Value snapshotValue(double AtSeconds) const;
 
   /// All snapshots so far, one JSON object per line.
   std::string jsonl() const;
 
-  /// Every counter by name (sorted). Campaign merging sums these across
-  /// workers into the aggregate's per-stage totals.
-  const std::map<std::string, std::unique_ptr<Counter>, std::less<>> &
-  counters() const {
-    return Counters;
-  }
+  /// Every counter's current value by name (sorted): a campaign or audit
+  /// job's share of the aggregate's per-stage totals.
+  std::map<std::string, uint64_t> counterValues() const;
 
 private:
+  /// One histogram's state at a snapshot; its edges never change.
+  struct HistogramValues {
+    const std::string *Name;
+    const Histogram *Shape;
+    uint64_t Count;
+    double Sum;
+    std::vector<uint64_t> Buckets;
+  };
+  /// Every metric's value at one instant. Names point at the keys of the
+  /// maps below, which no entry ever leaves.
+  struct Snapshot {
+    double AtSeconds;
+    std::vector<std::pair<const std::string *, uint64_t>> Counters;
+    std::vector<std::pair<const std::string *, double>> Gauges;
+    std::vector<HistogramValues> Histograms;
+  };
+  Snapshot capture(double AtSeconds) const;
+  static json::Value render(const Snapshot &S);
+
   // std::less<> looks names up without building a std::string.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> Counters;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> Gauges;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> Histograms;
-  std::vector<std::string> Lines;
+  std::vector<Snapshot> Snapshots;
 };
 
 /// The flight recorder handed through the pipeline: tracing + metrics

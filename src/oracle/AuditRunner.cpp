@@ -53,12 +53,13 @@ AuditRunResult syrust::oracle::runAudit(
   std::vector<size_t> Live(Jobs.size());
   std::iota(Live.begin(), Live.end(), size_t(0));
   std::mutex JobDoneMu;
-  std::vector<obs::Recorder> Recorders = campaign::runJobPool(
+  campaign::runJobPool(
       Live, Spec.Jobs, /*Trace=*/false,
       [&](size_t Index, int, obs::Recorder &Rec) {
         AuditJobResult &Slot = Result.Jobs[Index];
         Slot.Job = Jobs[Index];
         Slot.Result = auditOne(S, Slot.Job.Crate, Slot.Job.Config, &Rec);
+        Slot.Counters = Rec.metrics().counterValues();
         if (OnJobDone) {
           std::lock_guard<std::mutex> Lock(JobDoneMu);
           OnJobDone(Slot);
@@ -69,9 +70,9 @@ AuditRunResult syrust::oracle::runAudit(
   // aggregate.
   for (const AuditJobResult &JR : Result.Jobs)
     Result.Totals += JR.Result;
+  campaign::addJobCounters(Result.Jobs, Result.MergedCounters);
   Result.ApiCoverage = campaign::mergeApiCoverage(Spec.Crates, Result.Jobs,
                                                   Result.MergedCounters);
-  campaign::addWorkerCounters(Recorders, Result.MergedCounters);
   return Result;
 }
 

@@ -13,8 +13,8 @@
 /// workers record counters only; nothing reads a trace of an audit. The
 /// document (schema_version 5, kind "audit") carries per-job
 /// classification counts, every minimized repro, per-crate api_coverage,
-/// and the pool's merged `oracle.*` counters - and deliberately nothing
-/// scheduling-dependent.
+/// and the jobs' `oracle.*` counters summed in matrix order - and
+/// deliberately nothing scheduling-dependent.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,6 +56,8 @@ struct AuditJob {
 struct AuditJobResult {
   AuditJob Job;
   AuditResult Result;
+  /// The metric counters this job registered, by name.
+  std::map<std::string, uint64_t> Counters;
 };
 
 /// Everything an audit run produces.
@@ -63,8 +65,8 @@ struct AuditRunResult {
   std::vector<AuditJobResult> Jobs; ///< Matrix order.
   /// Audit-wide sums, accumulated in matrix order.
   AuditCounts Totals;
-  /// Final per-worker metric counters summed across the pool. Integer
-  /// sums commute, so these totals are identical for any worker count.
+  /// Every job's metric counters summed in matrix order, so these
+  /// totals are identical for any worker count.
   std::map<std::string, uint64_t> MergedCounters;
   /// Per-crate API-pair coverage of the audited streams, OR-merged
   /// across seeds in matrix order. One entry per AuditSpec::Crates name.

@@ -455,3 +455,14 @@ private:
 ParseResult syrust::json::parse(std::string_view Text) {
   return Parser(Text).run();
 }
+
+const Value *Fields::want(std::string_view Key, Value::Kind K) {
+  const Value *F = V.find(Key);
+  if (!F || F->kind() != K) {
+    if (Err.empty())
+      Err = F ? "field '" + std::string(Key) + "' has the wrong type"
+              : "missing field '" + std::string(Key) + "'";
+    return nullptr;
+  }
+  return F;
+}

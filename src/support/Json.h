@@ -40,6 +40,7 @@
 namespace syrust::json {
 
 class Parser;
+class Fields;
 
 /// A JSON value (tree-owning).
 class Value {
@@ -86,6 +87,7 @@ public:
 
 private:
   friend class Parser;
+  friend class Fields;
   const Value *find(std::string_view Key) const;
   /// Appends the compact rendering to \p Out.
   void dumpTo(std::string &Out) const;
@@ -120,6 +122,54 @@ ParseResult parse(std::string_view Text);
 
 /// Appends \p S to \p Out with the writer's string escapes (no quotes).
 void appendEscaped(std::string &Out, std::string_view S);
+
+/// A strict reader of one object's fields: each getter wants its key
+/// present with the named JSON kind, and otherwise records the first
+/// problem in the caller's error string ("missing field 'k'" or "field
+/// 'k' has the wrong type") and returns a zero value. Readers of the
+/// tool's own documents use it so that a file written by another schema,
+/// or edited by hand, fails with the field's name instead of reading it
+/// as zero. Several cursors may share one error string; the first
+/// problem any of them meets is the one reported.
+class Fields {
+public:
+  Fields(const Value &V, std::string &Err) : V(V), Err(Err) {}
+
+  bool ok() const { return Err.empty(); }
+
+  uint64_t u64(std::string_view Key) {
+    const Value *F = want(Key, Value::Kind::Number);
+    return F ? static_cast<uint64_t>(F->asInt()) : 0;
+  }
+  int64_t i64(std::string_view Key) {
+    const Value *F = want(Key, Value::Kind::Number);
+    return F ? F->asInt() : 0;
+  }
+  double num(std::string_view Key) {
+    const Value *F = want(Key, Value::Kind::Number);
+    return F ? F->asDouble() : 0;
+  }
+  bool boolean(std::string_view Key) {
+    const Value *F = want(Key, Value::Kind::Bool);
+    return F && F->asBool();
+  }
+  std::string str(std::string_view Key) {
+    const Value *F = want(Key, Value::Kind::String);
+    return F ? F->asString() : std::string();
+  }
+  const Value *object(std::string_view Key) {
+    return want(Key, Value::Kind::Object);
+  }
+  const Value *array(std::string_view Key) {
+    return want(Key, Value::Kind::Array);
+  }
+
+private:
+  const Value *want(std::string_view Key, Value::Kind K);
+
+  const Value &V;
+  std::string &Err;
+};
 
 } // namespace syrust::json
 

@@ -164,14 +164,6 @@ bool Encoding::probeUnifiable2(const Type *Ty, const Type *Pattern) const {
   return unifiable(Ty, Pattern, Probe);
 }
 
-bool Encoding::probeJoint(const Type *T1, const Type *P1, const Type *T2,
-                          const Type *P2) const {
-  if (Opts.Compat)
-    return Opts.Compat->unifiableJoint(T1, P1, T2, P2);
-  Substitution Joint;
-  return unifiable(T1, P1, Joint) && unifiable(T2, P2, Joint);
-}
-
 bool Encoding::probeFeeds(ApiId Producer, const Type *Ty, size_t Kk,
                           size_t J) {
   // Third probe arm: the frozen dependency graph holds the precomputed
@@ -605,8 +597,8 @@ void Encoding::buildContextConstraints() {
                   !C1.Ty->isSharedRef()) {
                 Compatible = false; // Rule 4: no owned/mut aliasing.
               } else {
-                Compatible = probeJoint(C1.Ty, RenIn[Kk][J1], C2.Ty,
-                                        RenIn[Kk][J2]);
+                Compatible = unifiableJoint(C1.Ty, RenIn[Kk][J1], C2.Ty,
+                                            RenIn[Kk][J2]);
               }
               if (!Compatible)
                 Solver.addClause(mkLit(C1.U, true), mkLit(C2.U, true));

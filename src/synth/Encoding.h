@@ -117,11 +117,11 @@ struct SynthOptions {
   /// Flight recorder for trace events and metrics; null (the default)
   /// disables instrumentation at the cost of one pointer check.
   obs::Recorder *Obs = nullptr;
-  /// Memoized compatibility kernel consulted for the encoder's
-  /// unifiability probes; null computes every probe directly (encoders
-  /// built outside a driver, as in unit tests and micro benches). Every
-  /// driver run chains a per-run cache onto the crate's shared
-  /// precomputed matrix (core::CrateAnalysis). Cached and direct answers
+  /// Memoized compatibility kernel consulted for the encoder's pair
+  /// probes; null computes every probe directly (encoders built outside
+  /// a driver, as in unit tests and micro benches). Every driver run
+  /// chains a per-run cache onto the crate's shared per-slot matrix
+  /// (core::CrateAnalysis). Cached and direct answers
   /// are identical by construction, so enumeration order does not depend
   /// on this setting.
   types::CompatCache *Compat = nullptr;
@@ -384,14 +384,10 @@ private:
   uint32_t builtinOutput(api::BuiltinKind B, uint32_t ArgId);
   /// Traits.isCopy of Types[Id], asked once per encoding.
   bool isCopy(uint32_t Id);
-  /// The three probe arms behind one face (identical answers each):
+  /// The two probe arms behind one face (identical answers each):
   /// pair compatibility via cache or direct unification...
   bool probeUnifiable2(const types::Type *Ty,
                        const types::Type *Pattern) const;
-  /// ...joint two-slot compatibility via cache or a shared direct
-  /// substitution...
-  bool probeJoint(const types::Type *T1, const types::Type *P1,
-                  const types::Type *T2, const types::Type *P2) const;
   /// ...and the candidate probe "can (X typed Ty, produced by Producer)
   /// feed slot J of site Kk", answered by the dependency graph's edge
   /// table when GraphPrune covers the triple and by probeUnifiable2 otherwise.

@@ -155,6 +155,12 @@ bool syrust::types::unifiable(const Type *A, const Type *B,
   return unifyImpl(A, B, Subst, /*AllowCoercion=*/true, 0);
 }
 
+bool syrust::types::unifiableJoint(const Type *A1, const Type *P1,
+                                   const Type *A2, const Type *P2) {
+  Substitution Joint;
+  return unifiable(A1, P1, Joint) && unifiable(A2, P2, Joint);
+}
+
 const Type *syrust::types::renameVars(TypeArena &Arena, const Type *T,
                                       const std::string &Suffix) {
   switch (T->kind()) {

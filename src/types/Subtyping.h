@@ -118,6 +118,14 @@ const Type *applySubst(TypeArena &Arena, const Type *T,
 /// instantiations, which is what drives the refinement loop (Section 5).
 bool unifiable(const Type *A, const Type *B, Substitution &Subst);
 
+/// The joint probe of Definition 2(3): whether \p A1 unifies with \p P1
+/// and \p A2 with \p P2 under one shared substitution. Not two
+/// independent unifiable() calls: the two slots may share renamed
+/// signature variables, and a binding made for the first constrains the
+/// second.
+bool unifiableJoint(const Type *A1, const Type *P1, const Type *A2,
+                    const Type *P2);
+
 /// Renames every type variable "X" in \p T to "X#Suffix" so signatures
 /// instantiated at different call sites cannot capture each other's
 /// variables.

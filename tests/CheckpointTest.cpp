@@ -21,9 +21,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 using namespace syrust;
 using namespace syrust::campaign;
@@ -49,6 +52,33 @@ std::string slurp(const std::string &Path) {
   std::ostringstream Out;
   Out << In.rdbuf();
   return Out.str();
+}
+
+/// Writes a checkpoint whose one cell line holds \p Result and
+/// \p Counters, loads it, and returns why the loader refused the line
+/// (empty when it was accepted). The file is named after the running
+/// test, since ctest runs test cases in parallel.
+std::string refusalOfCell(json::Value Result, json::Value Counters) {
+  json::Value Line = json::Value::object();
+  Line.set("index", json::Value::integer(0));
+  Line.set("result", std::move(Result));
+  Line.set("counters", std::move(Counters));
+  const std::string Path = tempPath(
+      std::string(
+          testing::UnitTest::GetInstance()->current_test_info()->name()) +
+      ".jsonl");
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << "{\"fingerprint\":\"0\",\"kind\":\"campaign_checkpoint\","
+           "\"schema_version\":5}\n"
+        << Line.dump() << "\n";
+  }
+  CheckpointData Data;
+  std::string Err;
+  EXPECT_TRUE(loadCheckpoint(Path, Data, Err)) << Err;
+  EXPECT_TRUE(Data.TornTail.empty());
+  EXPECT_EQ(Data.Refused.empty(), Data.Cells.size() == 1);
+  return Data.Refused;
 }
 
 TEST(CheckpointTest, FingerprintIgnoresPoolWidthOnly) {
@@ -158,36 +188,147 @@ TEST(CheckpointTest, MistypedValuesAreRefusedByName) {
   // In a checkpoint file the refused cell is complete, so it is not a
   // torn append: loading stops there and reports it, and a resume
   // refuses the file instead of re-running or misreading the cell. The
-  // same holds for a mistyped counter delta.
-  const std::string Path = tempPath("ckpt_mistyped.jsonl");
-  auto LoadCell = [&](json::Value Result, json::Value Counters) {
-    json::Value Line = json::Value::object();
-    Line.set("index", json::Value::integer(0));
-    Line.set("result", std::move(Result));
-    Line.set("counters", std::move(Counters));
-    {
-      std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-      Out << "{\"fingerprint\":\"0\",\"kind\":\"campaign_checkpoint\","
-             "\"schema_version\":5}\n"
-          << Line.dump() << "\n";
-    }
-    CheckpointData Data;
-    EXPECT_TRUE(loadCheckpoint(Path, Data, Err)) << Err;
-    EXPECT_TRUE(Data.Cells.empty());
-    EXPECT_TRUE(Data.TornTail.empty());
-    return Data.Refused;
-  };
+  // same holds for a mistyped counter.
+  EXPECT_EQ("", refusalOfCell(Good, json::Value::object()));
   json::Value Bad = Good;
   json::Value Cat = Bad.get("by_category");
   Cat.set("Type", json::Value::string("47"));
   Bad.set("by_category", std::move(Cat));
-  std::string Why = LoadCell(std::move(Bad), json::Value::object());
+  std::string Why = refusalOfCell(std::move(Bad), json::Value::object());
   EXPECT_NE(std::string::npos, Why.find("line 2")) << Why;
   EXPECT_NE(std::string::npos, Why.find("'Type'")) << Why;
   json::Value Counters = json::Value::object();
   Counters.set("compile.checks", json::Value::string("421"));
-  Why = LoadCell(Good, std::move(Counters));
+  Why = refusalOfCell(Good, std::move(Counters));
   EXPECT_NE(std::string::npos, Why.find("'compile.checks'")) << Why;
+}
+
+TEST(CheckpointTest, MistypedApiCoverageIsRefusedByName) {
+  // The api_coverage section of a cell is read as strictly as the rest:
+  // a number written as a string refuses the line, naming the field,
+  // instead of resuming with a zero saturation time or snapshot count.
+  core::RunResult R;
+  R.Crate = "slab";
+  R.ApiCoverage.NodesTotal = 3;
+  R.ApiCoverage.EdgesTotal = 9;
+  R.ApiCoverage.NodeBits = {0x5};
+  R.ApiCoverage.EdgeBits = {0x1, 0x1};
+  R.ApiCoverage.UnmatchedEdges = 1;
+  R.ApiCoverage.Snaps = {{60, 1, 1}, {120, 2, 2}};
+  R.ApiCoverage.SaturationSeconds = 120;
+  const json::Value Good = core::resultToJson(R);
+  ASSERT_EQ("", refusalOfCell(Good, json::Value::object()));
+
+  // Replaces Key of the section, or of its first snapshot, with a string.
+  auto Mistyped = [&](bool InSnapshot, const char *Key) {
+    json::Value Doc = Good;
+    json::Value Cov = Doc.get("api_coverage");
+    if (InSnapshot) {
+      json::Value First = Cov.get("snapshots").at(0);
+      EXPECT_TRUE(First.has(Key)) << Key;
+      First.set(Key, json::Value::string("25"));
+      json::Value Snaps = json::Value::array();
+      Snaps.push(std::move(First));
+      Snaps.push(Cov.get("snapshots").at(1));
+      Cov.set("snapshots", std::move(Snaps));
+    } else {
+      EXPECT_TRUE(Cov.has(Key)) << Key;
+      Cov.set(Key, json::Value::string("x"));
+    }
+    Doc.set("api_coverage", std::move(Cov));
+    return Doc;
+  };
+  for (const auto &[InSnapshot, Key] :
+       std::vector<std::pair<bool, const char *>>{
+           {false, "unmatched_edges"},
+           {false, "saturation_seconds"},
+           {true, "t"},
+           {true, "nodes"},
+           {true, "edges"}}) {
+    const std::string Why =
+        refusalOfCell(Mistyped(InSnapshot, Key), json::Value::object());
+    EXPECT_NE(std::string::npos, Why.find("line 2")) << Key << ": " << Why;
+    EXPECT_NE(std::string::npos,
+              Why.find(std::string("field '") + Key + "' has the wrong type"))
+        << Key << ": " << Why;
+  }
+}
+
+TEST(CheckpointTest, EachLineCarriesOnlyItsOwnJobsCounters) {
+  // One worker runs every cell, so each job follows others on the same
+  // recorder; its line must still list exactly the counters a fresh
+  // recorder gets from that job alone, no zero-valued keys that earlier
+  // jobs registered.
+  core::Session S;
+  CampaignSpec Spec = smallSpec();
+  const std::string Path = tempPath("ckpt_own_counters.jsonl");
+  std::remove(Path.c_str());
+  CampaignRunner Runner(S, Spec);
+  CheckpointWriter W;
+  std::string Err;
+  ASSERT_TRUE(W.open(Path, Spec, Err)) << Err;
+  Runner.onJobDone([&](const CampaignJobResult &JR) { W.append(JR); });
+  CampaignResult Full = Runner.run();
+  W.close();
+
+  CheckpointData Data;
+  ASSERT_TRUE(loadCheckpoint(Path, Data, Err)) << Err;
+  ASSERT_EQ(Full.Jobs.size(), Data.Cells.size());
+  for (const CampaignJobResult &JR : Full.Jobs) {
+    obs::Recorder::Options Metrics;
+    Metrics.Trace = false;
+    obs::Recorder Alone(Metrics);
+    S.runOne(JR.Job.Crate, JR.Job.Config, &Alone);
+    EXPECT_EQ(Alone.metrics().counterValues(),
+              Data.Cells.at(JR.Job.Index).Counters)
+        << JR.Job.Crate << " " << JR.Job.Variant << " " << JR.Job.Seed;
+  }
+}
+
+TEST(CheckpointTest, WriterCutsATornTailBeforeAppending) {
+  // A kill mid-append leaves half a line. The next writer must cut it
+  // off, or its first cell would join the torn bytes into one malformed
+  // line and every later load would stop there.
+  core::Session S;
+  CampaignSpec Spec = smallSpec();
+  const std::string Path = tempPath("ckpt_cut.jsonl");
+  std::remove(Path.c_str());
+  CampaignRunner First(S, Spec);
+  CheckpointWriter W;
+  std::string Err;
+  ASSERT_TRUE(W.open(Path, Spec, Err)) << Err;
+  First.onJobDone([&](const CampaignJobResult &JR) { W.append(JR); });
+  CampaignResult Full = First.run();
+  W.close();
+
+  const std::string Bytes = slurp(Path);
+  const size_t Cut = Bytes.size() / 2 + 3;
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << Bytes.substr(0, Cut);
+  }
+  CheckpointData Torn;
+  ASSERT_TRUE(loadCheckpoint(Path, Torn, Err)) << Err;
+  ASSERT_FALSE(Torn.TornTail.empty());
+
+  // Resume once: the writer keeps every complete line and appends the
+  // rest of the matrix after them.
+  CampaignRunner Second(S, Spec);
+  Second.preload(Torn.Cells);
+  ASSERT_TRUE(W.open(Path, Spec, Err)) << Err;
+  EXPECT_EQ(Bytes.substr(0, Bytes.rfind('\n', Cut) + 1), slurp(Path));
+  Second.onJobDone([&](const CampaignJobResult &JR) { W.append(JR); });
+  Second.run();
+  W.close();
+
+  CheckpointData Again;
+  ASSERT_TRUE(loadCheckpoint(Path, Again, Err)) << Err;
+  EXPECT_TRUE(Again.TornTail.empty());
+  EXPECT_TRUE(Again.Refused.empty()) << Again.Refused;
+  EXPECT_EQ(Full.Jobs.size(), Again.Cells.size());
+  const std::string After = slurp(Path);
+  EXPECT_EQ(1 + Full.Jobs.size(),
+            static_cast<size_t>(std::count(After.begin(), After.end(), '\n')));
 }
 
 TEST(CheckpointTest, WriterLoaderRoundTrip) {
@@ -202,12 +343,10 @@ TEST(CheckpointTest, WriterLoaderRoundTrip) {
   std::string Err;
   ASSERT_TRUE(W.open(Path, Spec, Err)) << Err;
   size_t Appended = 0;
-  Runner.onJobCheckpoint(
-      [&](const CampaignJobResult &JR,
-          const std::map<std::string, uint64_t> &Deltas) {
-        W.append(JR, Deltas);
-        ++Appended;
-      });
+  Runner.onJobDone([&](const CampaignJobResult &JR) {
+    W.append(JR);
+    ++Appended;
+  });
   CampaignResult Full = Runner.run();
   W.close();
   ASSERT_EQ(Full.Jobs.size(), Appended);
@@ -271,11 +410,7 @@ TEST(CheckpointTest, TornTailIsToleratedNotFatal) {
   CheckpointWriter W;
   std::string Err;
   ASSERT_TRUE(W.open(Path, Spec, Err)) << Err;
-  Runner.onJobCheckpoint(
-      [&](const CampaignJobResult &JR,
-          const std::map<std::string, uint64_t> &Deltas) {
-        W.append(JR, Deltas);
-      });
+  Runner.onJobDone([&](const CampaignJobResult &JR) { W.append(JR); });
   Runner.run();
   W.close();
 
@@ -317,11 +452,7 @@ TEST(CheckpointTest, ResumedAggregateIsByteIdentical) {
     CheckpointWriter W;
     std::string Err;
     ASSERT_TRUE(W.open(Path, Spec, Err)) << Err;
-    First.onJobCheckpoint(
-        [&](const CampaignJobResult &JR,
-            const std::map<std::string, uint64_t> &Deltas) {
-          W.append(JR, Deltas);
-        });
+    First.onJobDone([&](const CampaignJobResult &JR) { W.append(JR); });
     First.run();
     W.close();
   }
@@ -359,10 +490,7 @@ TEST(CheckpointTest, PreloadedCellsDoNotReExecute) {
   CheckpointWriter W;
   std::string Err;
   ASSERT_TRUE(W.open(Path, Spec, Err)) << Err;
-  First.onJobCheckpoint([&](const CampaignJobResult &JR,
-                            const std::map<std::string, uint64_t> &D) {
-    W.append(JR, D);
-  });
+  First.onJobDone([&](const CampaignJobResult &JR) { W.append(JR); });
   CampaignResult FullRun = First.run();
   W.close();
 
@@ -374,9 +502,7 @@ TEST(CheckpointTest, PreloadedCellsDoNotReExecute) {
   CampaignRunner Second(S, Spec);
   Second.preload(std::move(Data.Cells));
   size_t LiveJobs = 0;
-  Second.onJobCheckpoint(
-      [&](const CampaignJobResult &,
-          const std::map<std::string, uint64_t> &) { ++LiveJobs; });
+  Second.onJobDone([&](const CampaignJobResult &) { ++LiveJobs; });
   CampaignResult Resume = Second.run();
   EXPECT_EQ(0u, LiveJobs);
   EXPECT_EQ(campaignToJson(Spec, FullRun).dump(),

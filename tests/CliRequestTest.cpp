@@ -412,13 +412,16 @@ TEST(CliRequestTest, FinalizeExpandsAllCrates) {
 }
 
 TEST(CliRequestTest, CheckpointFromTheRestartingEnumeratorIsRefused) {
-  // The fingerprints earlier enumerators' binaries wrote for exactly this
-  // campaign: the one that restarted from the root for every model
-  // (epoch 1) and the one that rebuilt encodings after bans and replayed
-  // their blocked models (epoch 2). Their cells came from different
-  // program streams, so a resume must be refused, not mixed into the new
-  // aggregate.
-  for (const char *Fingerprint : {"4d1d18a5ddfd0669", "61f27a36dff8a9dc"}) {
+  // The fingerprints earlier binaries wrote for exactly this campaign:
+  // the one that restarted from the root for every model (epoch 1), the
+  // one that rebuilt encodings after bans and replayed their blocked
+  // models (epoch 2), and the one whose compat counters also counted
+  // joint probes and whose cell lines carried counters of earlier jobs
+  // on the same worker (epoch 3). Their cells came from different
+  // program streams or record counters with another meaning, so a resume
+  // must be refused, not mixed into the new aggregate.
+  for (const char *Fingerprint :
+       {"4d1d18a5ddfd0669", "61f27a36dff8a9dc", "deab3a916fca9705"}) {
     const std::string Path = testing::TempDir() + "/restarting_enum.jsonl";
     {
       std::ofstream Out(Path, std::ios::binary | std::ios::trunc);

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Covers the two memoization layers end to end: the CompatCache memo
-/// tables (answers identical to direct computation, hit/miss accounting,
-/// read-only base chaining) and the copy-on-write overlay TypeArena and
-/// CrateInstance (pointer identity with the base, isolation between
-/// workers).
+/// table (answers identical to direct computation, hit/miss accounting,
+/// read-only base lookups) beside the unmemoized joint probe, and the
+/// copy-on-write overlay TypeArena and CrateInstance (pointer identity
+/// with the base, isolation between workers).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,25 +74,31 @@ TEST_F(CompatCacheFixture, AnswersMatchDirectComputation) {
 }
 
 TEST_F(CompatCacheFixture, JointProbeSharesOneSubstitution) {
-  CompatCache Cache;
   // T binds to String through slot 1, so slot 2 cannot take i32: the
   // joint probe must fail even though each slot unifies in isolation.
   const Type *P = parse("T");
+  CompatCache Cache;
   EXPECT_TRUE(Cache.unifiable2(parse("String"), P));
   EXPECT_TRUE(Cache.unifiable2(parse("i32"), P));
-  EXPECT_FALSE(
-      Cache.unifiableJoint(parse("String"), P, parse("i32"), P));
-  EXPECT_TRUE(
-      Cache.unifiableJoint(parse("String"), P, parse("String"), P));
-  // Direct equivalent for the failing case.
-  Substitution Joint;
-  EXPECT_TRUE(unifiable(parse("String"), P, Joint));
-  EXPECT_FALSE(unifiable(parse("i32"), P, Joint));
-  // Repeats are hits.
-  uint64_t Misses = Cache.stats().Misses;
-  EXPECT_FALSE(
-      Cache.unifiableJoint(parse("String"), P, parse("i32"), P));
-  EXPECT_EQ(Cache.stats().Misses, Misses);
+  EXPECT_FALSE(unifiableJoint(parse("String"), P, parse("i32"), P));
+  EXPECT_TRUE(unifiableJoint(parse("String"), P, parse("String"), P));
+  // Distinct variables bind independently; a shared one binds once,
+  // whichever side of the slot it sits on.
+  EXPECT_TRUE(unifiableJoint(parse("String"), P, parse("i32"), parse("U")));
+  EXPECT_FALSE(unifiableJoint(P, parse("String"), parse("Vec<i32>"),
+                              parse("Vec<T>")));
+  EXPECT_TRUE(unifiableJoint(parse("Vec<T>"), parse("Vec<String>"),
+                             parse("&mut String"), parse("&T")));
+  // The same answers as threading one substitution by hand.
+  const std::vector<const Type *> Types = sampleTypes();
+  for (const Type *A1 : Types)
+    for (const Type *A2 : Types) {
+      Substitution Joint;
+      const bool Direct =
+          unifiable(A1, parse("Vec<T>"), Joint) && unifiable(A2, P, Joint);
+      EXPECT_EQ(unifiableJoint(A1, parse("Vec<T>"), A2, P), Direct)
+          << A1->str() << ", " << A2->str();
+    }
 }
 
 TEST_F(CompatCacheFixture, ChainedCacheHitsBaseReadOnly) {

@@ -229,6 +229,56 @@ TEST_F(ApiCoverageFixture, JsonRoundTrips) {
   EXPECT_FALSE(apiCoverageFromJson(json::Value(), Bad, Err));
 }
 
+TEST_F(ApiCoverageFixture, MistypedFieldsAreRefusedByName) {
+  // A count or time of the wrong JSON kind is refused with the field's
+  // name (`syrust coverage` exits 2, a resume refuses the checkpoint),
+  // never read as 0.
+  api::DependencyGraph G = build();
+  ApiPairCoverage Cov(G);
+  Cov.snapshot(5);
+  Cov.markProgram(newThenPush(Push), Db);
+  Cov.snapshot(15);
+  const json::Value Good = apiCoverageToJson(Cov.data());
+  ApiCoverageData Back;
+  std::string Err;
+  ASSERT_TRUE(apiCoverageFromJson(Good, Back, Err)) << Err;
+
+  for (const auto &[InSnapshot, Key] :
+       std::vector<std::pair<bool, const char *>>{
+           {false, "nodes_total"},
+           {false, "edges_total"},
+           {false, "unmatched_edges"},
+           {false, "saturation_seconds"},
+           {true, "t"},
+           {true, "nodes"},
+           {true, "edges"}}) {
+    // Key of the document, or of its last snapshot, as a string.
+    json::Value Doc = Good;
+    if (InSnapshot) {
+      json::Value Snaps = json::Value::array();
+      Snaps.push(Good.get("snapshots").at(0));
+      json::Value Last = Good.get("snapshots").at(1);
+      ASSERT_TRUE(Last.has(Key)) << Key;
+      Last.set(Key, json::Value::string("25"));
+      Snaps.push(std::move(Last));
+      Doc.set("snapshots", std::move(Snaps));
+    } else {
+      ASSERT_TRUE(Doc.has(Key)) << Key;
+      Doc.set(Key, json::Value::string("x"));
+    }
+    EXPECT_FALSE(apiCoverageFromJson(Doc, Back, Err)) << Key;
+    EXPECT_EQ(std::string("api_coverage field '") + Key +
+                  "' has the wrong type",
+              Err);
+  }
+
+  // A snapshot list that is not an array is refused the same way.
+  json::Value Doc = Good;
+  Doc.set("snapshots", json::Value::object());
+  EXPECT_FALSE(apiCoverageFromJson(Doc, Back, Err));
+  EXPECT_EQ("api_coverage field 'snapshots' has the wrong type", Err);
+}
+
 TEST_F(ApiCoverageFixture, MergeOrsBitsAndDropsSnapshots) {
   api::DependencyGraph G = build();
   ApiPairCoverage CovA(G), CovB(G);

@@ -291,13 +291,11 @@ const std::vector<std::string> &toolDocuments() {
       Result.Synth.BuildSeconds = 0.125;
       Result.Synth.SolveSeconds = 1.0 / 3;
     };
-    Runner.onJobCheckpoint(
-        [&](const campaign::CampaignJobResult &JR,
-            const std::map<std::string, uint64_t> &Deltas) {
-          campaign::CampaignJobResult Fixed = JR;
-          FixWall(Fixed.Result);
-          Writer.append(Fixed, Deltas);
-        });
+    Runner.onJobDone([&](const campaign::CampaignJobResult &JR) {
+      campaign::CampaignJobResult Fixed = JR;
+      FixWall(Fixed.Result);
+      Writer.append(Fixed);
+    });
     campaign::CampaignResult R = Runner.run();
     Writer.close();
     FixWall(R.Jobs.at(0).Result);

@@ -114,6 +114,23 @@ TEST(MetricsRegistryTest, SnapshotCadenceProducesOneLineEach) {
   EXPECT_EQ(L2.Val.get("counters").get("tests").asInt(), 10);
 }
 
+TEST(MetricsRegistryTest, SnapshotsKeepTheValuesOfTheirInstant) {
+  // Lines are rendered only when jsonl() is asked for, yet each shows
+  // the counters, gauges and histogram buckets of its own snapshot.
+  MetricsRegistry M;
+  M.gauge("g").set(1.5);
+  M.histogram("lat", 1.0, 2.0, 3).observe(2.0);
+  M.snapshot(1.0);
+  const std::string First = M.snapshotValue(1.0).dump();
+  M.gauge("g").set(7);
+  M.histogram("lat").observe(100);
+  M.counter("late").inc();
+  M.snapshot(2.0);
+  const std::string Second = M.snapshotValue(2.0).dump();
+  EXPECT_NE(First, Second);
+  EXPECT_EQ(First + "\n" + Second + "\n", M.jsonl());
+}
+
 TEST(MetricsRegistryTest, SnapshotCapturesHistogramShape) {
   MetricsRegistry M;
   M.histogram("lat", 1.0, 2.0, 3).observe(2.0);
@@ -252,7 +269,7 @@ TEST(RecorderTest, LiteralAndRuntimeNamesReachOneMetric) {
   R.gaugeSet(std::string("g"), 2.0);
   R.observe("h", 1.0);
   R.observe(std::string("h"), 3.0);
-  EXPECT_EQ(R.metrics().counters().size(), 1u);
+  EXPECT_EQ(R.metrics().counterValues().size(), 1u);
   EXPECT_EQ(R.metrics().counter("x").value(), 4u);
   EXPECT_EQ(R.metrics().gauge("g").value(), 2.0);
   EXPECT_EQ(R.metrics().histogram("h").count(), 2u);

@@ -20,8 +20,7 @@
 #     zeroed) and the --coverage-out document;
 #   * `campaign --crates all --seeds 2021 --budget 60 --jobs 1` with
 #     --checkpoint: the checkpoint file, wall fields zeroed (one worker,
-#     since a cell's zero-valued counter deltas depend on which worker
-#     ran it);
+#     since lines are written in completion order);
 #   * `audit --crates all --seeds 2021` (audit.json).
 #
 # Prints one line per differing cell or document, then a summary. Exits
