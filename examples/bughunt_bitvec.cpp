@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/SyRustDriver.h"
+#include "core/Session.h"
 
 #include <cstdio>
 
@@ -21,7 +21,8 @@ using namespace syrust::core;
 using namespace syrust::crates;
 
 int main() {
-  const CrateSpec *Bitvec = findCrate("bitvec");
+  Session S;
+  const CrateSpec *Bitvec = S.find("bitvec");
   std::printf("hunting in %s (%s), tested component %s\n",
               Bitvec->Info.Name.c_str(), Bitvec->Info.RevHash.c_str(),
               Bitvec->Info.Subcomponent.c_str());
@@ -31,7 +32,7 @@ int main() {
   RunConfig Config;
   Config.BudgetSeconds = 8000; // Simulated seconds; ~2 s of real time.
   Config.StopOnFirstBug = true;
-  RunResult R = SyRustDriver(*Bitvec, Config).run();
+  RunResult R = S.runOne(*Bitvec, Config);
 
   std::printf("synthesized %llu test cases (%llu rejected), reached "
               "length %d\n",

@@ -7,13 +7,13 @@
 /// Shows the workflow a downstream user follows to point the framework at
 /// their own library: describe the API surface with CrateBuilder (type
 /// signatures, trait impls, a template, executable semantics), then run
-/// the driver. The toy "ringbuf" crate below hides a double-free - its
+/// it through a Session. The toy "ringbuf" crate below hides a double-free - its
 /// `drain` destroys the buffer but the ring's drop glue frees it again -
 /// which the pipeline finds automatically.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/SyRustDriver.h"
+#include "core/Session.h"
 #include "crates/CrateBuilder.h"
 
 #include <cstdio>
@@ -86,7 +86,10 @@ int main() {
   Config.BudgetSeconds = 600;
   Config.NumApis = 4;
   Config.StopOnFirstBug = true;
-  RunResult R = SyRustDriver(Ringbuf, Config).run();
+  // Session::runOne takes any model, not only the registry's; the
+  // model must outlive the Session, which keeps its analysis.
+  Session S;
+  RunResult R = S.runOne(Ringbuf, Config);
 
   std::printf("synthesized %llu tests (%llu rejected)\n",
               static_cast<unsigned long long>(R.Synthesized),

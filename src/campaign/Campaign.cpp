@@ -16,56 +16,59 @@ using namespace syrust::campaign;
 using namespace syrust::core;
 using namespace syrust::json;
 
+namespace {
+
+using refine::RefinementMode;
+
+/// The campaign variant vocabulary, in the order the unknown-variant
+/// message lists it. no-semantic is RQ2, eager RQ3, interleave Section
+/// 7.4.3 and mutate-inputs 7.4.2; coverage-bias changes the emitted
+/// stream by design (DESIGN.md 5h) and forces interleaving, the only
+/// mode its biased leg exists in.
+const struct {
+  const char *Name;
+  void (*Apply)(RunConfig &);
+} VariantTable[] = {
+    {"base", [](RunConfig &) {}},
+    {"no-semantic", [](RunConfig &C) { C.SemanticAware = false; }},
+    {"eager", [](RunConfig &C) { C.Mode = RefinementMode::PurelyEager; }},
+    {"lazy", [](RunConfig &C) { C.Mode = RefinementMode::PurelyLazy; }},
+    {"interleave", [](RunConfig &C) { C.InterleaveLengths = true; }},
+    {"mutate-inputs", [](RunConfig &C) { C.MutateInputs = true; }},
+    {"no-incremental", [](RunConfig &C) { C.IncrementalRefinement = false; }},
+    {"portfolio", [](RunConfig &C) { C.Portfolio = true; }},
+    {"no-graph-prune", [](RunConfig &C) { C.GraphPrune = false; }},
+    {"coverage-bias",
+     [](RunConfig &C) { C.BiasCoverage = C.InterleaveLengths = true; }},
+};
+
+} // namespace
+
 bool syrust::campaign::applyVariant(const std::string &Name,
                                     RunConfig &Config) {
-  if (Name == "base")
-    return true;
-  if (Name == "no-semantic") {
-    Config.SemanticAware = false; // RQ2 (Section 4.4 off).
-    return true;
-  }
-  if (Name == "eager") {
-    Config.Mode = refine::RefinementMode::PurelyEager; // RQ3.
-    return true;
-  }
-  if (Name == "lazy") {
-    Config.Mode = refine::RefinementMode::PurelyLazy;
-    return true;
-  }
-  if (Name == "interleave") {
-    Config.InterleaveLengths = true; // Section 7.4.3.
-    return true;
-  }
-  if (Name == "mutate-inputs") {
-    Config.MutateInputs = true; // Section 7.4.2.
-    return true;
-  }
-  if (Name == "no-incremental") {
-    Config.IncrementalRefinement = false;
-    return true;
-  }
-  if (Name == "portfolio") {
-    Config.Portfolio = true; // Strategy racing; streams stay identical.
-    return true;
-  }
-  if (Name == "no-graph-prune") {
-    Config.GraphPrune = false; // A/B against graph-guided probes.
-    return true;
-  }
-  if (Name == "coverage-bias") {
-    // Coverage-guided enumeration bias. Unlike the variants above, this
-    // deliberately *changes* the emitted stream (see DESIGN.md 5h). The
-    // biased episode leg only exists in interleaved mode, so the variant
-    // forces it on.
-    Config.BiasCoverage = true;
-    Config.InterleaveLengths = true;
-    return true;
-  }
+  for (const auto &V : VariantTable)
+    if (Name == V.Name) {
+      V.Apply(Config);
+      return true;
+    }
   return false;
 }
 
+uint64_t MatrixSpec::cellCount(uint64_t PerCell) const {
+  if (SeedEnd < SeedBegin)
+    return 0;
+  // The full 64-bit range has one seed more than a uint64_t holds.
+  uint64_t Seeds = SeedEnd - SeedBegin, Cells;
+  if (Seeds == UINT64_MAX ||
+      __builtin_mul_overflow(Crates.size(), Seeds + 1, &Cells) ||
+      __builtin_mul_overflow(Cells, PerCell, &Cells))
+    return UINT64_MAX;
+  return Cells;
+}
+
 std::vector<std::string>
-MatrixSpec::validateMatrix(const Session &S, const std::string &Owner) const {
+MatrixSpec::validateMatrix(const Session &S, const std::string &Owner,
+                           uint64_t PerCell) const {
   std::vector<std::string> Errors;
   if (Crates.empty())
     Errors.push_back(Owner + ".Crates must name at least one crate");
@@ -85,23 +88,33 @@ MatrixSpec::validateMatrix(const Session &S, const std::string &Owner) const {
   if (Jobs < 1)
     Errors.push_back(Owner + ".Jobs must be at least 1, got " +
                      std::to_string(Jobs));
+  const uint64_t N = cellCount(PerCell);
+  if (N > MaxCells)
+    Errors.push_back(Owner + " matrix has " + std::to_string(N) +
+                     " cells, more than the cap of " +
+                     std::to_string(MaxCells));
   return Errors;
 }
 
 std::vector<std::string>
 CampaignSpec::validate(const Session &S) const {
-  std::vector<std::string> Errors = validateMatrix(S, "CampaignSpec");
+  std::vector<std::string> Errors =
+      validateMatrix(S, "CampaignSpec", Variants.size());
   if (Variants.empty())
     Errors.push_back(
         "CampaignSpec.Variants must name at least one variant");
+  std::string Known;
+  for (const auto &V : VariantTable)
+    Known += (Known.empty() ? "" : ", ") + std::string(V.Name);
+  std::set<std::string> Seen;
   for (const std::string &V : Variants) {
     RunConfig Probe;
-    if (!applyVariant(V, Probe))
+    if (!Seen.insert(V).second)
+      Errors.push_back("CampaignSpec.Variants lists '" + V +
+                       "' more than once");
+    else if (!applyVariant(V, Probe))
       Errors.push_back("CampaignSpec.Variants names unknown variant '" +
-                       V +
-                       "'; known: base, no-semantic, eager, lazy, "
-                       "interleave, mutate-inputs, no-incremental, "
-                       "portfolio, no-graph-prune, coverage-bias");
+                       V + "'; known: " + Known);
   }
   std::vector<std::string> BaseErrors = Base.validate();
   Errors.insert(Errors.end(), BaseErrors.begin(), BaseErrors.end());

@@ -49,11 +49,25 @@ struct MatrixSpec {
   /// thread — through the same code path, so results are identical.
   int Jobs = 1;
 
-  /// Checks the crates against \p S, the seed range and the pool width.
-  /// Returns one specific message per problem, each naming \p Owner
-  /// (the spec type, e.g. "CampaignSpec"); empty = runnable.
+  /// The most cells one matrix may hold (a campaign's cell is one (crate,
+  /// seed, variant) job): each is laid out, and its result kept, until
+  /// the aggregate is written. `campaign --crates all --jobs 1` peaked at
+  /// 180-200 KB a finished cell (103.5 MB for 560 cells and 303.8 MB for
+  /// 1,680 at `--budget 60`), so the cap keeps a matrix near 1.6 GB, a
+  /// tenth of a 16 GB host, at 41 times CI's largest matrix (196 cells).
+  static constexpr uint64_t MaxCells = 8192;
+
+  /// Every crate × every seed × \p PerCell (a campaign's variants),
+  /// counted without expanding anything; saturates at UINT64_MAX.
+  uint64_t cellCount(uint64_t PerCell = 1) const;
+
+  /// Checks the crates against \p S, the seed range, the pool width and
+  /// cellCount(\p PerCell) against MaxCells. Returns one specific message
+  /// per problem, each naming \p Owner (the spec type, e.g.
+  /// "CampaignSpec"); empty = runnable.
   std::vector<std::string> validateMatrix(const core::Session &S,
-                                          const std::string &Owner) const;
+                                          const std::string &Owner,
+                                          uint64_t PerCell = 1) const;
 
   /// Calls \p Cell(Crate, Seed) for every cell in matrix order: crates
   /// outermost (in the given order), then seeds ascending.
@@ -144,12 +158,10 @@ struct CampaignResult {
   int Workers = 0;
 };
 
-/// Applies a named variant to \p Config. Vocabulary: "base" (identity),
-/// "no-semantic", "eager", "lazy", "interleave", "mutate-inputs",
-/// "no-incremental", "portfolio", "no-graph-prune", "coverage-bias"
-/// (forces InterleaveLengths; the only variant that changes the emitted
-/// program stream by design).
-/// Returns false for an unknown name.
+/// Applies a named variant to \p Config. The vocabulary is one table in
+/// Campaign.cpp, which the unknown-variant message of
+/// CampaignSpec::validate() lists too. Returns false for an unknown
+/// name.
 bool applyVariant(const std::string &Name, core::RunConfig &Config);
 
 /// Lays out the matrix in deterministic order: crates outermost (in the

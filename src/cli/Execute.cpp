@@ -235,7 +235,7 @@ Response executeCampaign(const Session &S, const RequestSpec &Req,
       return runtimeError(Err);
   }
 
-  size_t Total = campaign::expandMatrix(Spec).size();
+  const size_t Total = Spec.cellCount(Spec.Variants.size());
   size_t Done = 0;
   Runner.onJobDone([&](const campaign::CampaignJobResult &JR) {
     CkptWriter.append(JR); // No-op without --checkpoint.
@@ -310,7 +310,7 @@ Response executeCampaign(const Session &S, const RequestSpec &Req,
 Response executeAudit(const Session &S, const RequestSpec &Req,
                       const ProgressFn &Progress) {
   const oracle::AuditSpec &Spec = Req.Audit.Spec;
-  size_t Total = oracle::expandAuditMatrix(Spec).size();
+  const size_t Total = Spec.cellCount();
   size_t Done = 0;
   oracle::AuditRunResult R = runAudit(
       S, Spec,

@@ -51,25 +51,6 @@ Session::AnalysisStats Session::analysisStats() const {
   return Stats;
 }
 
-RunResult Session::runOne(const CrateSpec &Spec, RunConfig Config,
-                          obs::Recorder *Obs) const {
-  std::vector<std::string> Errors = Config.validate();
-  if (!Errors.empty()) {
-    for (const std::string &E : Errors)
-      std::fprintf(stderr, "syrust: invalid configuration: %s\n",
-                   E.c_str());
-    RunResult R;
-    R.Crate = Spec.Info.Name;
-    R.Supported = false;
-    return R;
-  }
-  std::shared_ptr<const CrateAnalysis> Analysis;
-  if (Spec.Info.SupportsSynthesis)
-    Analysis = analysisFor(Spec);
-  return SyRustDriver(Spec, std::move(Config), Obs, std::move(Analysis))
-      .run();
-}
-
 RunResult Session::runOne(const std::string &CrateName, RunConfig Config,
                           obs::Recorder *Obs) const {
   const CrateSpec *Spec = find(CrateName);

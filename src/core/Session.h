@@ -8,15 +8,15 @@
 /// The public entry point to the driver layer. A Session owns the shared
 /// immutable state every run consumes — today the crate registry, forced
 /// to initialize eagerly so worker threads never race its lazy
-/// construction — and exposes one `runOne()` used by the CLI, every
-/// evaluation bench, and the campaign engine's workers alike. Having a
-/// single entry point means single-run and campaign paths cannot drift:
-/// both validate the RunConfig the same way and drive the same
-/// SyRustDriver.
+/// construction — and its `runOne()` is the one way to run a crate, for
+/// the CLI, every bench, the campaign workers, the tests and the examples
+/// alike. A single entry point means single-run and campaign paths cannot
+/// drift: both validate the RunConfig the same way and run the same loop
+/// over a core::RunSetup (SyRustDriver.h).
 ///
 /// Sessions are cheap (the registry is process-global and const) and
 /// safe to share across threads: every method is const and all mutable
-/// run state lives inside the per-call SyRustDriver.
+/// run state lives inside the per-call RunSetup.
 ///
 /// The Session additionally owns the lazily-built shared per-crate
 /// analyses (one immutable instantiation + precomputed compatibility
@@ -41,7 +41,7 @@
 
 namespace syrust::core {
 
-/// Facade over the crate registry + driver. See file comment.
+/// Facade over the crate registry and the run loop. See file comment.
 class Session {
 public:
   /// Snapshots the registry (completing its thread-safe lazy init on
@@ -59,10 +59,14 @@ public:
   std::vector<std::string> supportedCrates() const;
 
   /// Validates \p Config and runs the full pipeline for \p Spec,
-  /// threading the optional flight recorder through every layer. An
-  /// invalid configuration is reported on stderr and yields an
-  /// unsupported RunResult instead of a silently misbehaving run; call
-  /// RunConfig::validate() first to handle errors yourself.
+  /// threading the optional flight recorder through every layer: the
+  /// loop of Algorithm 1 over a RunSetup, defined beside it in
+  /// SyRustDriver.cpp. An invalid configuration is reported on stderr
+  /// and yields an unsupported RunResult instead of a silently
+  /// misbehaving run; call RunConfig::validate() first to handle errors
+  /// yourself. \p Spec need not come from the registry (docs/MODELS.md's
+  /// custom models), but it must outlive the Session, which keeps its
+  /// analysis.
   RunResult runOne(const crates::CrateSpec &Spec, RunConfig Config,
                    obs::Recorder *Obs = nullptr) const;
 

@@ -7,8 +7,8 @@
 #include "core/SyRustDriver.h"
 
 #include "core/BugMinimizer.h"
+#include "core/Session.h"
 #include "miri/Interpreter.h"
-#include "rustsim/Checker.h"
 #include "rustsim/DiagnosticJson.h"
 #include "sat/SolverStrategy.h"
 
@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 using namespace syrust;
 using namespace syrust::api;
@@ -164,71 +165,58 @@ std::vector<ApiId> syrust::core::selectApiSubset(
   return Selected;
 }
 
-RunSetup syrust::core::setUpRun(const CrateSpec &Spec,
-                                const CrateAnalysis &Analysis, uint64_t Seed,
-                                int NumApis, bool BiasCoverage) {
-  RunSetup Setup{Analysis.makeWorkerInstance(),
-                 types::CompatCache(&Analysis.baseCache())};
-  CrateInstance &Inst = *Setup.Inst;
-  Rng R(Seed ^ std::hash<std::string>{}(Spec.Info.Name));
+namespace {
+
+/// The API draw: an overlay instance of \p Analysis with every library
+/// API outside the run's selection banned.
+std::unique_ptr<CrateInstance> drawApis(const CrateSpec &Spec,
+                                        const CrateAnalysis &Analysis,
+                                        const RunConfig &Config) {
+  std::unique_ptr<CrateInstance> Inst = Analysis.makeWorkerInstance();
+  Rng R(Config.Seed ^ std::hash<std::string>{}(Spec.Info.Name));
   ApiSelectionOptions Opts;
-  Opts.Pinned = Inst.Pinned;
-  Opts.NumApis = NumApis;
+  Opts.Pinned = Inst->Pinned;
+  Opts.NumApis = Config.NumApis;
   // --bias-coverage: weight the draw by never-covered incident degree.
   // At run start no edge is covered; campaign workers inherit no
   // cross-run bits by design - each cell stays a pure function of
   // (crate, seed, variant).
-  Opts.Graph = BiasCoverage ? &Analysis.graph() : nullptr;
-  std::vector<ApiId> Selected = selectApiSubset(Inst.Db, Opts, R);
-  for (size_t I = 0; I < Inst.Db.size(); ++I) {
+  Opts.Graph = Config.BiasCoverage ? &Analysis.graph() : nullptr;
+  std::vector<ApiId> Selected = selectApiSubset(Inst->Db, Opts, R);
+  for (size_t I = 0; I < Inst->Db.size(); ++I) {
     ApiId Id = static_cast<ApiId>(I);
-    if (Inst.Db.get(Id).Builtin != BuiltinKind::None)
+    if (Inst->Db.get(Id).Builtin != BuiltinKind::None)
       continue;
     if (std::find(Selected.begin(), Selected.end(), Id) == Selected.end())
-      Inst.Db.ban(Id);
+      Inst->Db.ban(Id);
   }
-  return Setup;
+  return Inst;
 }
 
-RunResult SyRustDriver::run() {
-  assert(Config.validate().empty() &&
-         "invalid RunConfig; Session::runOne() rejects these");
-  RunResult Result;
-  Result.Crate = Spec->Info.Name;
-  Result.Db = ResultDatabase(Config.RecordTests);
-  if (!Spec->Info.SupportsSynthesis) {
-    Result.Supported = false;
-    return Result;
-  }
-  // A driver built without a Session builds the analysis a Session would
-  // share, so both routes produce identical results.
-  if (!Analysis)
-    Analysis = std::make_shared<const CrateAnalysis>(*Spec);
+} // namespace
 
-  // The crate's frozen dependency graph serves three consumers: API-pair
-  // coverage marking, the encoder's graph-guided pruning, and (bias mode
-  // only) coverage-weighted API selection inside setUpRun.
-  RunSetup Setup = setUpRun(*Spec, *Analysis, Config.Seed, Config.NumApis,
-                            Config.BiasCoverage);
-  CrateInstance &Inst = *Setup.Inst;
-  const api::DependencyGraph &Graph = Analysis->graph();
-  coverage::ApiPairCoverage ApiCov(Graph);
-
-  SimClock Clock;
-  if (Obs) {
-    Obs->bindClock(&Clock);
+RunSetup::RunSetup(const CrateSpec &Spec, const CrateAnalysis &Analysis,
+                   const RunConfig &Config, obs::Recorder *Obs,
+                   const SimClock *Clock, AuditOptions Audit)
+    : Inst(drawApis(Spec, Analysis, Config)),
+      Compat(&Analysis.baseCache()),
+      Refine(Inst->Arena, Inst->Db, Config.Mode),
+      Check(Inst->Arena, Inst->Traits), ApiCov(Analysis.graph()), Obs(Obs) {
+  if (Obs && Clock) {
+    Obs->bindClock(Clock);
     Obs->begin("run", "driver",
                obs::ArgList()
-                   .add("crate", Spec->Info.Name)
+                   .add("crate", Spec.Info.Name)
                    .add("seed", Config.Seed)
                    .add("budget_seconds", Config.BudgetSeconds));
   }
-
-  RefinementEngine Refine(Inst.Arena, Inst.Db, Config.Mode);
   Refine.setEagerCap(Config.EagerCap);
   Refine.setRecorder(Obs);
-  Refine.initialize(Inst.Inputs);
+  Refine.initialize(Inst->Inputs);
 
+  // The crate's frozen dependency graph serves three consumers: API-pair
+  // coverage marking, the encoder's graph-guided pruning, and (bias mode
+  // only) coverage-weighted API selection in the draw.
   SynthOptions Opts;
   Opts.SemanticAware = Config.SemanticAware;
   Opts.InterleaveLengths = Config.InterleaveLengths;
@@ -239,14 +227,60 @@ RunResult SyRustDriver::run() {
     Opts.SolveConflictBudget = Config.SolveConflictBudget;
   Opts.SolverSeed = Config.Seed;
   Opts.Obs = Obs;
-  Opts.Compat = &Setup.Compat;
-  Opts.Graph = &Graph;
+  Opts.Compat = &Compat;
+  Opts.Graph = &Analysis.graph();
   Opts.GraphPrune = Config.GraphPrune;
   Opts.BiasCoverage = Config.BiasCoverage;
   Opts.BiasSeed = Config.Seed;
-  Synthesizer Synth(Inst.Arena, Inst.Traits, Inst.Db, Inst.Inputs,
-                    Inst.MaxLen, Opts);
-  Checker Check(Inst.Arena, Inst.Traits);
+  Opts.OnPathFiltered = std::move(Audit.OnPathFiltered);
+  Opts.WeakenConsumptionKills = Audit.WeakenConsumptionKills;
+  const int MaxLines = Audit.MaxLines > 0
+                           ? std::min(Audit.MaxLines, Inst->MaxLen)
+                           : Inst->MaxLen;
+  Synth.emplace(Inst->Arena, Inst->Traits, Inst->Db, Inst->Inputs, MaxLines,
+                std::move(Opts));
+  Check.setRecorder(Obs);
+}
+
+std::optional<Program>
+RunSetup::next(coverage::ApiPairCoverage::MarkDelta *Delta) {
+  std::optional<Program> P = Synth->next();
+  if (!P)
+    return P;
+  const coverage::ApiPairCoverage::MarkDelta D =
+      ApiCov.markProgram(*P, Inst->Db);
+  if (Obs) {
+    if (D.NewNodes)
+      Obs->count("coverage.api.nodes_covered", D.NewNodes);
+    if (D.NewEdges)
+      Obs->count("coverage.api.edges_covered", D.NewEdges);
+    if (D.Unmatched)
+      Obs->count("coverage.api.unmatched_edges", D.Unmatched);
+  }
+  if (Delta)
+    *Delta = D;
+  return P;
+}
+
+RunResult Session::runOne(const CrateSpec &Spec, RunConfig Config,
+                          obs::Recorder *Obs) const {
+  RunResult Result;
+  Result.Crate = Spec.Info.Name;
+  std::vector<std::string> Errors = Config.validate();
+  for (const std::string &E : Errors)
+    std::fprintf(stderr, "syrust: invalid configuration: %s\n", E.c_str());
+  if (!Errors.empty() || !Spec.Info.SupportsSynthesis) {
+    Result.Supported = false;
+    return Result;
+  }
+  Result.Db = ResultDatabase(Config.RecordTests);
+  std::shared_ptr<const CrateAnalysis> Analysis = analysisFor(Spec);
+
+  SimClock Clock;
+  RunSetup Setup(Spec, *Analysis, Config, Obs, &Clock);
+  CrateInstance &Inst = *Setup.Inst;
+  Synthesizer &Synth = *Setup.Synth;
+  RefinementEngine &Refine = Setup.Refine;
   coverage::CoverageMap Cov(Inst.ComponentLines, Inst.LibraryLines,
                             Inst.ComponentBranches, Inst.LibraryBranches);
   TemplateInit Init = Inst.Init;
@@ -273,8 +307,6 @@ RunResult SyRustDriver::run() {
   }
   Interpreter Interp(Inst.Db, Inst.Traits, Inst.Registry, Init, &Cov,
                      Config.Seed + 7);
-
-  Check.setRecorder(Obs);
   Interp.setRecorder(Obs);
 
   if (Obs) {
@@ -282,7 +314,7 @@ RunResult SyRustDriver::run() {
     // snapshot row carries the full coverage.api.* set from t=0. The
     // matrix gauge is observability for the shared analysis; gauges are
     // not campaign-merged, so per-run it is simply the frozen size.
-    const coverage::ApiCoverageData D0 = ApiCov.data();
+    const coverage::ApiCoverageData D0 = Setup.ApiCov.data();
     Obs->count("coverage.api.nodes_total", D0.NodesTotal);
     Obs->count("coverage.api.edges_total", D0.EdgesTotal);
     Obs->count("coverage.api.nodes_covered", 0);
@@ -318,7 +350,8 @@ RunResult SyRustDriver::run() {
       break;
     double CandStart = Clock.now();
     uint64_t CandId = Result.Synthesized;
-    std::optional<Program> P = Synth.next();
+    coverage::ApiPairCoverage::MarkDelta Delta;
+    std::optional<Program> P = Setup.next(&Delta);
     Clock.charge(Config.SolveCost);
     if (Obs)
       Obs->complete("stage.synthesize", "driver", CandStart,
@@ -338,22 +371,12 @@ RunResult SyRustDriver::run() {
     ++Result.Synthesized;
     if (Obs)
       Obs->count("driver.synthesized");
-    const coverage::ApiPairCoverage::MarkDelta Delta =
-        ApiCov.markProgram(*P, Inst.Db);
     Synth.noteCoverage(static_cast<int>(P->Stmts.size()), Delta.NewEdges,
                        Clock.now());
-    if (Obs) {
-      if (Delta.NewNodes)
-        Obs->count("coverage.api.nodes_covered", Delta.NewNodes);
-      if (Delta.NewEdges)
-        Obs->count("coverage.api.edges_covered", Delta.NewEdges);
-      if (Delta.Unmatched)
-        Obs->count("coverage.api.unmatched_edges", Delta.Unmatched);
-    }
 
     // Test executor stage 1: compile.
     double CompileStart = Clock.now();
-    CompileResult Compiled = Check.check(*P, Inst.Db);
+    CompileResult Compiled = Setup.Check.check(*P, Inst.Db);
     Clock.charge(Config.CompileCost);
     if (Obs)
       Obs->complete("stage.compile", "driver", CompileStart,
@@ -464,7 +487,7 @@ RunResult SyRustDriver::run() {
     while (Clock.now() >= NextSnapshot &&
            NextSnapshot <= Config.BudgetSeconds) {
       Cov.snapshot(NextSnapshot);
-      ApiCov.snapshot(NextSnapshot);
+      Setup.ApiCov.snapshot(NextSnapshot);
       if (Obs)
         Obs->snapshotMetrics(NextSnapshot);
       NextSnapshot += Config.SnapshotInterval;
@@ -472,7 +495,7 @@ RunResult SyRustDriver::run() {
   }
   SampleCurve(); // Terminal point (skipped if this instant was sampled).
   Cov.snapshot(Clock.now());
-  ApiCov.snapshot(Clock.now());
+  Setup.ApiCov.snapshot(Clock.now());
 
   Result.Coverage = Cov.numbers();
   Result.CoverageSnaps = Cov.snapshots();
@@ -501,7 +524,7 @@ RunResult SyRustDriver::run() {
       Obs->count("synth.bias.decays", Result.Synth.BiasDecays);
     }
   }
-  Result.ApiCoverage = ApiCov.data();
+  Result.ApiCoverage = Setup.ApiCov.data();
   Result.Refine = Refine.stats();
   Result.ElapsedSeconds = Clock.now();
   if (Obs) {

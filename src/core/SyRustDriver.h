@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The complete SyRust pipeline of Figure 3 for one library: API selection
+/// The SyRust pipeline of Figure 3 for one library: API selection
 /// (Section 6.2's 15-API weighted sample with pinned picks and the three
-/// builtins), the semantic-aware synthesis loop of Algorithm 1, the test
-/// executor (rustsim compile + miri execute on the simulated clock), and
-/// hybrid refinement feedback. Produces the RunResult all evaluation
-/// benches consume.
+/// builtins) and RunSetup, the enumeration set-up runs and audits share.
+/// SyRustDriver.cpp also defines Session::runOne, the one way to run a
+/// crate: Algorithm 1's loop with the test executor (rustsim compile +
+/// miri execute on the simulated clock) and hybrid refinement feedback,
+/// producing the RunResult all evaluation benches consume.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,14 +25,16 @@
 #include "crates/CrateRegistry.h"
 #include "obs/Recorder.h"
 #include "refine/RefinementEngine.h"
+#include "rustsim/Checker.h"
 #include "rustsim/Diagnostic.h"
 #include "support/SimClock.h"
 #include "synth/Synthesizer.h"
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace syrust::core {
@@ -260,67 +263,59 @@ std::vector<api::ApiId> selectApiSubset(const api::ApiDatabase &Db,
                                         const ApiSelectionOptions &Opts,
                                         Rng &R);
 
-/// One run's private working state over its crate's shared analysis.
-struct RunSetup {
-  /// Copy-on-write overlay of the analysis's base instance, with every
-  /// library API outside the run's selection banned.
+/// What an audit (oracle::auditOne) adds to a run's set-up. A run leaves
+/// every field at its default.
+struct AuditOptions {
+  /// Cap on program length; 0 = the crate's own MaxLen.
+  int MaxLines = 0;
+  /// The audit's canary: SynthOptions::WeakenConsumptionKills.
+  bool WeakenConsumptionKills = false;
+  /// The audit's differential tap: SynthOptions::OnPathFiltered.
+  std::function<void(const program::Program &)> OnPathFiltered;
+};
+
+/// One enumeration of a crate, set up from one RunConfig over the
+/// crate's shared analysis: Algorithm 1's state without its loop.
+/// Session::runOne and oracle::auditOne both build it and keep only their
+/// loops, so an audit replays the enumeration a run performs.
+///
+/// The constructor draws the APIs (an overlay instance, the
+/// selectApiSubset draw from an Rng seeded with Seed ^ hash(crate name),
+/// weighted by never-covered graph edges under BiasCoverage, and a ban on
+/// every unselected library API); with a \p Clock, binds the recorder to
+/// it and opens the `run` span, which the caller closes; initializes
+/// refinement (eager cap, recorder, eager concretization); and then
+/// builds the synthesizer over the refined database. \p Analysis must
+/// outlive the set-up. Not movable: the synthesizer points at Compat.
+class RunSetup {
+public:
+  RunSetup(const crates::CrateSpec &Spec, const CrateAnalysis &Analysis,
+           const RunConfig &Config, obs::Recorder *Obs = nullptr,
+           const SimClock *Clock = nullptr, AuditOptions Audit = {});
+
+  RunSetup(const RunSetup &) = delete;
+  RunSetup &operator=(const RunSetup &) = delete;
+
+  /// The synthesizer's next program, nullopt when it has none. Marks the
+  /// program's API pairs and bumps the `coverage.api.*` counters by what
+  /// it newly covered, which \p Delta receives when set.
+  std::optional<program::Program>
+  next(coverage::ApiPairCoverage::MarkDelta *Delta = nullptr);
+
+  /// The overlay instance, with every library API outside the draw banned.
   std::unique_ptr<crates::CrateInstance> Inst;
   /// The run's own compatibility cache, chained onto the analysis's
   /// precomputed matrix, so its counters depend only on this run's
   /// probes - never on scheduling.
   types::CompatCache Compat;
-};
-
-/// Sets up one enumeration of \p Spec: an overlay instance of
-/// \p Analysis, a CompatCache chained onto its baseCache(), and the
-/// selectApiSubset draw from an Rng seeded with Seed ^ hash(crate name),
-/// banning every unselected library API (builtins always stay).
-/// \p BiasCoverage weights the draw by the analysis graph's never-covered
-/// edges (RunConfig::BiasCoverage). SyRustDriver::run and
-/// oracle::auditOne both call this, so an audit replays the enumeration
-/// a run performs because both run the same code.
-RunSetup setUpRun(const crates::CrateSpec &Spec,
-                  const CrateAnalysis &Analysis, uint64_t Seed, int NumApis,
-                  bool BiasCoverage);
-
-/// Runs the full pipeline for one library model.
-///
-/// Movable and self-contained: the driver references the (immutable)
-/// CrateSpec, owns its configuration, and holds the optional flight
-/// recorder as an explicit constructor argument rather than a field
-/// smuggled through RunConfig — so a worker thread can own driver and
-/// recorder together and nothing aliases across threads.
-///
-/// Prefer Session::runOne() (Session.h) as the entry point; constructing
-/// a driver directly is kept for tests that need the raw object.
-class SyRustDriver {
-public:
-  /// \p Analysis is the crate's shared immutable analysis
-  /// (Session::runOne supplies it). Null makes run() build one for
-  /// \p Spec, exactly what a Session would share - results, compat
-  /// counters included, are identical either way.
-  SyRustDriver(const crates::CrateSpec &Spec, RunConfig Config,
-               obs::Recorder *Obs = nullptr,
-               std::shared_ptr<const CrateAnalysis> Analysis = nullptr)
-      : Spec(&Spec), Config(std::move(Config)), Obs(Obs),
-        Analysis(std::move(Analysis)) {}
-
-  SyRustDriver(SyRustDriver &&) = default;
-  SyRustDriver &operator=(SyRustDriver &&) = default;
-
-  /// Precondition: Config.validate() is empty (Session enforces this).
-  RunResult run();
+  refine::RefinementEngine Refine;
+  /// Always set once constructed; built after refinement's eager pass.
+  std::optional<synth::Synthesizer> Synth;
+  rustsim::Checker Check;
+  coverage::ApiPairCoverage ApiCov;
 
 private:
-  const crates::CrateSpec *Spec;
-  RunConfig Config;
-  /// When set, bound to the run's SimClock and threaded through every
-  /// pipeline layer (solver, synthesizer, refinement, checker,
-  /// interpreter); a span per candidate ties the lifecycle together and
-  /// the metrics registry snapshots on the SnapshotInterval cadence.
-  obs::Recorder *Obs = nullptr;
-  /// Shared per-crate analysis; see the constructor comment.
-  std::shared_ptr<const CrateAnalysis> Analysis;
+  obs::Recorder *Obs;
 };
 
 } // namespace syrust::core

@@ -6,12 +6,9 @@
 
 #include "oracle/Oracle.h"
 
-#include "core/CrateAnalysis.h"
 #include "rustsim/Checker.h"
 #include "sat/SolverStrategy.h"
-#include "synth/Synthesizer.h"
 
-#include <algorithm>
 #include <utility>
 
 using namespace syrust;
@@ -21,7 +18,6 @@ using namespace syrust::crates;
 using namespace syrust::oracle;
 using namespace syrust::program;
 using namespace syrust::rustsim;
-using namespace syrust::synth;
 
 std::vector<std::string> OracleConfig::validate() const {
   std::vector<std::string> Errors;
@@ -42,6 +38,18 @@ std::vector<std::string> OracleConfig::validate() const {
                      "' is not a known solver strategy (known: " +
                      sat::knownStrategyNames() + ")");
   return Errors;
+}
+
+RunConfig OracleConfig::runConfig() const {
+  RunConfig Run;
+  Run.NumApis = NumApis;
+  Run.Seed = Seed;
+  Run.Mode = Mode;
+  Run.EagerCap = EagerCap;
+  Run.GraphPrune = GraphPrune;
+  Run.Portfolio = Portfolio;
+  Run.Strategy = Strategy;
+  return Run;
 }
 
 AuditCounts &AuditCounts::operator+=(const AuditCounts &Other) {
@@ -110,49 +118,22 @@ AuditResult syrust::oracle::auditOne(const Session &S,
     return Result;
   }
 
-  // The driver's own set-up (SyRustDriver::run calls setUpRun too), so
-  // the enumeration the oracle audits is the enumeration real runs emit.
-  std::shared_ptr<const CrateAnalysis> Analysis = S.analysisFor(*Spec);
-  RunSetup Setup = setUpRun(*Spec, *Analysis, Config.Seed, Config.NumApis,
-                            /*BiasCoverage=*/false);
-  CrateInstance &Inst = *Setup.Inst;
-
-  refine::RefinementEngine Refine(Inst.Arena, Inst.Db, Config.Mode);
-  Refine.setEagerCap(Config.EagerCap);
-  Refine.setRecorder(Obs);
-  Refine.initialize(Inst.Inputs);
-
-  SynthOptions Opts;
-  Opts.SemanticAware = true;
-  Opts.IncrementalRefinement = true;
-  Opts.Portfolio = Config.Portfolio;
-  Opts.Strategy = Config.Strategy;
-  Opts.SolverSeed = Config.Seed;
-  Opts.Obs = Obs;
-  Opts.Compat = &Setup.Compat;
-  Opts.WeakenConsumptionKills = Config.WeakenConsumptionKills;
   // The differential tap: every model the Rule-7 path filter swallows is
   // captured here and replayed through the checker alongside the
   // emitted stream.
   std::vector<Program> Filtered;
-  Opts.OnPathFiltered = [&Filtered](const Program &P) {
+  AuditOptions Audit;
+  Audit.MaxLines = Config.MaxLines;
+  Audit.WeakenConsumptionKills = Config.WeakenConsumptionKills;
+  Audit.OnPathFiltered = [&Filtered](const Program &P) {
     Filtered.push_back(P);
   };
-
-  // The frozen dependency graph serves two consumers: API-pair coverage
-  // of the audited stream and the encoder's graph-guided candidate
-  // probes.
-  const api::DependencyGraph &Graph = Analysis->graph();
-  coverage::ApiPairCoverage ApiCov(Graph);
-  Opts.Graph = &Graph;
-  Opts.GraphPrune = Config.GraphPrune;
-
-  int MaxLines = Config.MaxLines > 0 ? std::min(Config.MaxLines, Inst.MaxLen)
-                                     : Inst.MaxLen;
-  Synthesizer Synth(Inst.Arena, Inst.Traits, Inst.Db, Inst.Inputs, MaxLines,
-                    Opts);
-  Checker Check(Inst.Arena, Inst.Traits);
-  Check.setRecorder(Obs);
+  // A run's own set-up (Session::runOne builds one too), so the
+  // enumeration the oracle audits is the enumeration real runs emit.
+  std::shared_ptr<const CrateAnalysis> Analysis = S.analysisFor(*Spec);
+  RunSetup Setup(*Spec, *Analysis, Config.runConfig(), Obs,
+                 /*Clock=*/nullptr, std::move(Audit));
+  CrateInstance &Inst = *Setup.Inst;
 
   auto Count = [&Obs](const char *Name) {
     if (Obs)
@@ -160,14 +141,14 @@ AuditResult syrust::oracle::auditOne(const Session &S,
   };
 
   while (Result.ModelsReplayed < Config.MaxModels) {
-    std::optional<Program> P = Synth.next();
+    std::optional<Program> P = Setup.next();
     // Replay whatever the path filter rejected while producing this
     // model (or proving exhaustion). Order is enumeration order, so the
     // replayed stream - and the report - is deterministic.
     for (const Program &F : Filtered) {
       ++Result.ModelsReplayed;
       Count("oracle.models_replayed");
-      CompileResult C = Check.check(F, Inst.Db);
+      CompileResult C = Setup.Check.check(F, Inst.Db);
       if (!C.Success) {
         ++Result.AgreeReject;
         Count("oracle.agree_reject");
@@ -184,24 +165,12 @@ AuditResult syrust::oracle::auditOne(const Session &S,
 
     ++Result.ModelsReplayed;
     Count("oracle.models_replayed");
-    {
-      const coverage::ApiPairCoverage::MarkDelta Delta =
-          ApiCov.markProgram(*P, Inst.Db);
-      if (Obs) {
-        if (Delta.NewNodes)
-          Obs->count("coverage.api.nodes_covered", Delta.NewNodes);
-        if (Delta.NewEdges)
-          Obs->count("coverage.api.edges_covered", Delta.NewEdges);
-        if (Delta.Unmatched)
-          Obs->count("coverage.api.unmatched_edges", Delta.Unmatched);
-      }
-    }
-    CompileResult C = Check.check(*P, Inst.Db);
+    CompileResult C = Setup.Check.check(*P, Inst.Db);
     bool DbChanged = false;
     if (C.Success) {
       ++Result.AgreePass;
       Count("oracle.agree_pass");
-      DbChanged = Refine.onSuccess(*P);
+      DbChanged = Setup.Refine.onSuccess(*P);
     } else {
       if (isExpectedDetail(C.Diag.Detail)) {
         ++Result.Expected[C.Diag.Detail];
@@ -234,11 +203,11 @@ AuditResult syrust::oracle::auditOne(const Session &S,
       // Feed the diagnostic back exactly as the driver would: the
       // refined database steers what the encoder enumerates next, and
       // the oracle must audit that steered stream too.
-      DbChanged = Refine.onDiagnostic(C.Diag);
+      DbChanged = Setup.Refine.onDiagnostic(C.Diag);
     }
     if (DbChanged)
-      Synth.notifyDatabaseChanged();
+      Setup.Synth->notifyDatabaseChanged();
   }
-  Result.ApiCoverage = ApiCov.data();
+  Result.ApiCoverage = Setup.ApiCov.data();
   return Result;
 }

@@ -33,10 +33,12 @@
 ///     Informational: the filter was too strict (lost coverage, not
 ///     unsoundness), counted but never fatal.
 ///
-/// Audits replay the driver's exact enumeration (same RNG seeding, same
-/// API subset, same refinement feedback), so the streams examined are
-/// the streams real runs emit - capped by model count, not simulated
-/// time, so a report is byte-identical for any scheduling.
+/// Audits replay a run's exact enumeration: they build the same
+/// core::RunSetup Session::runOne builds (same RNG seeding, same API
+/// subset, same refinement engine) and feed refinement back the same
+/// way, so the streams examined are the streams real runs emit - capped
+/// by model count, not simulated time, so a report is byte-identical for
+/// any scheduling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,6 +97,11 @@ struct OracleConfig {
 
   /// One specific message per invalid field; empty when runnable.
   std::vector<std::string> validate() const;
+
+  /// The RunConfig an audit sets up from, beside core::AuditOptions:
+  /// NumApis, Seed, Mode, EagerCap, GraphPrune, Portfolio and Strategy
+  /// carry over, and every other setting keeps its RunConfig default.
+  core::RunConfig runConfig() const;
 };
 
 /// How one replayed model relates the encoder's verdict to the checker's.
@@ -169,10 +176,11 @@ MinimizedDisagreement minimizeDisagreement(types::TypeArena &Arena,
                                            const program::Program &P,
                                            rustsim::ErrorDetail Detail);
 
-/// Replays one (crate, seed) enumeration through the checker. Sets up
-/// through core::setUpRun, as SyRustDriver::run() does - same RNG
-/// seeding, same API subset selection - and feeds refinement back the
-/// same way, so the audited stream is the stream a real run emits.
+/// Replays one (crate, seed) enumeration through the checker. Builds the
+/// core::RunSetup Session::runOne builds - same RNG seeding, same API
+/// subset selection, same refinement engine, synthesizer and checker -
+/// and feeds refinement back the same way, so the audited stream is the
+/// stream a real run emits.
 /// \p Obs, when set, receives the `oracle.*` counters and per-model
 /// trace events.
 AuditResult auditOne(const core::Session &S, const std::string &CrateName,

@@ -78,8 +78,6 @@ public:
     return SeenOutcome::Collision;
   }
 
-  void reserve(size_t N) { Buckets.reserve(N); }
-
 private:
   /// Hash -> canonical keys of every distinct program seen with it.
   /// Unordered on purpose: membership is all that is ever asked.

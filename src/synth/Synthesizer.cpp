@@ -47,10 +47,6 @@ Synthesizer::Synthesizer(types::TypeArena &Arena,
                          SynthOptions Opts)
     : Arena(Arena), Traits(Traits), Db(Db), Inputs(std::move(Inputs)),
       Opts(Opts) {
-  // Long runs push hundreds of thousands of hashes through the duplicate
-  // net; reserving up front keeps the hot insert path rehash-free until
-  // well past typical run sizes.
-  Seen.reserve(1 << 16);
   if (Opts.BiasCoverage) {
     LengthYield.assign(static_cast<size_t>(MaxLines), 0);
     BiasRng.reseed(Opts.BiasSeed);

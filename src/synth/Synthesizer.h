@@ -68,11 +68,10 @@ struct SynthStats {
   /// Wall-clock spent constructing/extending encodings vs. solving.
   double BuildSeconds = 0;
   double SolveSeconds = 0;
-  /// Compatibility-kernel memo outcome (all zero when the cache is off).
-  /// Hits answered from the run's own cache, BaseHits from the shared
-  /// per-crate matrix, Misses computed fresh. Filled by the driver, which
-  /// owns the cache; the synthesizer only consumes it through
-  /// SynthOptions::Compat.
+  /// Compatibility-kernel memo outcome: Hits answered from the run's own
+  /// cache, BaseHits from the shared per-crate matrix, Misses computed
+  /// fresh. Filled by Session::runOne from the cache its core::RunSetup
+  /// owns; the synthesizer only consumes it through SynthOptions::Compat.
   uint64_t CompatHits = 0;
   uint64_t CompatBaseHits = 0;
   uint64_t CompatMisses = 0;

@@ -200,6 +200,55 @@ TEST(CampaignSpecValidateTest, RejectsUnknownVariant) {
     EXPECT_TRUE(applyVariant(Name, Probe)) << Name;
 }
 
+TEST(CampaignSpecValidateTest, RejectsDuplicateVariant) {
+  // A variant named twice would run each of its cells twice.
+  Session S;
+  CampaignSpec Spec = quadSpec();
+  Spec.Variants = {"base", "lazy", "base"};
+  std::vector<std::string> E = Spec.validate(S);
+  EXPECT_TRUE(
+      contains(E, "CampaignSpec.Variants lists 'base' more than once"));
+  EXPECT_EQ(E.size(), 1u);
+}
+
+TEST(CampaignSpecValidateTest, CountsCellsWithoutOverflow) {
+  CampaignSpec Spec;
+  Spec.Crates = {"slab", "bytes"};
+  Spec.SeedBegin = 1;
+  Spec.SeedEnd = 3;
+  EXPECT_EQ(Spec.cellCount(), 6u);
+  EXPECT_EQ(Spec.cellCount(7), 42u);
+  Spec.SeedEnd = 0; // Empty range.
+  EXPECT_EQ(Spec.cellCount(7), 0u);
+  // The full 64-bit range has 2^64 seeds, one more than a uint64_t holds.
+  Spec.SeedBegin = 0;
+  Spec.SeedEnd = UINT64_MAX;
+  EXPECT_EQ(Spec.cellCount(), UINT64_MAX);
+  Spec.SeedBegin = 1;
+  Spec.SeedEnd = (uint64_t(1) << 63) + 1;
+  EXPECT_EQ(Spec.cellCount(), UINT64_MAX); // 2 crates x (2^63 + 1) seeds.
+}
+
+TEST(CampaignSpecValidateTest, RejectsMatrixPastTheCap) {
+  Session S;
+  CampaignSpec Spec = quadSpec();
+  Spec.Crates = {"slab"};
+  Spec.SeedBegin = 1;
+  Spec.SeedEnd = 9007199254740991; // 2^53 - 1, the largest --seeds end.
+  EXPECT_TRUE(contains(Spec.validate(S),
+                       "CampaignSpec matrix has 9007199254740991 cells, "
+                       "more than the cap of 8192"));
+  // The variants multiply the cells: 4096 seeds x 2 variants is exactly
+  // the cap, one more seed is past it.
+  Spec.SeedEnd = MatrixSpec::MaxCells / 2;
+  Spec.Variants = {"base", "lazy"};
+  EXPECT_TRUE(Spec.validate(S).empty());
+  Spec.SeedEnd += 1;
+  EXPECT_TRUE(contains(Spec.validate(S),
+                       "CampaignSpec matrix has 8194 cells, more than the "
+                       "cap of 8192"));
+}
+
 TEST(CampaignSpecValidateTest, RejectsNonPositiveJobs) {
   Session S;
   CampaignSpec Spec = quadSpec();
@@ -433,24 +482,6 @@ TEST(CampaignTest, SingleRunDocumentKeepsWallTimeByDefault) {
 // Session facade.
 //===----------------------------------------------------------------------===//
 
-TEST(SessionTest, RunOneMatchesDirectDriver) {
-  Session S;
-  RunConfig C = quickBase();
-  for (const std::string &Name : S.supportedCrates()) {
-    const std::string Doc = resultToJson(S.runOne(Name, C), {false}).dump();
-    const crates::CrateSpec &Spec = *S.find(Name);
-    // Same shared analysis as the Session route.
-    RunResult B = SyRustDriver(Spec, C, nullptr, S.analysisFor(Spec)).run();
-    EXPECT_EQ(Doc, resultToJson(B, {false}).dump()) << Name;
-    // A bare driver builds its own analysis, identical to the shared
-    // one, so even the compat cache hit/miss split matches byte for
-    // byte.
-    RunResult D = SyRustDriver(Spec, C).run();
-    EXPECT_GT(D.Synth.CompatBaseHits, 0u) << Name;
-    EXPECT_EQ(Doc, resultToJson(D, {false}).dump()) << Name;
-  }
-}
-
 TEST(SessionTest, RunOneRejectsInvalidConfigAndUnknownCrate) {
   Session S;
   RunConfig Bad = quickBase();
@@ -523,13 +554,13 @@ TEST(SessionTest, AdjacentSeedsDriveDifferentSearches) {
   C.BudgetSeconds = 60;
   C.RecordTests = size_t(1) << 20;
   auto Analysis = S.analysisFor(Spec);
-  RunSetup Even = setUpRun(Spec, *Analysis, 2020, C.NumApis, false);
-  RunSetup Odd = setUpRun(Spec, *Analysis, 2021, C.NumApis, false);
-  ASSERT_EQ(Even.Inst->Db.activeIds(), Odd.Inst->Db.activeIds());
   C.Seed = 2020;
+  RunSetup Even(Spec, *Analysis, C);
   RunResult A = S.runOne("crossbeam-utils", C);
   C.Seed = 2021;
+  RunSetup Odd(Spec, *Analysis, C);
   RunResult B = S.runOne("crossbeam-utils", C);
+  ASSERT_EQ(Even.Inst->Db.activeIds(), Odd.Inst->Db.activeIds());
   ASSERT_GT(A.Synthesized, 0u);
   EXPECT_NE(streamDigest(A), streamDigest(B));
 }

@@ -6,7 +6,6 @@
 
 #include "core/ResultJson.h"
 #include "core/Session.h"
-#include "core/SyRustDriver.h"
 #include "refine/RefinementEngine.h"
 #include "rustsim/Checker.h"
 #include "synth/Synthesizer.h"
@@ -27,6 +26,13 @@ using namespace syrust::rustsim;
 
 namespace {
 
+/// One Session shared by the tests in this file; Session::runOne is the
+/// one way to run a crate.
+const Session &session() {
+  static const Session S;
+  return S;
+}
+
 RunConfig quickConfig() {
   RunConfig C;
   C.BudgetSeconds = 60;
@@ -35,8 +41,7 @@ RunConfig quickConfig() {
 }
 
 TEST(DriverTest, UnsupportedCratesAreSkipped) {
-  SyRustDriver Driver(*findCrate("cookie-factory"), quickConfig());
-  RunResult R = Driver.run();
+  RunResult R = session().runOne("cookie-factory", quickConfig());
   EXPECT_FALSE(R.Supported);
   EXPECT_EQ(R.Synthesized, 0u);
 }
@@ -44,8 +49,7 @@ TEST(DriverTest, UnsupportedCratesAreSkipped) {
 TEST(DriverTest, FindsCrossbeamQueueLeakFast) {
   RunConfig C = quickConfig();
   C.StopOnFirstBug = true;
-  SyRustDriver Driver(*findCrate("crossbeam-queue"), C);
-  RunResult R = Driver.run();
+  RunResult R = session().runOne("crossbeam-queue", C);
   ASSERT_TRUE(R.BugFound) << "synthesized " << R.Synthesized;
   EXPECT_EQ(R.FirstBug.Kind, UbKind::MemoryLeak);
   EXPECT_EQ(R.BugLines, 1);
@@ -56,8 +60,7 @@ TEST(DriverTest, FindsCrossbeamDanglingPointer) {
   RunConfig C = quickConfig();
   C.BudgetSeconds = 3000;
   C.StopOnFirstBug = true;
-  SyRustDriver Driver(*findCrate("crossbeam"), C);
-  RunResult R = Driver.run();
+  RunResult R = session().runOne("crossbeam", C);
   ASSERT_TRUE(R.BugFound) << "synthesized " << R.Synthesized;
   EXPECT_EQ(R.FirstBug.Kind, UbKind::DanglingPointer);
   EXPECT_EQ(R.BugLines, 3);
@@ -67,8 +70,7 @@ TEST(DriverTest, FindsEncodingRsOobPointer) {
   RunConfig C = quickConfig();
   C.BudgetSeconds = 600;
   C.StopOnFirstBug = true;
-  SyRustDriver Driver(*findCrate("encoding_rs"), C);
-  RunResult R = Driver.run();
+  RunResult R = session().runOne("encoding_rs", C);
   ASSERT_TRUE(R.BugFound) << "synthesized " << R.Synthesized;
   EXPECT_EQ(R.FirstBug.Kind, UbKind::OutOfBoundsPointer);
   EXPECT_EQ(R.BugLines, 4);
@@ -78,8 +80,7 @@ TEST(DriverTest, FindsBitvecUseAfterFree) {
   RunConfig C = quickConfig();
   C.BudgetSeconds = 8000; // The deepest bug: a five-call chain.
   C.StopOnFirstBug = true;
-  SyRustDriver Driver(*findCrate("bitvec"), C);
-  RunResult R = Driver.run();
+  RunResult R = session().runOne("bitvec", C);
   ASSERT_TRUE(R.BugFound) << "synthesized " << R.Synthesized;
   EXPECT_EQ(R.FirstBug.Kind, UbKind::UseAfterFree);
   EXPECT_EQ(R.BugLines, 5);
@@ -89,8 +90,7 @@ TEST(DriverTest, FindsBitvecUseAfterFree) {
 TEST(DriverTest, RejectionRateIsLowWithAllFeatures) {
   // The paper's headline: with semantic awareness and hybrid refinement,
   // only a small share of test cases is rejected.
-  SyRustDriver Driver(*findCrate("smallvec"), quickConfig());
-  RunResult R = Driver.run();
+  RunResult R = session().runOne("smallvec", quickConfig());
   EXPECT_GT(R.Synthesized, 50u);
   EXPECT_LT(R.rejectedPercent(), 20.0)
       << R.Rejected << "/" << R.Synthesized;
@@ -101,8 +101,8 @@ TEST(DriverTest, SemanticAblationRaisesLifetimeErrors) {
   RunConfig On = quickConfig();
   RunConfig Off = quickConfig();
   Off.SemanticAware = false;
-  RunResult ROn = SyRustDriver(*findCrate("slab"), On).run();
-  RunResult ROff = SyRustDriver(*findCrate("slab"), Off).run();
+  RunResult ROn = session().runOne("slab", On);
+  RunResult ROff = session().runOne("slab", Off);
   uint64_t LifetimeOn = ROn.ByCategory[ErrorCategory::LifetimeOwnership];
   uint64_t LifetimeOff =
       ROff.ByCategory[ErrorCategory::LifetimeOwnership];
@@ -115,16 +115,15 @@ TEST(DriverTest, EagerAblationRaisesTypeErrors) {
   RunConfig Eager = quickConfig();
   Eager.Mode = RefinementMode::PurelyEager;
   Eager.EagerCap = 16;
-  RunResult RHybrid = SyRustDriver(*findCrate("im-rc"), Hybrid).run();
-  RunResult REager = SyRustDriver(*findCrate("im-rc"), Eager).run();
+  RunResult RHybrid = session().runOne("im-rc", Hybrid);
+  RunResult REager = session().runOne("im-rc", Eager);
   EXPECT_GT(REager.rejectedPercent(), RHybrid.rejectedPercent())
       << "hybrid=" << RHybrid.rejectedPercent()
       << " eager=" << REager.rejectedPercent();
 }
 
 TEST(DriverTest, CoverageAccumulates) {
-  SyRustDriver Driver(*findCrate("bitvec"), quickConfig());
-  RunResult R = Driver.run();
+  RunResult R = session().runOne("bitvec", quickConfig());
   EXPECT_GT(R.Coverage.ComponentLine, 10.0);
   EXPECT_GT(R.Coverage.ComponentBranch, 0.0);
   EXPECT_LE(R.Coverage.LibraryLine, R.Coverage.ComponentLine);
@@ -217,23 +216,22 @@ TEST(DriverTest, BiasCoverageIsDeterministicAndCounted) {
   RunConfig C = quickConfig();
   C.BiasCoverage = true;
   C.InterleaveLengths = true;
-  RunResult A = SyRustDriver(*findCrate("slab"), C).run();
-  RunResult B = SyRustDriver(*findCrate("slab"), C).run();
+  RunResult A = session().runOne("slab", C);
+  RunResult B = session().runOne("slab", C);
   // Biased runs replay byte-identically for a fixed (crate, seed).
   EXPECT_EQ(resultToJson(A, {false}).dump(), resultToJson(B, {false}).dump());
   EXPECT_GT(A.Synth.BiasPicks, 0u);
   // The bias-off pipeline never touches the bias state.
   RunConfig Off = quickConfig();
   Off.InterleaveLengths = true;
-  RunResult Plain = SyRustDriver(*findCrate("slab"), Off).run();
+  RunResult Plain = session().runOne("slab", Off);
   EXPECT_EQ(Plain.Synth.BiasPicks, 0u);
   EXPECT_EQ(Plain.Synth.BiasNewEdges, 0u);
   EXPECT_EQ(Plain.Synth.BiasDecays, 0u);
 }
 
 TEST(DriverTest, CurveIsMonotone) {
-  SyRustDriver Driver(*findCrate("base16"), quickConfig());
-  RunResult R = Driver.run();
+  RunResult R = session().runOne("base16", quickConfig());
   ASSERT_FALSE(R.Curve.empty());
   for (size_t I = 1; I < R.Curve.size(); ++I) {
     EXPECT_GE(R.Curve[I].Synthesized, R.Curve[I - 1].Synthesized);
@@ -246,8 +244,8 @@ TEST(DriverTest, CurveIsMonotone) {
 
 TEST(DriverTest, DeterministicAcrossRuns) {
   RunConfig C = quickConfig();
-  RunResult A = SyRustDriver(*findCrate("slab"), C).run();
-  RunResult B = SyRustDriver(*findCrate("slab"), C).run();
+  RunResult A = session().runOne("slab", C);
+  RunResult B = session().runOne("slab", C);
   EXPECT_EQ(A.Synthesized, B.Synthesized);
   EXPECT_EQ(A.Rejected, B.Rejected);
   EXPECT_EQ(A.Executed, B.Executed);
@@ -256,7 +254,7 @@ TEST(DriverTest, DeterministicAcrossRuns) {
 TEST(DriverTest, ResultDatabaseRecordsEveryVerdict) {
   RunConfig C = quickConfig();
   C.RecordTests = 100000; // Retain everything at this budget.
-  RunResult R = SyRustDriver(*findCrate("crossbeam-queue"), C).run();
+  RunResult R = session().runOne("crossbeam-queue", C);
   std::map<TestVerdict, uint64_t> Verdicts;
   for (const TestRecord &Rec : R.Db.records())
     ++Verdicts[Rec.Verdict];
@@ -281,11 +279,11 @@ TEST(DriverTest, ResultDatabaseRecordsEveryVerdict) {
 TEST(DriverTest, ResultDatabaseCapAndOffSwitch) {
   RunConfig C = quickConfig();
   C.RecordTests = 5;
-  RunResult R = SyRustDriver(*findCrate("base16"), C).run();
+  RunResult R = session().runOne("base16", C);
   ASSERT_GE(R.Synthesized, 5u);
   EXPECT_EQ(R.Db.records().size(), 5u);
   RunConfig Off = quickConfig();
-  RunResult R2 = SyRustDriver(*findCrate("base16"), Off).run();
+  RunResult R2 = session().runOne("base16", Off);
   EXPECT_TRUE(R2.Db.records().empty());
   // Retention changes no count.
   EXPECT_EQ(R2.Synthesized, R.Synthesized);
@@ -300,8 +298,8 @@ TEST(DriverTest, JsonErrorChannelIsLossless) {
     RunConfig Direct = quickConfig();
     RunConfig Wire = quickConfig();
     Wire.JsonErrorChannel = true;
-    RunResult A = SyRustDriver(*findCrate(Name), Direct).run();
-    RunResult B = SyRustDriver(*findCrate(Name), Wire).run();
+    RunResult A = session().runOne(Name, Direct);
+    RunResult B = session().runOne(Name, Wire);
     EXPECT_EQ(A.Synthesized, B.Synthesized) << Name;
     EXPECT_EQ(A.Rejected, B.Rejected) << Name;
     EXPECT_EQ(A.ByDetail, B.ByDetail) << Name;
@@ -313,7 +311,7 @@ TEST(DriverTest, JsonErrorChannelIsLossless) {
 TEST(DriverTest, MaxTestsCapRespected) {
   RunConfig C = quickConfig();
   C.MaxTests = 25;
-  RunResult R = SyRustDriver(*findCrate("bytes"), C).run();
+  RunResult R = session().runOne("bytes", C);
   EXPECT_LE(R.Synthesized, 25u);
 }
 
@@ -324,7 +322,7 @@ TEST(DriverTest, ProgramHashHasNoCollisionsOnDashmap) {
   RunConfig C;
   C.BudgetSeconds = 120;
   C.Seed = 2021;
-  RunResult R = SyRustDriver(*findCrate("dashmap"), C).run();
+  RunResult R = session().runOne("dashmap", C);
   EXPECT_EQ(R.Synthesized, 476u);
   EXPECT_EQ(R.Synth.HashCollisions, 0u);
 }
@@ -342,17 +340,16 @@ struct ExhaustedSet {
 ExhaustedSet exhaust(const Session &S, const std::string &Crate,
                      bool Interleave) {
   const CrateSpec &Spec = *S.find(Crate);
-  auto Analysis = S.analysisFor(Spec);
-  RunSetup Setup = setUpRun(Spec, *Analysis, 2021, RunConfig().NumApis,
-                            /*BiasCoverage=*/false);
-  CrateInstance &Inst = *Setup.Inst;
-  synth::SynthOptions Opts;
-  Opts.InterleaveLengths = Interleave;
-  Opts.SolverSeed = 2021;
-  Opts.Compat = &Setup.Compat;
-  Opts.Graph = &Analysis->graph();
-  synth::Synthesizer Synth(Inst.Arena, Inst.Traits, Inst.Db, Inst.Inputs,
-                           std::min(3, Inst.MaxLen), Opts);
+  RunConfig C;
+  C.Seed = 2021;
+  C.InterleaveLengths = Interleave;
+  // Lazy mode's initialize() leaves the drawn database as it is.
+  C.Mode = RefinementMode::PurelyLazy;
+  AuditOptions ThreeLines;
+  ThreeLines.MaxLines = 3;
+  RunSetup Setup(Spec, *S.analysisFor(Spec), C, nullptr, nullptr,
+                 ThreeLines);
+  synth::Synthesizer &Synth = *Setup.Synth;
   std::vector<uint64_t> Hashes;
   while (std::optional<program::Program> P = Synth.next())
     Hashes.push_back(P->hash());
@@ -443,23 +440,17 @@ FeedbackCell exhaustWithFeedback(const Session &S, const std::string &Crate,
                                  RefinementMode Mode, bool Interleave,
                                  int MaxLines) {
   const CrateSpec &Spec = *S.find(Crate);
-  auto Analysis = S.analysisFor(Spec);
-  RunSetup Setup = setUpRun(Spec, *Analysis, 2021, RunConfig().NumApis,
-                            /*BiasCoverage=*/false);
+  RunConfig C;
+  C.Seed = 2021;
+  C.Mode = Mode;
+  C.InterleaveLengths = Interleave;
+  AuditOptions Cap;
+  Cap.MaxLines = MaxLines;
+  RunSetup Setup(Spec, *S.analysisFor(Spec), C, nullptr, nullptr, Cap);
   CrateInstance &Inst = *Setup.Inst;
-  RefinementEngine Refine(Inst.Arena, Inst.Db, Mode);
-  Refine.setEagerCap(RunConfig().EagerCap);
-  Refine.initialize(Inst.Inputs);
+  RefinementEngine &Refine = Setup.Refine;
+  synth::Synthesizer &Synth = *Setup.Synth;
   const size_t BannedAtStart = countBanned(Inst.Db);
-  synth::SynthOptions Opts;
-  Opts.InterleaveLengths = Interleave;
-  Opts.SolverSeed = 2021;
-  Opts.Compat = &Setup.Compat;
-  Opts.Graph = &Analysis->graph();
-  const int Lines = std::min(MaxLines, Inst.MaxLen);
-  synth::Synthesizer Synth(Inst.Arena, Inst.Traits, Inst.Db, Inst.Inputs,
-                           Lines, Opts);
-  Checker Check(Inst.Arena, Inst.Traits);
   FeedbackCell Cell;
   auto Fail = [&](const std::string &Why) {
     if (Cell.Failures.size() < 5)
@@ -476,9 +467,9 @@ FeedbackCell exhaustWithFeedback(const Session &S, const std::string &Crate,
     if (!EmittedSet.insert(P->hash()).second)
       Fail("emitted twice: " + P->render(Inst.Db));
     Emitted.push_back(P->hash());
-    CompileResult C = Check.check(*P, Inst.Db);
-    bool Changed = C.Success ? Refine.onSuccess(*P)
-                             : Refine.onDiagnostic(C.Diag);
+    CompileResult Compiled = Setup.Check.check(*P, Inst.Db);
+    bool Changed = Compiled.Success ? Refine.onSuccess(*P)
+                                    : Refine.onDiagnostic(Compiled.Diag);
     if (!Changed)
       continue;
     Synth.notifyDatabaseChanged();
@@ -490,8 +481,14 @@ FeedbackCell exhaustWithFeedback(const Session &S, const std::string &Crate,
   if (Synth.stats().DuplicatesSkipped != 0)
     Fail("skipped duplicates");
 
+  // The options the set-up gives its synthesizer.
+  synth::SynthOptions Opts;
+  Opts.InterleaveLengths = Interleave;
+  Opts.SolverSeed = 2021;
+  Opts.Compat = &Setup.Compat;
+  Opts.Graph = &S.analysisFor(Spec)->graph();
   synth::Synthesizer Fresh(Inst.Arena, Inst.Traits, Inst.Db, Inst.Inputs,
-                           Lines, Opts);
+                           std::min(MaxLines, Inst.MaxLen), Opts);
   std::set<uint64_t> FreshSet;
   while (std::optional<program::Program> P = Fresh.next()) {
     FreshSet.insert(P->hash());

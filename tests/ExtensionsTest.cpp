@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/BugMinimizer.h"
-#include "core/SyRustDriver.h"
+#include "core/Session.h"
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,13 @@ using namespace syrust::miri;
 using namespace syrust::program;
 
 namespace {
+
+/// One Session shared by the tests in this file; Session::runOne is the
+/// one way to run a crate.
+const Session &session() {
+  static const Session S;
+  return S;
+}
 
 //===----------------------------------------------------------------------===//
 // Bug minimization
@@ -67,7 +74,7 @@ TEST(MinimizerTest, KeepsLoadBearingLines) {
   C.BudgetSeconds = 8000;
   C.StopOnFirstBug = true;
   C.MinimizeBugs = true;
-  RunResult R = SyRustDriver(*findCrate("bitvec"), C).run();
+  RunResult R = session().runOne("bitvec", C);
   ASSERT_TRUE(R.BugFound);
   EXPECT_EQ(R.MinimizedLines, 5);
 }
@@ -77,7 +84,7 @@ TEST(MinimizerTest, DriverReportsMinimizedLeak) {
   C.BudgetSeconds = 60;
   C.StopOnFirstBug = true;
   C.MinimizeBugs = true;
-  RunResult R = SyRustDriver(*findCrate("crossbeam-queue"), C).run();
+  RunResult R = session().runOne("crossbeam-queue", C);
   ASSERT_TRUE(R.BugFound);
   EXPECT_EQ(R.MinimizedLines, 1);
   EXPECT_FALSE(R.MinimizedProgram.empty());
@@ -99,8 +106,8 @@ TEST(InterleaveTest, FindsShallowBugUnderBothSchedules) {
   Plain.StopOnFirstBug = true;
   RunConfig Inter = Plain;
   Inter.InterleaveLengths = true;
-  RunResult RPlain = SyRustDriver(*findCrate("crossbeam"), Plain).run();
-  RunResult RInter = SyRustDriver(*findCrate("crossbeam"), Inter).run();
+  RunResult RPlain = session().runOne("crossbeam", Plain);
+  RunResult RInter = session().runOne("crossbeam", Inter);
   EXPECT_TRUE(RPlain.BugFound);
   EXPECT_TRUE(RInter.BugFound);
 }
@@ -112,7 +119,7 @@ TEST(InterleaveTest, StillFindsDeepBug) {
   Inter.BudgetSeconds = 40000;
   Inter.StopOnFirstBug = true;
   Inter.InterleaveLengths = true;
-  RunResult R = SyRustDriver(*findCrate("bitvec"), Inter).run();
+  RunResult R = session().runOne("bitvec", Inter);
   EXPECT_TRUE(R.BugFound);
 }
 
@@ -125,8 +132,8 @@ TEST(InterleaveTest, EnumeratesSameProgramSet) {
   A.MaxTests = 500000;
   RunConfig B = A;
   B.InterleaveLengths = true;
-  RunResult RA = SyRustDriver(*findCrate("hcid"), A).run();
-  RunResult RB = SyRustDriver(*findCrate("hcid"), B).run();
+  RunResult RA = session().runOne("hcid", A);
+  RunResult RB = session().runOne("hcid", B);
   ASSERT_TRUE(RA.SpaceExhausted);
   ASSERT_TRUE(RB.SpaceExhausted);
   EXPECT_EQ(RA.Synthesized, RB.Synthesized);
@@ -141,8 +148,8 @@ TEST(MutationTest, RaisesBranchCoverage) {
   Fixed.BudgetSeconds = 400;
   RunConfig Mutated = Fixed;
   Mutated.MutateInputs = true;
-  RunResult RFixed = SyRustDriver(*findCrate("bstr"), Fixed).run();
-  RunResult RMut = SyRustDriver(*findCrate("bstr"), Mutated).run();
+  RunResult RFixed = session().runOne("bstr", Fixed);
+  RunResult RMut = session().runOne("bstr", Mutated);
   EXPECT_GE(RMut.Coverage.ComponentBranch,
             RFixed.Coverage.ComponentBranch);
 }
@@ -151,8 +158,8 @@ TEST(MutationTest, StillDeterministic) {
   RunConfig C;
   C.BudgetSeconds = 60;
   C.MutateInputs = true;
-  RunResult A = SyRustDriver(*findCrate("slab"), C).run();
-  RunResult B = SyRustDriver(*findCrate("slab"), C).run();
+  RunResult A = session().runOne("slab", C);
+  RunResult B = session().runOne("slab", C);
   EXPECT_EQ(A.Synthesized, B.Synthesized);
   EXPECT_EQ(A.Rejected, B.Rejected);
   EXPECT_EQ(A.Coverage.ComponentBranch, B.Coverage.ComponentBranch);

@@ -11,7 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/SyRustDriver.h"
+#include "core/Session.h"
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,13 @@ using namespace syrust::crates;
 using namespace syrust::rustsim;
 
 namespace {
+
+/// One Session shared by the tests in this file; Session::runOne is the
+/// one way to run a crate.
+const Session &session() {
+  static const Session S;
+  return S;
+}
 
 RunConfig shortConfig() {
   RunConfig C;
@@ -37,7 +44,7 @@ protected:
 TEST_P(PipelineOnEveryCrate, AccountingIdentitiesHold) {
   if (!spec().Info.SupportsSynthesis)
     return;
-  RunResult R = SyRustDriver(spec(), shortConfig()).run();
+  RunResult R = session().runOne(spec(), shortConfig());
   // Every synthesized case was either rejected or executed (executions
   // stop early only under StopOnFirstBug).
   EXPECT_EQ(R.Synthesized, R.Rejected + R.Executed) << spec().Info.Name;
@@ -62,7 +69,7 @@ TEST_P(PipelineOnEveryCrate, EncoderSoundForOwnershipAndBorrows) {
   // lifetime corner case the paper explicitly does not support (7.1).
   if (!spec().Info.SupportsSynthesis)
     return;
-  RunResult R = SyRustDriver(spec(), shortConfig()).run();
+  RunResult R = session().runOne(spec(), shortConfig());
   auto Det = [&](ErrorDetail D) {
     auto It = R.ByDetail.find(D);
     return It == R.ByDetail.end() ? uint64_t{0} : It->second;
@@ -74,8 +81,8 @@ TEST_P(PipelineOnEveryCrate, EncoderSoundForOwnershipAndBorrows) {
 TEST_P(PipelineOnEveryCrate, RunsAreDeterministic) {
   if (!spec().Info.SupportsSynthesis)
     return;
-  RunResult A = SyRustDriver(spec(), shortConfig()).run();
-  RunResult B = SyRustDriver(spec(), shortConfig()).run();
+  RunResult A = session().runOne(spec(), shortConfig());
+  RunResult B = session().runOne(spec(), shortConfig());
   EXPECT_EQ(A.Synthesized, B.Synthesized) << spec().Info.Name;
   EXPECT_EQ(A.Rejected, B.Rejected) << spec().Info.Name;
   EXPECT_EQ(A.ByDetail, B.ByDetail) << spec().Info.Name;
@@ -90,13 +97,13 @@ TEST_P(PipelineOnEveryCrate, AblationModesDoNotCrash) {
   RunConfig C = shortConfig();
   C.BudgetSeconds = 8;
   C.SemanticAware = false;
-  RunResult RQ2 = SyRustDriver(spec(), C).run();
+  RunResult RQ2 = session().runOne(spec(), C);
   EXPECT_EQ(RQ2.Synthesized, RQ2.Rejected + RQ2.Executed);
   RunConfig E = shortConfig();
   E.BudgetSeconds = 8;
   E.Mode = refine::RefinementMode::PurelyEager;
   E.EagerCap = 8;
-  RunResult RQ3 = SyRustDriver(spec(), E).run();
+  RunResult RQ3 = session().runOne(spec(), E);
   EXPECT_EQ(RQ3.Synthesized, RQ3.Rejected + RQ3.Executed);
 }
 

@@ -13,7 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/SyRustDriver.h"
+#include "core/Session.h"
 #include "report/TraceReport.h"
 #include "support/Json.h"
 
@@ -26,6 +26,13 @@ using namespace syrust::core;
 using namespace syrust::crates;
 
 namespace {
+
+/// One Session shared by the tests in this file; Session::runOne is the
+/// one way to run a crate.
+const Session &session() {
+  static const Session S;
+  return S;
+}
 
 RunConfig tracedConfig() {
   RunConfig C;
@@ -44,7 +51,7 @@ struct Traced {
 Traced runTraced(const char *Crate) {
   obs::Recorder Rec;
   Traced T;
-  T.Result = SyRustDriver(*findCrate(Crate), tracedConfig(), &Rec).run();
+  T.Result = session().runOne(Crate, tracedConfig(), &Rec);
   T.TraceJson = Rec.tracer().chromeJson();
   T.MetricsJsonl = Rec.metrics().jsonl();
   return T;
@@ -60,7 +67,7 @@ TEST(ObsGoldenTest, SameSeedGivesByteIdenticalTraceAndMetrics) {
 
 TEST(ObsGoldenTest, RecorderDoesNotPerturbTheRun) {
   Traced Traced = runTraced("slab");
-  RunResult Plain = SyRustDriver(*findCrate("slab"), tracedConfig()).run();
+  RunResult Plain = session().runOne("slab", tracedConfig());
   EXPECT_EQ(Traced.Result.Synthesized, Plain.Synthesized);
   EXPECT_EQ(Traced.Result.Rejected, Plain.Rejected);
   EXPECT_EQ(Traced.Result.Executed, Plain.Executed);

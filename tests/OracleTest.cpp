@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "oracle/AuditRunner.h"
+#include "core/ResultJson.h"
 #include "rustsim/Checker.h"
 #include "types/TypeParser.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <set>
 
 using namespace syrust;
 using namespace syrust::api;
@@ -156,6 +159,20 @@ TEST(AuditSpecTest, ValidateRejectsEachBadField) {
   EXPECT_EQ(Errors.size(), 5u);
 }
 
+TEST(AuditSpecTest, RejectsMatrixPastTheCap) {
+  Session S;
+  AuditSpec Spec;
+  Spec.Crates = {"slab"};
+  Spec.SeedBegin = 1;
+  Spec.SeedEnd = campaign::MatrixSpec::MaxCells;
+  EXPECT_TRUE(Spec.validate(S).empty());
+  Spec.SeedEnd = 9007199254740991; // 2^53 - 1, the largest --seeds end.
+  std::vector<std::string> Errors = Spec.validate(S);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_EQ(Errors[0], "AuditSpec matrix has 9007199254740991 cells, more "
+                       "than the cap of 8192");
+}
+
 //===----------------------------------------------------------------------===//
 // End-to-end audits (real crate models)
 //===----------------------------------------------------------------------===//
@@ -179,27 +196,79 @@ TEST(OracleAudit, AlignedEncoderIsCleanOnRealCrates) {
 TEST(OracleAudit, ReplaysTheStreamARunEmits) {
   // Oracle.h's promise: an audit replays the stream a run emits. Capped
   // at the run's models (emitted plus path-filtered), the audit's
-  // classes count exactly the run's verdicts, detail by detail.
+  // classes count exactly the run's verdicts, detail by detail - in the
+  // default configuration on every crate, and with each setting an
+  // OracleConfig carries over set on both sides on a few crates where
+  // most of them change the stream. GraphPrune and Portfolio never
+  // change it, so for them only the audit's RunConfig can show a setting
+  // the audit failed to pass on; it is compared for every setting.
+  struct Setting {
+    const char *Name;
+    std::function<void(RunConfig &, OracleConfig &)> Set;
+  };
+  const Setting Settings[] = {
+      {"default", [](RunConfig &, OracleConfig &) {}},
+      {"seed 2022",
+       [](RunConfig &R, OracleConfig &O) { R.Seed = O.Seed = 2022; }},
+      {"lazy",
+       [](RunConfig &R, OracleConfig &O) {
+         R.Mode = O.Mode = refine::RefinementMode::PurelyLazy;
+       }},
+      {"eager",
+       [](RunConfig &R, OracleConfig &O) {
+         R.Mode = O.Mode = refine::RefinementMode::PurelyEager;
+       }},
+      {"apis 10",
+       [](RunConfig &R, OracleConfig &O) { R.NumApis = O.NumApis = 10; }},
+      {"eager cap 8",
+       [](RunConfig &R, OracleConfig &O) { R.EagerCap = O.EagerCap = 8; }},
+      {"no graph prune",
+       [](RunConfig &R, OracleConfig &O) {
+         R.GraphPrune = O.GraphPrune = false;
+       }},
+      {"portfolio",
+       [](RunConfig &R, OracleConfig &O) {
+         R.Portfolio = O.Portfolio = true;
+       }},
+      {"cegar",
+       [](RunConfig &R, OracleConfig &O) {
+         R.Strategy = O.Strategy = "cegar";
+       }},
+  };
+  // Each stream-changing setting moves at least one of these streams:
+  // the eager cap moves bitvec and dashmap, the cegar strategy slab and
+  // dashmap.
+  const std::set<std::string> Few = {"slab", "bitvec", "dashmap"};
   Session S;
-  for (const std::string &Crate : S.supportedCrates()) {
-    RunConfig Run;
-    Run.MaxTests = 300;
-    RunResult R = S.runOne(Crate, Run);
-    ASSERT_TRUE(R.Supported) << Crate;
-    OracleConfig Config;
-    Config.Seed = Run.Seed;
-    Config.MaxModels = R.Synthesized + R.Synth.PathFiltered;
-    AuditResult A = auditOne(S, Crate, Config);
-    EXPECT_EQ(A.AgreePass, R.Executed) << Crate;
-    EXPECT_EQ(A.ExpectedTotal + A.UnexpectedTotal, R.Rejected) << Crate;
-    std::map<ErrorDetail, uint64_t> ByDetail = A.Expected;
-    for (const Disagreement &D : A.Unexpected)
-      ++ByDetail[D.Detail];
-    EXPECT_EQ(ByDetail, R.ByDetail) << Crate;
-    EXPECT_EQ(A.AgreeReject + A.FilteredCompilable, R.Synth.PathFiltered)
-        << Crate;
-    EXPECT_EQ(A.ApiCoverage.NodeBits, R.ApiCoverage.NodeBits) << Crate;
-    EXPECT_EQ(A.ApiCoverage.EdgeBits, R.ApiCoverage.EdgeBits) << Crate;
+  for (const Setting &St : Settings) {
+    for (const std::string &Crate : S.supportedCrates()) {
+      if (St.Name != std::string("default") && !Few.count(Crate))
+        continue;
+      const std::string Cell = Crate + " " + St.Name;
+      RunConfig Run;
+      OracleConfig Config;
+      St.Set(Run, Config);
+      EXPECT_EQ(runConfigToJson(Config.runConfig()).dump(),
+                runConfigToJson(Run).dump())
+          << Cell;
+      Run.MaxTests = 300;
+      RunResult R = S.runOne(Crate, Run);
+      ASSERT_TRUE(R.Supported) << Cell;
+      // The run's probes hit the Session's shared matrix.
+      EXPECT_GT(R.Synth.CompatBaseHits, 0u) << Cell;
+      Config.MaxModels = R.Synthesized + R.Synth.PathFiltered;
+      AuditResult A = auditOne(S, Crate, Config);
+      EXPECT_EQ(A.AgreePass, R.Executed) << Cell;
+      EXPECT_EQ(A.ExpectedTotal + A.UnexpectedTotal, R.Rejected) << Cell;
+      std::map<ErrorDetail, uint64_t> ByDetail = A.Expected;
+      for (const Disagreement &D : A.Unexpected)
+        ++ByDetail[D.Detail];
+      EXPECT_EQ(ByDetail, R.ByDetail) << Cell;
+      EXPECT_EQ(A.AgreeReject + A.FilteredCompilable, R.Synth.PathFiltered)
+          << Cell;
+      EXPECT_EQ(A.ApiCoverage.NodeBits, R.ApiCoverage.NodeBits) << Cell;
+      EXPECT_EQ(A.ApiCoverage.EdgeBits, R.ApiCoverage.EdgeBits) << Cell;
+    }
   }
 }
 

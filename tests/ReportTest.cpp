@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/SyRustDriver.h"
+#include "core/Session.h"
 #include "report/CoverageReport.h"
 #include "report/Table.h"
 #include "types/TypeParser.h"
@@ -16,6 +16,13 @@ using namespace syrust::crates;
 using namespace syrust::report;
 
 namespace {
+
+/// One Session shared by the tests in this file; Session::runOne is the
+/// one way to run a crate.
+const Session &session() {
+  static const Session S;
+  return S;
+}
 
 TEST(TableTest, AlignsColumns) {
   Table T({"Name", "N"});
@@ -63,7 +70,7 @@ TEST(CurveSamplingTest, StrictlyMonotoneWithOneTerminalPoint) {
   C.SolveCost = 1.0;
   C.CompileCost = 0.0;
   C.ExecCost = 0.0;
-  RunResult R = SyRustDriver(*findCrate("base16"), C).run();
+  RunResult R = session().runOne("base16", C);
   ASSERT_FALSE(R.Curve.empty());
   for (size_t I = 1; I < R.Curve.size(); ++I)
     EXPECT_GT(R.Curve[I].AtSeconds, R.Curve[I - 1].AtSeconds)

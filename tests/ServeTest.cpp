@@ -194,6 +194,28 @@ TEST_F(ServeTest, InvalidRequestsNameTheBadField) {
   EXPECT_TRUE(call(C, "{\"verb\":\"ping\"}").get("ok").asBool());
 }
 
+TEST_F(ServeTest, OversizedMatrixGetsAnErrorButKeepsTheConnection) {
+  // 2^53 - 1 seeds of one crate: refused before a single cell is laid
+  // out, instead of taking the daemon down with the memory they need.
+  Client C = connected();
+  for (const std::string Verb : {"campaign", "audit"}) {
+    json::Value R = call(C, "{\"verb\":\"" + Verb +
+                                "\",\"crates\":\"slab\","
+                                "\"seeds\":\"1..9007199254740991\"}");
+    EXPECT_FALSE(R.get("ok").asBool()) << Verb;
+    EXPECT_NE(std::string::npos,
+              R.get("error").asString().find(
+                  "matrix has 9007199254740991 cells, more than the cap "
+                  "of 8192"))
+        << Verb;
+  }
+
+  // The same connection completes a small campaign.
+  json::Value R = call(C, "{\"verb\":\"campaign\",\"crates\":\"slab\","
+                          "\"seeds\":\"2021\",\"budget\":8}");
+  EXPECT_TRUE(R.get("ok").asBool());
+}
+
 TEST_F(ServeTest, OversizedFrameDropsOnlyThatClient) {
   Client Innocent = connected();
 

@@ -21,7 +21,9 @@
 #   * `campaign --crates all --seeds 2021 --budget 60 --jobs 1` with
 #     --checkpoint: the checkpoint file, wall fields zeroed (one worker,
 #     since lines are written in completion order);
-#   * `audit --crates all --seeds 2021` (audit.json).
+#   * `audit --crates all --seeds 2021` (audit.json), and the same audit
+#     outside the defaults, `--apis 10 --max-lines 3 --strategy cegar`,
+#     which checks how an audit passes its settings to the run set-up.
 #
 # Prints one line per differing cell or document, then a summary. Exits
 # 0 when everything matches, 1 when something differs, 2 on bad usage.
@@ -118,6 +120,9 @@ for Side in old new; do
   zero_wall "$WORK/$Side/checkpoint.jsonl"
   "$Bin" audit --crates all --seeds 2021 --jobs "$JOBS" \
     --out "$WORK/$Side/audit" > "$WORK/$Side/audit.log" 2>&1
+  "$Bin" audit --crates all --seeds 2021 --apis 10 --max-lines 3 \
+    --strategy cegar --jobs "$JOBS" --out "$WORK/$Side/audit-settings" \
+    > "$WORK/$Side/audit-settings.log" 2>&1
 done
 
 Differ=0
@@ -145,6 +150,8 @@ done
 same "campaign --coverage-out" coverage.json
 same "campaign --checkpoint" checkpoint.jsonl
 same "audit audit.json" audit/audit.json
+same "audit --apis 10 --max-lines 3 --strategy cegar" \
+  audit-settings/audit.json
 
 if [ "$Differ" -ne 0 ]; then
   echo "$Differ outputs differ${KEEP:+ (outputs kept in $KEEP)}"
