@@ -8,7 +8,6 @@
 
 #include "core/ResultJson.h"
 
-#include <cstdio>
 #include <set>
 
 using namespace syrust;
@@ -220,33 +219,4 @@ void syrust::campaign::setMergedSections(
   for (const auto &[Name, N] : Counters)
     Metrics.set(Name, Value::integer(static_cast<int64_t>(N)));
   Root.set("metrics", std::move(Metrics));
-}
-
-std::string syrust::campaign::mergeWorkerTraces(
-    const std::vector<const obs::Tracer *> &Lanes) {
-  std::string Out;
-  Out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool First = true;
-  auto Emit = [&](const std::string &Event) {
-    if (!First)
-      Out += ',';
-    First = false;
-    Out += '\n';
-    Out += Event;
-  };
-  // Lane-name metadata first, then each worker's events in worker-id
-  // order (each lane is internally in recording order).
-  for (const obs::Tracer *T : Lanes) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                  "\"tid\":%d,\"args\":{\"name\":\"worker-%d\"}}",
-                  T->lane(), T->lane());
-    Emit(Buf);
-  }
-  for (const obs::Tracer *T : Lanes)
-    for (const std::string &Event : T->events())
-      Emit(Event);
-  Out += "\n]}\n";
-  return Out;
 }

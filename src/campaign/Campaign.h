@@ -176,10 +176,6 @@ std::vector<CampaignJob> expandMatrix(const CampaignSpec &Spec);
 json::Value campaignToJson(const CampaignSpec &Spec,
                            const CampaignResult &R);
 
-/// Merges per-worker tracers into one Chrome trace-event document with a
-/// named lane per worker, in worker-id order.
-std::string mergeWorkerTraces(const std::vector<const obs::Tracer *> &Lanes);
-
 /// OR-merges the API-pair coverage of finished matrix jobs (anything with
 /// `Job.Crate` and `Result.ApiCoverage`) into one slot per name in
 /// \p Crates, walking \p Jobs in matrix order. A merge that discards

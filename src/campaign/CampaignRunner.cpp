@@ -180,7 +180,7 @@ CampaignResult CampaignRunner::run() {
     std::vector<const obs::Tracer *> Lanes;
     for (obs::Recorder &Rec : Recorders)
       Lanes.push_back(&Rec.tracer());
-    Result.MergedTraceJson = mergeWorkerTraces(Lanes);
+    Result.MergedTraceJson = obs::chromeTraceJson(Lanes, /*NameLanes=*/true);
   }
   return Result;
 }

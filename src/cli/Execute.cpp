@@ -18,6 +18,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 
@@ -205,6 +206,12 @@ Response executeCampaign(const Session &S, const RequestSpec &Req,
   const campaign::CampaignSpec &Spec = Req.Campaign.Spec;
   campaign::CampaignRunner Runner(S, Spec);
 
+  // Progress counts the preloaded cells the runner slots in (those
+  // inside the matrix), so a resumed campaign's last line reads
+  // [Total/Total].
+  const size_t Total = Spec.cellCount(Spec.Variants.size());
+  size_t Done = 0;
+
   // Checkpoint/resume: an existing file's finished cells preload (after
   // a fingerprint check — resuming someone else's matrix would corrupt
   // both), and every live cell appends one flushed line.
@@ -228,6 +235,8 @@ Response executeCampaign(const Session &S, const RequestSpec &Req,
         Progress(format("resuming: %zu finished cell(s) preloaded from "
                         "checkpoint",
                         Data.Cells.size()));
+      Done = static_cast<size_t>(std::distance(
+          Data.Cells.begin(), Data.Cells.lower_bound(Total)));
       Runner.preload(std::move(Data.Cells));
     }
     std::string Err;
@@ -235,8 +244,6 @@ Response executeCampaign(const Session &S, const RequestSpec &Req,
       return runtimeError(Err);
   }
 
-  const size_t Total = Spec.cellCount(Spec.Variants.size());
-  size_t Done = 0;
   Runner.onJobDone([&](const campaign::CampaignJobResult &JR) {
     CkptWriter.append(JR); // No-op without --checkpoint.
     if (!Progress)

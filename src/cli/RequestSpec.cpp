@@ -50,12 +50,14 @@ unsigned verbBit(Verb V) {
 }
 
 /// The RunConfig a shared knob lands in for this verb, if any: run's own
-/// config or the campaign's base.
+/// config, the campaign's base or the run the audit replays.
 core::RunConfig *runConfigOf(RequestSpec &S) {
   if (S.V == Verb::Run)
     return &S.Run.Config;
   if (S.V == Verb::Campaign)
     return &S.Campaign.Spec.Base;
+  if (S.V == Verb::Audit)
+    return &S.Audit.Spec.Base.Run;
   return nullptr;
 }
 
@@ -148,10 +150,7 @@ const OptionDef Options[] = {
      }},
     {"--apis", VRun | VCampaign | VAudit, OptionDef::Int,
      [](RequestSpec &S, const std::string &, double Val) {
-       if (S.V == Verb::Audit)
-         S.Audit.Spec.Base.NumApis = static_cast<int>(Val);
-       else
-         runConfigOf(S)->NumApis = static_cast<int>(Val);
+       runConfigOf(S)->NumApis = static_cast<int>(Val);
        return std::string();
      }},
     {"--max-tests", VRun | VCampaign, OptionDef::Int53,
@@ -171,26 +170,17 @@ const OptionDef Options[] = {
      }},
     {"--strategy", VRun | VCampaign | VAudit, OptionDef::Str,
      [](RequestSpec &S, const std::string &Text, double) {
-       if (S.V == Verb::Audit)
-         S.Audit.Spec.Base.Strategy = Text;
-       else
-         runConfigOf(S)->Strategy = Text;
+       runConfigOf(S)->Strategy = Text;
        return std::string();
      }},
     {"--portfolio", VRun | VCampaign | VAudit, OptionDef::Flag_,
      [](RequestSpec &S, const std::string &, double) {
-       if (S.V == Verb::Audit)
-         S.Audit.Spec.Base.Portfolio = true;
-       else
-         runConfigOf(S)->Portfolio = true;
+       runConfigOf(S)->Portfolio = true;
        return std::string();
      }},
     {"--no-graph-prune", VRun | VCampaign | VAudit, OptionDef::Flag_,
      [](RequestSpec &S, const std::string &, double) {
-       if (S.V == Verb::Audit)
-         S.Audit.Spec.Base.GraphPrune = false;
-       else
-         runConfigOf(S)->GraphPrune = false;
+       runConfigOf(S)->GraphPrune = false;
        return std::string();
      }},
     {"--bias-coverage", VRun | VCampaign, OptionDef::Flag_,
@@ -289,7 +279,7 @@ const OptionDef Options[] = {
     // Audit-only knobs.
     {"--max-lines", VAudit, OptionDef::Int,
      [](RequestSpec &S, const std::string &, double Val) {
-       S.Audit.Spec.Base.MaxLines = static_cast<int>(Val);
+       S.Audit.Spec.Base.Audit.MaxLines = static_cast<int>(Val);
        return std::string();
      }},
     {"--max-models", VAudit, OptionDef::Int53,
@@ -299,7 +289,7 @@ const OptionDef Options[] = {
      }},
     {"--weaken-kills", VAudit, OptionDef::Flag_,
      [](RequestSpec &S, const std::string &, double) {
-       S.Audit.Spec.Base.WeakenConsumptionKills = true;
+       S.Audit.Spec.Base.Audit.WeakenConsumptionKills = true;
        return std::string();
      }},
 

@@ -197,7 +197,8 @@ std::unique_ptr<CrateInstance> drawApis(const CrateSpec &Spec,
 
 RunSetup::RunSetup(const CrateSpec &Spec, const CrateAnalysis &Analysis,
                    const RunConfig &Config, obs::Recorder *Obs,
-                   const SimClock *Clock, AuditOptions Audit)
+                   const SimClock *Clock, const AuditOptions &Audit,
+                   std::function<void(const Program &)> OnPathFiltered)
     : Inst(drawApis(Spec, Analysis, Config)),
       Compat(&Analysis.baseCache()),
       Refine(Inst->Arena, Inst->Db, Config.Mode),
@@ -232,7 +233,7 @@ RunSetup::RunSetup(const CrateSpec &Spec, const CrateAnalysis &Analysis,
   Opts.GraphPrune = Config.GraphPrune;
   Opts.BiasCoverage = Config.BiasCoverage;
   Opts.BiasSeed = Config.Seed;
-  Opts.OnPathFiltered = std::move(Audit.OnPathFiltered);
+  Opts.OnPathFiltered = std::move(OnPathFiltered);
   Opts.WeakenConsumptionKills = Audit.WeakenConsumptionKills;
   const int MaxLines = Audit.MaxLines > 0
                            ? std::min(Audit.MaxLines, Inst->MaxLen)

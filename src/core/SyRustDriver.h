@@ -263,21 +263,23 @@ std::vector<api::ApiId> selectApiSubset(const api::ApiDatabase &Db,
                                         const ApiSelectionOptions &Opts,
                                         Rng &R);
 
-/// What an audit (oracle::auditOne) adds to a run's set-up. A run leaves
-/// every field at its default.
+/// The settings an audit (oracle::OracleConfig::Audit) adds to a run's
+/// set-up. A run leaves every field at its default.
 struct AuditOptions {
   /// Cap on program length; 0 = the crate's own MaxLen.
   int MaxLines = 0;
-  /// The audit's canary: SynthOptions::WeakenConsumptionKills.
+  /// The audit's canary (SynthOptions::WeakenConsumptionKills): with the
+  /// consumption-kill clauses dropped, use-after-move programs get
+  /// emitted, and the audit must report them as unexpected Ownership
+  /// disagreements.
   bool WeakenConsumptionKills = false;
-  /// The audit's differential tap: SynthOptions::OnPathFiltered.
-  std::function<void(const program::Program &)> OnPathFiltered;
 };
 
 /// One enumeration of a crate, set up from one RunConfig over the
 /// crate's shared analysis: Algorithm 1's state without its loop.
 /// Session::runOne and oracle::auditOne both build it and keep only their
-/// loops, so an audit replays the enumeration a run performs.
+/// loops; an audit builds it from its OracleConfig::Run, so it replays
+/// the enumeration a run with that RunConfig performs.
 ///
 /// The constructor draws the APIs (an overlay instance, the
 /// selectApiSubset draw from an Rng seeded with Seed ^ hash(crate name),
@@ -285,13 +287,18 @@ struct AuditOptions {
 /// every unselected library API); with a \p Clock, binds the recorder to
 /// it and opens the `run` span, which the caller closes; initializes
 /// refinement (eager cap, recorder, eager concretization); and then
-/// builds the synthesizer over the refined database. \p Analysis must
-/// outlive the set-up. Not movable: the synthesizer points at Compat.
+/// builds the synthesizer over the refined database, with \p Audit's
+/// length cap and canary. \p OnPathFiltered, when set, receives every
+/// model the Rule-7 path filter rejects (SynthOptions::OnPathFiltered,
+/// the audit's differential tap). \p Analysis must outlive the set-up.
+/// Not movable: the synthesizer points at Compat.
 class RunSetup {
 public:
   RunSetup(const crates::CrateSpec &Spec, const CrateAnalysis &Analysis,
            const RunConfig &Config, obs::Recorder *Obs = nullptr,
-           const SimClock *Clock = nullptr, AuditOptions Audit = {});
+           const SimClock *Clock = nullptr, const AuditOptions &Audit = {},
+           std::function<void(const program::Program &)> OnPathFiltered =
+               nullptr);
 
   RunSetup(const RunSetup &) = delete;
   RunSetup &operator=(const RunSetup &) = delete;

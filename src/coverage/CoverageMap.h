@@ -61,9 +61,6 @@ public:
   /// (the last snapshot that increased it); -1 with no snapshots.
   double saturationTime() const;
 
-  int componentLines() const { return ComponentLineCount; }
-  int libraryLines() const { return static_cast<int>(LineHit.size()); }
-
 private:
   int ComponentLineCount;
   int ComponentBranchCount;

@@ -172,10 +172,3 @@ void AbstractHeap::leakCheck() {
     }
   }
 }
-
-size_t AbstractHeap::numLive() const {
-  size_t N = 0;
-  for (const Allocation &A : Allocs)
-    N += A.Freed ? 0 : 1;
-  return N;
-}

@@ -104,9 +104,6 @@ public:
   /// Explicitly flags a UB (used by library semantics for bespoke cases).
   void flag(UbKind Kind, std::string Message, int Line);
 
-  size_t numAllocations() const { return Allocs.size(); }
-  size_t numLive() const;
-
 private:
   std::vector<Allocation> Allocs;
   UbReport Ub;

@@ -189,15 +189,37 @@ void Tracer::instant(const char *Name, const char *Cat, const ArgList &Args) {
 }
 
 std::string Tracer::chromeJson() const {
+  return chromeTraceJson({this}, /*NameLanes=*/false);
+}
+
+std::string syrust::obs::chromeTraceJson(
+    const std::vector<const Tracer *> &Lanes, bool NameLanes) {
+  size_t NumEvents = 0;
+  for (const Tracer *T : Lanes)
+    NumEvents += T->events().size();
   std::string Out;
-  Out.reserve(64 + Events.size() * 96);
+  Out.reserve(64 + NumEvents * 96);
   Out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  for (size_t I = 0; I < Events.size(); ++I) {
-    if (I)
+  bool First = true;
+  auto Emit = [&](std::string_view Event) {
+    if (!First)
       Out += ',';
+    First = false;
     Out += '\n';
-    Out += Events[I];
-  }
+    Out += Event;
+  };
+  if (NameLanes)
+    for (const Tracer *T : Lanes) {
+      char Buf[96];
+      std::snprintf(Buf, sizeof(Buf),
+                    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
+                    "\"tid\":%d,\"args\":{\"name\":\"worker-%d\"}}",
+                    T->lane(), T->lane());
+      Emit(Buf);
+    }
+  for (const Tracer *T : Lanes)
+    for (const std::string &Event : T->events())
+      Emit(Event);
   Out += "\n]}\n";
   return Out;
 }

@@ -138,16 +138,12 @@ public:
   size_t numEvents() const { return Events.size(); }
   int lane() const { return Lane; }
 
-  /// The recorded events, each pre-rendered as one JSON object — what a
-  /// multi-tracer merge (campaign worker lanes) concatenates.
+  /// The recorded events, each pre-rendered as one JSON object.
   const std::vector<std::string> &events() const { return Events; }
 
-  /// Renders the whole trace as one Chrome trace-event JSON document:
-  /// `{"displayTimeUnit":"ms","traceEvents":[...]}` with `ts`/`dur` in
-  /// microseconds of simulated time.
+  /// Renders the whole trace as one Chrome trace-event JSON document
+  /// (chromeTraceJson of this one lane, unnamed).
   std::string chromeJson() const;
-
-  bool wallEnabled() const { return CaptureWall; }
 
 private:
   void push(const char *Name, const char *Cat, char Phase,
@@ -162,6 +158,16 @@ private:
   /// Each event pre-rendered as one JSON object.
   std::vector<std::string> Events;
 };
+
+/// The one Chrome trace-event document writer:
+/// `{"displayTimeUnit":"ms","traceEvents":[...]}` with one event per
+/// line and `ts`/`dur` in microseconds of simulated time. With
+/// \p NameLanes, a `thread_name` metadata event first names each lane
+/// `worker-<lane>` (a campaign's merged trace shows one named track per
+/// worker); then come each lane's events, lanes in the given order, each
+/// in recording order.
+std::string chromeTraceJson(const std::vector<const Tracer *> &Lanes,
+                            bool NameLanes);
 
 /// Monotone saturating counter (sticks at UINT64_MAX instead of wrapping,
 /// so an overflowed metric reads as "huge", not "tiny").
@@ -286,8 +292,6 @@ public:
 
   void bindClock(const SimClock *C) { Trace.bindClock(C); }
 
-  bool tracing() const { return TraceOn; }
-  bool metricsOn() const { return MetricsOn; }
   Tracer &tracer() { return Trace; }
   MetricsRegistry &metrics() { return Metrics; }
 

@@ -35,7 +35,7 @@ syrust::oracle::expandAuditMatrix(const AuditSpec &Spec) {
     Job.Crate = Crate;
     Job.Seed = Seed;
     Job.Config = Spec.Base;
-    Job.Config.Seed = Seed;
+    Job.Config.Run.Seed = Seed;
     Jobs.push_back(std::move(Job));
   });
   return Jobs;
@@ -146,8 +146,8 @@ json::Value syrust::oracle::auditToJson(const AuditSpec &Spec,
              Value::integer(static_cast<int64_t>(Spec.SeedEnd)));
   Matrix.set("max_models",
              Value::integer(static_cast<int64_t>(Spec.Base.MaxModels)));
-  Matrix.set("max_lines", Value::integer(Spec.Base.MaxLines));
-  Matrix.set("num_apis", Value::integer(Spec.Base.NumApis));
+  Matrix.set("max_lines", Value::integer(Spec.Base.Audit.MaxLines));
+  Matrix.set("num_apis", Value::integer(Spec.Base.Run.NumApis));
   Matrix.set("jobs_total",
              Value::integer(static_cast<int64_t>(R.Jobs.size())));
   Root.set("matrix", std::move(Matrix));

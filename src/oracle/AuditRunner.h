@@ -33,7 +33,7 @@
 namespace syrust::oracle {
 
 /// The audit matrix: every cell of the MatrixSpec, all sharing one base
-/// OracleConfig (each job overrides Seed).
+/// OracleConfig (each job overrides `Run.Seed`).
 struct AuditSpec : campaign::MatrixSpec {
   /// Configuration every job starts from.
   OracleConfig Base;

@@ -7,7 +7,6 @@
 #include "oracle/Oracle.h"
 
 #include "rustsim/Checker.h"
-#include "sat/SolverStrategy.h"
 
 #include <utility>
 
@@ -20,36 +19,14 @@ using namespace syrust::program;
 using namespace syrust::rustsim;
 
 std::vector<std::string> OracleConfig::validate() const {
-  std::vector<std::string> Errors;
-  if (NumApis < 1)
-    Errors.push_back("OracleConfig.NumApis must be at least 1, got " +
-                     std::to_string(NumApis));
-  if (MaxLines < 0)
+  std::vector<std::string> Errors = Run.validate();
+  if (Audit.MaxLines < 0)
     Errors.push_back("OracleConfig.MaxLines must be non-negative, got " +
-                     std::to_string(MaxLines));
+                     std::to_string(Audit.MaxLines));
   if (MaxModels == 0)
     Errors.push_back("OracleConfig.MaxModels must be nonzero (a zero cap "
                      "would audit nothing and report vacuous agreement)");
-  if (EagerCap == 0)
-    Errors.push_back("OracleConfig.EagerCap must be nonzero (a zero cap "
-                     "would forbid every eager instantiation)");
-  if (!Strategy.empty() && !sat::findStrategy(Strategy))
-    Errors.push_back("OracleConfig.Strategy '" + Strategy +
-                     "' is not a known solver strategy (known: " +
-                     sat::knownStrategyNames() + ")");
   return Errors;
-}
-
-RunConfig OracleConfig::runConfig() const {
-  RunConfig Run;
-  Run.NumApis = NumApis;
-  Run.Seed = Seed;
-  Run.Mode = Mode;
-  Run.EagerCap = EagerCap;
-  Run.GraphPrune = GraphPrune;
-  Run.Portfolio = Portfolio;
-  Run.Strategy = Strategy;
-  return Run;
 }
 
 AuditCounts &AuditCounts::operator+=(const AuditCounts &Other) {
@@ -110,7 +87,7 @@ AuditResult syrust::oracle::auditOne(const Session &S,
                                      obs::Recorder *Obs) {
   AuditResult Result;
   Result.Crate = CrateName;
-  Result.Seed = Config.Seed;
+  Result.Seed = Config.Run.Seed;
   const CrateSpec *Spec = S.find(CrateName);
   if (!Spec || !Spec->Info.SupportsSynthesis ||
       !Config.validate().empty()) {
@@ -122,17 +99,12 @@ AuditResult syrust::oracle::auditOne(const Session &S,
   // captured here and replayed through the checker alongside the
   // emitted stream.
   std::vector<Program> Filtered;
-  AuditOptions Audit;
-  Audit.MaxLines = Config.MaxLines;
-  Audit.WeakenConsumptionKills = Config.WeakenConsumptionKills;
-  Audit.OnPathFiltered = [&Filtered](const Program &P) {
-    Filtered.push_back(P);
-  };
   // A run's own set-up (Session::runOne builds one too), so the
   // enumeration the oracle audits is the enumeration real runs emit.
   std::shared_ptr<const CrateAnalysis> Analysis = S.analysisFor(*Spec);
-  RunSetup Setup(*Spec, *Analysis, Config.runConfig(), Obs,
-                 /*Clock=*/nullptr, std::move(Audit));
+  RunSetup Setup(*Spec, *Analysis, Config.Run, Obs, /*Clock=*/nullptr,
+                 Config.Audit,
+                 [&Filtered](const Program &P) { Filtered.push_back(P); });
   CrateInstance &Inst = *Setup.Inst;
 
   auto Count = [&Obs](const char *Name) {

@@ -33,12 +33,13 @@
 ///     Informational: the filter was too strict (lost coverage, not
 ///     unsoundness), counted but never fatal.
 ///
-/// Audits replay a run's exact enumeration: they build the same
-/// core::RunSetup Session::runOne builds (same RNG seeding, same API
-/// subset, same refinement engine) and feed refinement back the same
-/// way, so the streams examined are the streams real runs emit - capped
-/// by model count, not simulated time, so a report is byte-identical for
-/// any scheduling.
+/// Audits replay a run's exact enumeration: an OracleConfig holds the
+/// core::RunConfig of the run it audits, and the audit builds from it
+/// the same core::RunSetup Session::runOne builds (same RNG seeding, same
+/// API subset, same refinement engine) and feeds refinement back the
+/// same way, so the streams examined are the streams real runs emit -
+/// capped by model count, not simulated time, so a report is
+/// byte-identical for any scheduling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +49,6 @@
 #include "core/Session.h"
 #include "coverage/ApiPairCoverage.h"
 #include "program/Program.h"
-#include "refine/RefinementEngine.h"
 #include "rustsim/Diagnostic.h"
 
 #include <cstdint>
@@ -58,50 +58,25 @@
 
 namespace syrust::oracle {
 
-/// Configuration for one (crate, seed) audit. A deliberate subset of
-/// RunConfig: audits have no simulated clock, no execution stage, and no
-/// line/branch coverage - only enumeration and checking (API-pair
+/// Configuration for one (crate, seed) audit: the run it replays and what
+/// an audit adds. Audits have no simulated clock, no execution stage and
+/// no line/branch coverage - only enumeration and checking (API-pair
 /// coverage over the dependency graph is tracked, since it needs only
-/// the emitted stream).
+/// the emitted stream) - so of Run only the settings core::RunSetup reads
+/// matter, and each means what it means for a run.
 struct OracleConfig {
-  /// APIs selected per library (Section 6.2; matches RunConfig).
-  int NumApis = 15;
-  uint64_t Seed = 2021;
-  /// Cap on program length; 0 = the crate's own MaxLen.
-  int MaxLines = 0;
+  /// The run whose enumeration the audit replays (AuditJob overrides
+  /// Run.Seed per cell).
+  core::RunConfig Run;
+  /// The audit's length cap and its canary, passed to core::RunSetup.
+  core::AuditOptions Audit;
   /// Models replayed per audit (emitted + path-filtered). The cap is on
   /// examined models, never on host time, so reports are deterministic.
   uint64_t MaxModels = 2000;
-  /// Polymorphism strategy driving the refinement feedback loop.
-  refine::RefinementMode Mode = refine::RefinementMode::Hybrid;
-  /// Cap on eager instantiations per API (matches RunConfig).
-  size_t EagerCap = 48;
-  /// Answer encoder candidate probes from the dependency graph's edge
-  /// table instead of CompatCache lookups (matches RunConfig::GraphPrune; the
-  /// audited stream is byte-identical either way).
-  bool GraphPrune = true;
-  /// Race the solver-strategy portfolio during the audited enumeration
-  /// (the audited stream is byte-identical either way; this exercises
-  /// the portfolio path under the agreement oracle).
-  bool Portfolio = false;
-  /// Named solver configuration for the audited enumeration; must be a
-  /// name sat::findStrategy() knows (validate() rejects anything else).
-  /// Empty = baseline.
-  std::string Strategy;
-  /// Canary hook: drop the encoder's consumption-kill clauses
-  /// (SynthOptions::WeakenConsumptionKills) so use-after-move programs
-  /// get emitted. The oracle MUST then report unexpected Ownership
-  /// disagreements - the self-test that proves the harness can catch a
-  /// real encoder bug.
-  bool WeakenConsumptionKills = false;
 
-  /// One specific message per invalid field; empty when runnable.
+  /// Run.validate() plus one specific message per invalid audit field;
+  /// empty when runnable.
   std::vector<std::string> validate() const;
-
-  /// The RunConfig an audit sets up from, beside core::AuditOptions:
-  /// NumApis, Seed, Mode, EagerCap, GraphPrune, Portfolio and Strategy
-  /// carry over, and every other setting keeps its RunConfig default.
-  core::RunConfig runConfig() const;
 };
 
 /// How one replayed model relates the encoder's verdict to the checker's.

@@ -16,6 +16,7 @@
 #include "cli/RequestSpec.h"
 
 #include "cli/Execute.h"
+#include "core/ResultJson.h"
 #include "core/Session.h"
 
 #include <gtest/gtest.h>
@@ -104,6 +105,27 @@ TEST(CliRequestTest, CampaignArgvParses) {
   EXPECT_EQ(9.0, Spec.Campaign.Spec.Base.BudgetSeconds);
   EXPECT_EQ("d", Spec.Out.OutDir);
   EXPECT_EQ("ck.jsonl", Spec.Campaign.CheckpointPath);
+}
+
+TEST(CliRequestTest, AuditArgvParses) {
+  // The run settings an audit takes land in the RunConfig it replays;
+  // the audit's own settings beside it.
+  RequestSpec Spec = parseOk(
+      Verb::Audit, {"--crates", "slab", "--seeds", "3..5", "--apis", "10",
+                    "--strategy", "cegar", "--portfolio",
+                    "--no-graph-prune", "--max-lines", "3", "--max-models",
+                    "100", "--weaken-kills"});
+  EXPECT_EQ(Verb::Audit, Spec.V);
+  const oracle::OracleConfig &Base = Spec.Audit.Spec.Base;
+  EXPECT_EQ(10, Base.Run.NumApis);
+  EXPECT_EQ("cegar", Base.Run.Strategy);
+  EXPECT_TRUE(Base.Run.Portfolio);
+  EXPECT_FALSE(Base.Run.GraphPrune);
+  EXPECT_EQ(3, Base.Audit.MaxLines);
+  EXPECT_TRUE(Base.Audit.WeakenConsumptionKills);
+  EXPECT_EQ(100u, Base.MaxModels);
+  EXPECT_EQ(3u, Spec.Audit.Spec.SeedBegin);
+  EXPECT_EQ(5u, Spec.Audit.Spec.SeedEnd);
 }
 
 TEST(CliRequestTest, OneSpecificMessagePerBadField) {
@@ -227,7 +249,9 @@ TEST(CliRequestTest, ArgvAndJsonSurfacesAgree) {
         "--coverage-out", "c.json"}},
       {Verb::Audit,
        {"--crates", "slab", "--seeds", "2..4", "--max-models", "100",
-        "--weaken-kills", "--out", "a"}},
+        "--weaken-kills", "--apis", "10", "--strategy", "cegar",
+        "--portfolio", "--no-graph-prune", "--max-lines", "3", "--out",
+        "a"}},
       {Verb::Coverage, {"c.json", "--top", "3"}},
   };
   for (const Case &C : Cases) {
@@ -248,15 +272,15 @@ TEST(CliRequestTest, ArgvAndJsonSurfacesAgree) {
         << (Errors.empty() ? "" : Errors.front());
 
     EXPECT_EQ(static_cast<int>(Direct.V), static_cast<int>(ViaWire.V));
-    // Re-render both through the wire encoder? ViaWire came from JSON,
-    // not argv — compare the load-bearing fields directly.
+    // Each verb's RunConfig compares whole, through its canonical
+    // rendering; the rest of the spec compares field by field.
+    EXPECT_EQ(core::runConfigToJson(Direct.Run.Config).dump(),
+              core::runConfigToJson(ViaWire.Run.Config).dump());
+    EXPECT_EQ(core::runConfigToJson(Direct.Campaign.Spec.Base).dump(),
+              core::runConfigToJson(ViaWire.Campaign.Spec.Base).dump());
+    EXPECT_EQ(core::runConfigToJson(Direct.Audit.Spec.Base.Run).dump(),
+              core::runConfigToJson(ViaWire.Audit.Spec.Base.Run).dump());
     EXPECT_EQ(Direct.Run.Crate, ViaWire.Run.Crate);
-    EXPECT_EQ(Direct.Run.Config.BudgetSeconds,
-              ViaWire.Run.Config.BudgetSeconds);
-    EXPECT_EQ(Direct.Run.Config.Seed, ViaWire.Run.Config.Seed);
-    EXPECT_EQ(Direct.Run.Config.Portfolio, ViaWire.Run.Config.Portfolio);
-    EXPECT_EQ(Direct.Run.Config.StopOnFirstBug,
-              ViaWire.Run.Config.StopOnFirstBug);
     EXPECT_EQ(Direct.Campaign.Spec.Crates, ViaWire.Campaign.Spec.Crates);
     EXPECT_EQ(Direct.Campaign.Spec.SeedBegin,
               ViaWire.Campaign.Spec.SeedBegin);
@@ -264,13 +288,13 @@ TEST(CliRequestTest, ArgvAndJsonSurfacesAgree) {
     EXPECT_EQ(Direct.Campaign.Spec.Variants,
               ViaWire.Campaign.Spec.Variants);
     EXPECT_EQ(Direct.Campaign.Spec.Jobs, ViaWire.Campaign.Spec.Jobs);
-    EXPECT_EQ(Direct.Campaign.Spec.Base.BudgetSeconds,
-              ViaWire.Campaign.Spec.Base.BudgetSeconds);
     EXPECT_EQ(Direct.Audit.Spec.Crates, ViaWire.Audit.Spec.Crates);
     EXPECT_EQ(Direct.Audit.Spec.Base.MaxModels,
               ViaWire.Audit.Spec.Base.MaxModels);
-    EXPECT_EQ(Direct.Audit.Spec.Base.WeakenConsumptionKills,
-              ViaWire.Audit.Spec.Base.WeakenConsumptionKills);
+    EXPECT_EQ(Direct.Audit.Spec.Base.Audit.MaxLines,
+              ViaWire.Audit.Spec.Base.Audit.MaxLines);
+    EXPECT_EQ(Direct.Audit.Spec.Base.Audit.WeakenConsumptionKills,
+              ViaWire.Audit.Spec.Base.Audit.WeakenConsumptionKills);
     EXPECT_EQ(Direct.Coverage.File, ViaWire.Coverage.File);
     EXPECT_EQ(Direct.Coverage.Top, ViaWire.Coverage.Top);
     EXPECT_EQ(Direct.Out.OutDir, ViaWire.Out.OutDir);

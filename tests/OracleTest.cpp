@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "oracle/AuditRunner.h"
-#include "core/ResultJson.h"
 #include "rustsim/Checker.h"
 #include "types/TypeParser.h"
 
@@ -142,7 +141,7 @@ TEST(AuditSpecTest, MatrixOrderIsCratesOuterSeedsInner) {
   EXPECT_EQ(Jobs[1].Seed, 6u);
   EXPECT_EQ(Jobs[2].Crate, "a");
   EXPECT_EQ(Jobs[3].Index, 3u);
-  EXPECT_EQ(Jobs[3].Config.Seed, 6u);
+  EXPECT_EQ(Jobs[3].Config.Run.Seed, 6u);
 }
 
 TEST(AuditSpecTest, ValidateRejectsEachBadField) {
@@ -198,42 +197,24 @@ TEST(OracleAudit, ReplaysTheStreamARunEmits) {
   // at the run's models (emitted plus path-filtered), the audit's
   // classes count exactly the run's verdicts, detail by detail - in the
   // default configuration on every crate, and with each setting an
-  // OracleConfig carries over set on both sides on a few crates where
-  // most of them change the stream. GraphPrune and Portfolio never
-  // change it, so for them only the audit's RunConfig can show a setting
-  // the audit failed to pass on; it is compared for every setting.
+  // audit takes set in the audit's RunConfig, which the run copies, on a
+  // few crates where most of them change the stream.
   struct Setting {
     const char *Name;
-    std::function<void(RunConfig &, OracleConfig &)> Set;
+    std::function<void(RunConfig &)> Set;
   };
   const Setting Settings[] = {
-      {"default", [](RunConfig &, OracleConfig &) {}},
-      {"seed 2022",
-       [](RunConfig &R, OracleConfig &O) { R.Seed = O.Seed = 2022; }},
+      {"default", [](RunConfig &) {}},
+      {"seed 2022", [](RunConfig &C) { C.Seed = 2022; }},
       {"lazy",
-       [](RunConfig &R, OracleConfig &O) {
-         R.Mode = O.Mode = refine::RefinementMode::PurelyLazy;
-       }},
+       [](RunConfig &C) { C.Mode = refine::RefinementMode::PurelyLazy; }},
       {"eager",
-       [](RunConfig &R, OracleConfig &O) {
-         R.Mode = O.Mode = refine::RefinementMode::PurelyEager;
-       }},
-      {"apis 10",
-       [](RunConfig &R, OracleConfig &O) { R.NumApis = O.NumApis = 10; }},
-      {"eager cap 8",
-       [](RunConfig &R, OracleConfig &O) { R.EagerCap = O.EagerCap = 8; }},
-      {"no graph prune",
-       [](RunConfig &R, OracleConfig &O) {
-         R.GraphPrune = O.GraphPrune = false;
-       }},
-      {"portfolio",
-       [](RunConfig &R, OracleConfig &O) {
-         R.Portfolio = O.Portfolio = true;
-       }},
-      {"cegar",
-       [](RunConfig &R, OracleConfig &O) {
-         R.Strategy = O.Strategy = "cegar";
-       }},
+       [](RunConfig &C) { C.Mode = refine::RefinementMode::PurelyEager; }},
+      {"apis 10", [](RunConfig &C) { C.NumApis = 10; }},
+      {"eager cap 8", [](RunConfig &C) { C.EagerCap = 8; }},
+      {"no graph prune", [](RunConfig &C) { C.GraphPrune = false; }},
+      {"portfolio", [](RunConfig &C) { C.Portfolio = true; }},
+      {"cegar", [](RunConfig &C) { C.Strategy = "cegar"; }},
   };
   // Each stream-changing setting moves at least one of these streams:
   // the eager cap moves bitvec and dashmap, the cegar strategy slab and
@@ -245,12 +226,9 @@ TEST(OracleAudit, ReplaysTheStreamARunEmits) {
       if (St.Name != std::string("default") && !Few.count(Crate))
         continue;
       const std::string Cell = Crate + " " + St.Name;
-      RunConfig Run;
       OracleConfig Config;
-      St.Set(Run, Config);
-      EXPECT_EQ(runConfigToJson(Config.runConfig()).dump(),
-                runConfigToJson(Run).dump())
-          << Cell;
+      St.Set(Config.Run);
+      RunConfig Run = Config.Run;
       Run.MaxTests = 300;
       RunResult R = S.runOne(Crate, Run);
       ASSERT_TRUE(R.Supported) << Cell;
@@ -291,7 +269,7 @@ TEST(OracleAudit, CanaryWeakenedEncoderIsCaughtAndMinimized) {
   Session S;
   OracleConfig Config;
   Config.MaxModels = 500;
-  Config.WeakenConsumptionKills = true;
+  Config.Audit.WeakenConsumptionKills = true;
   AuditResult R = auditOne(S, "slab", Config);
   ASSERT_GT(R.UnexpectedTotal, 0u)
       << "a seeded encoder bug escaped the oracle";
@@ -307,7 +285,7 @@ TEST(OracleAudit, CanaryWeakenedEncoderIsCaughtAndMinimized) {
   EXPECT_GT(R.MinimizerSteps, 0u);
 
   // Same configuration without the seeded bug: clean.
-  Config.WeakenConsumptionKills = false;
+  Config.Audit.WeakenConsumptionKills = false;
   AuditResult Clean = auditOne(S, "slab", Config);
   EXPECT_EQ(Clean.UnexpectedTotal, 0u);
 }
